@@ -54,12 +54,14 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Active fuzzing of the kernel oracles (the same targets run as plain
-# regression tests from the checked-in corpus during `make test`).
+# Active fuzzing of the kernel oracles and the model decoder (the same
+# targets run as plain regression tests from the checked-in corpus
+# during `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzGemmShapes -fuzztime=30s ./internal/blas
 	$(GO) test -fuzz=FuzzCSRMulVec -fuzztime=30s ./internal/sparse
 	$(GO) test -fuzz=FuzzCholUpdate -fuzztime=30s ./internal/decomp
+	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./internal/core
 
 # Regenerate every table and figure at laptop scale (minutes).
 repro:

@@ -94,7 +94,8 @@ func observeBody(t *testing.T, ds *srda.Dataset, classes, perClass int) []byte {
 // co-located tier: a predict entering the router under a remote
 // traceparent must leave route → forward → request → batch → kernel
 // spans all on that one trace id, and a /v1/observe that triggers a
-// refit must leave observe → refit on its own single trace.
+// refit must leave observe → refit → solve stages on its own single
+// trace.
 func TestEndToEndTraceAll(t *testing.T) {
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "m.bin")
@@ -174,12 +175,28 @@ func TestEndToEndTraceAll(t *testing.T) {
 		t.Fatal("no spans on trace def")
 	}
 	names = map[string]bool{}
-	for _, sp := range observe {
+	var refit uint64
+	for id, sp := range observe {
 		names[sp.name] = true
+		if sp.name == "refit" {
+			refit = id
+		}
 	}
 	for _, want := range []string{"observe", "refit"} {
 		if !names[want] {
 			t.Errorf("trace def missing %q span; have %v", want, names)
+		}
+	}
+	// The refit's solve stages nest under it on the same trace.
+	stages := map[string]bool{}
+	for _, sp := range observe {
+		if sp.parent == refit {
+			stages[sp.name] = true
+		}
+	}
+	for _, want := range []string{"responses", "cholesky", "xty", "solve"} {
+		if !stages[want] {
+			t.Errorf("refit span has no %q child; children %v", want, stages)
 		}
 	}
 }

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -107,8 +108,9 @@ func run(cfg config) (err error) {
 	}
 
 	begin := time.Now()
-	tr := srda.NewTrace()
-	sp := tr.Start("load")
+	tr := srda.NewTracer(0)
+	_, root := tr.StartRoot(context.Background(), "srdatrain")
+	sp := root.StartChild("load")
 	train, err := loadFile(cfg.trainPath, cfg.features)
 	sp.End()
 	if err != nil {
@@ -117,7 +119,7 @@ func run(cfg config) (err error) {
 	fmt.Printf("train: %d samples, %d features, %d classes, %.1f avg nnz\n",
 		train.NumSamples(), train.NumFeatures(), train.NumClasses, train.AvgNNZ())
 
-	opt := srda.Options{Alpha: cfg.alpha, Solver: sv, LSQRIter: cfg.iters, Workers: cfg.workers, Whiten: true, Trace: tr}
+	opt := srda.Options{Alpha: cfg.alpha, Solver: sv, LSQRIter: cfg.iters, Workers: cfg.workers, Whiten: true, Span: root}
 	start := time.Now()
 	var model *srda.Model
 	if cfg.disk {
@@ -136,7 +138,7 @@ func run(cfg config) (err error) {
 		"features": float64(train.NumFeatures()),
 		"classes":  float64(train.NumClasses),
 	}
-	evalSpan := tr.Start("eval")
+	evalSpan := root.StartChild("eval")
 	embTrain := model.TransformSparse(train.Sparse)
 	evalSet := func(name string, ds *srda.Dataset) (float64, error) {
 		emb := model.TransformSparse(ds.Sparse)
@@ -185,6 +187,7 @@ func run(cfg config) (err error) {
 		data["test_error"] = rate
 	}
 	evalSpan.End()
+	root.End()
 
 	if cfg.modelPath != "" {
 		// Atomic temp-file + rename: a crash mid-save can never leave a
@@ -195,7 +198,7 @@ func run(cfg config) (err error) {
 		fmt.Printf("model written to %s\n", cfg.modelPath)
 	}
 	if cfg.reportPath != "" {
-		if err := writeReport(cfg.reportPath, tr, model, data, time.Since(begin).Seconds()); err != nil {
+		if err := writeReport(cfg.reportPath, tr.Snapshot(), root.SpanID(), model, data, time.Since(begin).Seconds()); err != nil {
 			return err
 		}
 		fmt.Printf("report written to %s\n", cfg.reportPath)
@@ -204,10 +207,10 @@ func run(cfg config) (err error) {
 }
 
 // writeReport assembles the structured run report: phase wall times from
-// the trace plus the model's solver telemetry.
-func writeReport(path string, tr *srda.Trace, model *srda.Model, data map[string]float64, total float64) error {
+// the root span's direct children plus the model's solver telemetry.
+func writeReport(path string, spans []obs.SpanRecord, root obs.SpanID, model *srda.Model, data map[string]float64, total float64) error {
 	rep := obs.Report{Tool: "srdatrain", TotalSeconds: total, Data: data}
-	rep.AddTrace(tr)
+	rep.AddSpans(spans, root)
 	rep.Solver = &obs.SolverStats{
 		Strategy:   model.Stats.Strategy.String(),
 		TotalIters: model.Stats.Iters,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -39,11 +40,11 @@ type Options struct {
 	// Every setting produces a bitwise-identical model; the trained
 	// Model inherits the value for its batch-projection kernels.
 	Workers int
-	// Trace, when non-nil, receives per-phase timing spans for the fit:
-	// "responses" for response generation plus the regress-layer phases
-	// (see regress.Options.Trace).  Training itself never reads a clock;
-	// timing lives entirely in the caller-provided trace.
-	Trace *obs.Trace
+	// Span, when non-nil, is the parent of the fit's per-phase timing
+	// spans: "responses" for response generation plus the regress-layer
+	// phases (see regress.Options.Span).  Training itself never reads a
+	// clock; timing lives entirely in the caller's tracer.
+	Span *obs.ReqSpan
 }
 
 // Model is a trained SRDA transformer: samples are embedded into the
@@ -275,7 +276,7 @@ func FitDense(x *mat.Dense, labels []int, numClasses int, opt Options) (*Model, 
 		}
 		return fitDensePrimalStats(x, labels, numClasses, opt)
 	}
-	sp := opt.Trace.Start("responses")
+	sp := opt.Span.StartChild("responses")
 	rt, err := GenerateResponses(labels, numClasses)
 	if err != nil {
 		sp.End()
@@ -289,7 +290,7 @@ func FitDense(x *mat.Dense, labels []int, numClasses int, opt Options) (*Model, 
 		Intercept: true,
 		LSQRIter:  opt.LSQRIter,
 		Workers:   opt.Workers,
-		Trace:     opt.Trace,
+		Span:      opt.Span,
 	})
 	if err != nil {
 		return nil, err
@@ -310,7 +311,7 @@ func FitOperator(op solver.Operator, labels []int, numClasses int, opt Options) 
 	if m != len(labels) {
 		return nil, fmt.Errorf("core: %d samples but %d labels", m, len(labels))
 	}
-	sp := opt.Trace.Start("responses")
+	sp := opt.Span.StartChild("responses")
 	rt, err := GenerateResponses(labels, numClasses)
 	if err != nil {
 		sp.End()
@@ -323,7 +324,7 @@ func FitOperator(op solver.Operator, labels []int, numClasses int, opt Options) 
 		Intercept: true,
 		LSQRIter:  opt.LSQRIter,
 		Workers:   opt.Workers,
-		Trace:     opt.Trace,
+		Span:      opt.Span,
 	})
 	if err != nil {
 		return nil, err
@@ -562,17 +563,35 @@ func LoadFile(path string) (*Model, error) {
 	return Load(f)
 }
 
-// Load deserializes a model written by Save.
+// Errors Load returns for a stream that decodes but cannot be a model;
+// test them with errors.Is.
+var (
+	// ErrModelCorrupt: a stored slice disagrees with the stored shape.
+	ErrModelCorrupt = errors.New("core: corrupt model")
+	// ErrModelShape: a dimension of W or the centroid matrix is not positive.
+	ErrModelShape = errors.New("core: model has a non-positive dimension")
+	// ErrModelSize: a dimension product overflows int.
+	ErrModelSize = errors.New("core: model dimensions overflow")
+	// ErrModelNonFinite: W, B or a centroid holds a NaN or ±Inf.
+	ErrModelNonFinite = errors.New("core: model holds a non-finite value")
+)
+
+// Load deserializes a model written by Save.  Beyond the gob decoding it
+// rejects shapes no fit produces and non-finite parameters, which would
+// otherwise surface later as out-of-range predictions.
 func Load(r io.Reader) (*Model, error) {
 	var wire modelWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
-	if len(wire.W) != wire.Rows*wire.Cols {
-		return nil, fmt.Errorf("core: corrupt model: %d values for %dx%d", len(wire.W), wire.Rows, wire.Cols)
+	if err := checkShape(wire.Rows, wire.Cols, len(wire.W)); err != nil {
+		return nil, fmt.Errorf("%w: %d values for %dx%d W", err, len(wire.W), wire.Rows, wire.Cols)
 	}
 	if len(wire.B) != wire.Cols {
-		return nil, fmt.Errorf("core: corrupt model: %d biases for %d responses", len(wire.B), wire.Cols)
+		return nil, fmt.Errorf("%w: %d biases for %d responses", ErrModelCorrupt, len(wire.B), wire.Cols)
+	}
+	if !allFinite(wire.W) || !allFinite(wire.B) || !allFinite(wire.Centroids) {
+		return nil, ErrModelNonFinite
 	}
 	model := &Model{
 		W:          mat.NewDenseData(wire.Rows, wire.Cols, wire.W),
@@ -581,10 +600,34 @@ func Load(r io.Reader) (*Model, error) {
 		Alpha:      wire.Alpha,
 	}
 	if len(wire.Centroids) > 0 {
-		if len(wire.Centroids) != wire.NumClasses*wire.Cols {
-			return nil, fmt.Errorf("core: corrupt model: %d centroid values for %dx%d", len(wire.Centroids), wire.NumClasses, wire.Cols)
+		if err := checkShape(wire.NumClasses, wire.Cols, len(wire.Centroids)); err != nil {
+			return nil, fmt.Errorf("%w: %d centroid values for %dx%d", err, len(wire.Centroids), wire.NumClasses, wire.Cols)
 		}
 		model.Centroids = mat.NewDenseData(wire.NumClasses, wire.Cols, wire.Centroids)
 	}
 	return model, nil
+}
+
+// checkShape validates a rows×cols matrix stored as n values in a model
+// file, testing the product only once it cannot overflow.
+func checkShape(rows, cols, n int) error {
+	switch {
+	case rows <= 0 || cols <= 0:
+		return ErrModelShape
+	case rows > math.MaxInt/cols:
+		return ErrModelSize
+	case n != rows*cols:
+		return ErrModelCorrupt
+	}
+	return nil
+}
+
+// allFinite reports whether v holds no NaN or ±Inf.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }

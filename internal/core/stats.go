@@ -173,7 +173,7 @@ func FitStats(s *SuffStats, opt Options) (*Model, error) {
 	if opt.Alpha < 0 {
 		return nil, fmt.Errorf("core: negative alpha %v", opt.Alpha)
 	}
-	sp := opt.Trace.Start("responses")
+	sp := opt.Span.StartChild("responses")
 	rt, err := ResponsesFromCounts(s.counts)
 	sp.End()
 	if err != nil {
@@ -185,17 +185,17 @@ func FitStats(s *SuffStats, opt Options) (*Model, error) {
 	for i := 0; i < na; i++ {
 		g.Set(i, i, g.At(i, i)+opt.Alpha)
 	}
-	sp = opt.Trace.Start("cholesky")
+	sp = opt.Span.StartChild("cholesky")
 	ch, err := decomp.NewCholesky(g)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: normal equations not positive definite (alpha=%v): %w", opt.Alpha, err)
 	}
-	sp = opt.Trace.Start("xty")
+	sp = opt.Span.StartChild("xty")
 	// X̃ᵀY = classSumsᵀ · values  ((n+1)×c · c×(c−1))
 	xty := mat.MulTA(s.classSums, rt.Values)
 	sp.End()
-	sp = opt.Trace.Start("solve")
+	sp = opt.Span.StartChild("solve")
 	wAug := ch.Solve(xty)
 	sp.End()
 	k := wAug.Cols
@@ -256,7 +256,7 @@ func fitDensePrimalStats(x *mat.Dense, labels []int, numClasses int, opt Options
 		aug:       make([]float64, x.Cols+1),
 	}
 	xa := augmentOnes(x)
-	sp := opt.Trace.Start("gram")
+	sp := opt.Span.StartChild("gram")
 	s.gram = mat.ParGram(opt.Workers, xa)
 	for i := 0; i < x.Rows; i++ {
 		blas.Axpy(1, xa.RowView(i), s.classSums.RowView(labels[i]))

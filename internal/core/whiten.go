@@ -164,7 +164,7 @@ func FitDenseWhitened(x *mat.Dense, labels []int, numClasses int, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	sp := opt.Trace.Start("whiten")
+	sp := opt.Span.StartChild("whiten")
 	err = model.WhitenWithin(model.TransformDense(x), labels)
 	sp.End()
 	if err != nil {
@@ -179,7 +179,7 @@ func FitSparseWhitened(x *sparse.CSR, labels []int, numClasses int, opt Options)
 	if err != nil {
 		return nil, err
 	}
-	sp := opt.Trace.Start("whiten")
+	sp := opt.Span.StartChild("whiten")
 	err = model.WhitenWithin(model.TransformSparse(x), labels)
 	sp.End()
 	if err != nil {

@@ -27,7 +27,7 @@
 //   - noclock: no wall-clock reads (time.Now and friends) inside the
 //     numeric packages or internal/pool; internal/obs is the single
 //     sanctioned clock owner, and instrumented code records through the
-//     obs.Trace/obs.Stamp handles it vends.  Other timing belongs to the
+//     obs.ReqSpan/obs.Stamp handles it vends.  Other timing belongs to the
 //     bench and experiment layers.
 //   - errdrop: no silently discarded error returns outside tests; an
 //     explicit `_ =` is required where dropping is intentional.

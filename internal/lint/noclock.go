@@ -18,7 +18,7 @@ import (
 // because a helper becomes numeric code the moment a kernel calls it.
 //
 // internal/obs is the single sanctioned clock owner: it wraps the clock
-// behind injectable obs.Clock values and hands out obs.Trace spans and
+// behind injectable obs.Clock values and hands out obs.ReqSpan spans and
 // obs.Stamp marks that instrumented code records into without ever
 // touching package time.  The scope of the ban is every numeric package
 // plus internal/pool (which times queue waits through obs.Stamp); other
@@ -95,7 +95,7 @@ func runNoClock(pass *Pass) {
 			if !ok || !isClockRead(fn) {
 				return true
 			}
-			pass.Reportf(sel.Pos(), "time.%s in package %s makes results depend on wall-clock timing; internal/obs owns the clock — record through obs.Trace/obs.Stamp, or measure in cmd/srdabench or the experiment layer", fn.Name(), pass.Pkg.Path)
+			pass.Reportf(sel.Pos(), "time.%s in package %s makes results depend on wall-clock timing; internal/obs owns the clock — open a child of an obs.ReqSpan or take an obs.Stamp, or measure in cmd/srdabench or the experiment layer", fn.Name(), pass.Pkg.Path)
 			return true
 		})
 		return
@@ -110,7 +110,7 @@ func runNoClock(pass *Pass) {
 	mod := pass.Module
 	for _, n := range pass.hotNodes() {
 		for _, site := range clockReads(info, n) {
-			pass.Reportf(site.pos, "%s in %s is on the hot kernel path (reachable from entry %s); results would depend on wall-clock timing — record through obs.Trace/obs.Stamp or move the timing to the caller",
+			pass.Reportf(site.pos, "%s in %s is on the hot kernel path (reachable from entry %s); results would depend on wall-clock timing — open a child of an obs.ReqSpan or take an obs.Stamp, or move the timing to the caller",
 				site.what, mod.funcDisplayName(n.Func), mod.funcDisplayName(n.HotVia.Func))
 		}
 	}

@@ -384,43 +384,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts by
-// linear interpolation inside the chosen bucket, the way PromQL's
-// histogram_quantile does.  Values landing in the +Inf overflow bucket
-// are reported as the highest finite bound.  Returns NaN when nothing has
-// been observed.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.bounds {
-		cum += h.counts[i].Load()
-		if float64(cum) >= rank && cum > 0 {
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			inBucket := float64(h.counts[i].Load())
-			if inBucket <= 0 {
-				return h.bounds[i]
-			}
-			prev := float64(cum) - inBucket
-			frac := (rank - prev) / inBucket
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lower + (h.bounds[i]-lower)*frac
-		}
-	}
-	// Overflow bucket: the best available bound is the largest finite one.
-	return h.bounds[len(h.bounds)-1]
-}
-
 func (h *Histogram) metricName() string { return h.name }
 
 func (h *Histogram) writeProm(w io.Writer) {

@@ -1,7 +1,7 @@
 // Package obs is the repository's unified observability layer: a
 // dependency-free metrics registry with Prometheus text exposition,
-// lightweight span tracing for the training pipeline, and helpers for
-// CPU/heap profiling, runtime tracing, and structured JSON run reports.
+// request-scoped span tracing shared by training and serving, and helpers
+// for CPU/heap profiling, runtime tracing, and structured JSON run reports.
 //
 // The package exists to make the paper's per-stage cost claims
 // observable end to end.  Three design rules keep it compatible with the
@@ -9,9 +9,9 @@
 //
 //   - obs is the sole sanctioned clock owner.  Numeric packages never
 //     call time.Now themselves (the noclock analyzer bans it); they
-//     record into a caller-provided *Trace whose clock was injected by
-//     the CLI or test that owns the run.  internal/pool measures its
-//     queue-wait through Stamp for the same reason.
+//     open children of a caller-provided *ReqSpan whose Tracer's clock
+//     was injected by the CLI or test that owns the run.  internal/pool
+//     measures its queue-wait through Stamp for the same reason.
 //   - Instruments are wait-free on the hot path: counters and histogram
 //     observations are single atomic operations, so instrumenting a
 //     kernel call-site never serializes the worker pool.

@@ -107,31 +107,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("q", "help", []float64{1, 2, 4})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("empty histogram quantile is not NaN")
-	}
-	// 10 observations in (1,2]: the median interpolates inside that bucket.
-	for i := 0; i < 10; i++ {
-		h.Observe(1.5)
-	}
-	got := h.Quantile(0.5)
-	if got < 1 || got > 2 {
-		t.Fatalf("median %g outside the (1,2] bucket", got)
-	}
-	if math.Abs(got-1.5) > 1e-9 {
-		t.Fatalf("median = %g, want 1.5 (linear interpolation at rank 5 of 10)", got)
-	}
-	// Values past the last bound report the largest finite bound.
-	h2 := r.NewHistogram("q2", "help", []float64{1, 2, 4})
-	h2.Observe(100)
-	if got := h2.Quantile(0.99); got != 4 {
-		t.Fatalf("overflow quantile = %g, want 4", got)
-	}
-}
-
 func TestHistogramAscendingBoundsEnforced(t *testing.T) {
 	r := NewRegistry()
 	defer func() {

@@ -46,13 +46,17 @@ type SolverStats struct {
 	Residuals []float64 `json:"residuals,omitempty"`
 }
 
-// AddTrace appends the trace's spans as phases, aggregating spans that
-// share a name (per-response spans sum) while preserving first-seen
-// order.
-func (r *Report) AddTrace(t *Trace) {
+// AddSpans appends the direct children of root as phases, summing
+// children that share a name (per-response spans) and keeping the order
+// in which each name first completed.  spans is a Tracer snapshot, which
+// lists spans oldest-completed first.
+func (r *Report) AddSpans(spans []SpanRecord, root SpanID) {
 	var order []string
 	totals := map[string]float64{}
-	for _, sp := range t.Spans() {
+	for _, sp := range spans {
+		if sp.Parent != root {
+			continue
+		}
 		if _, ok := totals[sp.Name]; !ok {
 			order = append(order, sp.Name)
 		}
@@ -135,4 +139,3 @@ func ValidateReportStruct(r *Report) error {
 	}
 	return nil
 }
-

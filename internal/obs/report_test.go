@@ -1,11 +1,11 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -92,33 +92,33 @@ func TestWriteFileRefusesInvalidReport(t *testing.T) {
 	}
 }
 
-func TestAddTraceAggregates(t *testing.T) {
-	clk := struct {
-		mu  sync.Mutex
-		now time.Time
-	}{now: time.Unix(0, 0)}
-	tr := NewTraceClock(func() time.Time {
-		clk.mu.Lock()
-		defer clk.mu.Unlock()
-		clk.now = clk.now.Add(time.Second)
-		return clk.now
-	})
-	a := tr.Start("responses")
+func TestAddSpansAggregates(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(0, 0), step: time.Second}
+	tr := NewTracerClock(8, clk.read)
+	_, root := tr.StartRoot(context.Background(), "run")
+	a := root.StartChild("responses")
 	a.End()
 	for i := 0; i < 2; i++ {
-		sp := tr.Start("lsqr")
+		sp := root.StartChild("lsqr")
 		sp.End()
 	}
+	w := root.StartChild("whiten")
+	inner := w.StartChild("inner") // a grandchild is not a phase
+	inner.End()
+	w.End()
+	_, other := tr.StartRoot(context.Background(), "other") // nor is another root
+	other.End()
+	root.End()
 	var r Report
-	r.AddTrace(tr)
-	if len(r.Phases) != 2 {
-		t.Fatalf("got %d phases, want 2 (aggregated)", len(r.Phases))
+	r.AddSpans(tr.Snapshot(), root.SpanID())
+	want := []Phase{{"responses", 1}, {"lsqr", 2}, {"whiten", 3}}
+	if len(r.Phases) != len(want) {
+		t.Fatalf("phases = %+v, want %+v", r.Phases, want)
 	}
-	if r.Phases[0].Name != "responses" || r.Phases[0].Seconds != 1 {
-		t.Fatalf("phase 0 = %+v", r.Phases[0])
-	}
-	if r.Phases[1].Name != "lsqr" || r.Phases[1].Seconds != 2 {
-		t.Fatalf("phase 1 = %+v (want two 1s spans summed)", r.Phases[1])
+	for i, p := range want {
+		if r.Phases[i] != p {
+			t.Fatalf("phase %d = %+v, want %+v (same-name children summed, completion order)", i, r.Phases[i], p)
+		}
 	}
 }
 

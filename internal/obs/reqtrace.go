@@ -1,11 +1,12 @@
 package obs
 
-// Request-scoped tracing.  Where Trace (trace.go) collects flat, named
-// phase timings for one batch operation (a Fit call), Tracer records a
-// *tree* of spans correlated by a TraceID across goroutine hops: an HTTP
-// request enters serve.Server, its samples are coalesced with other
-// requests' by the micro-batch dispatcher, and the batch finally runs the
-// GEMM kernels — three goroutines, one logical request.  Spans propagate
+// Request-scoped tracing.  Tracer records a *tree* of spans correlated by
+// a TraceID across goroutine hops.  A fit hangs its stages ("responses",
+// "gram", "cholesky", "lsqr", ...) under a caller-provided span through
+// StartChild.  An HTTP request enters serve.Server, its samples are
+// coalesced with other requests' by the micro-batch dispatcher, and the
+// batch finally runs the GEMM kernels — three goroutines, one logical
+// request.  Spans propagate
 // through context.Context, completed spans land in a fixed-size ring
 // buffer (old traffic is evicted, never reallocated), and the ring
 // exports deterministically as Chrome trace-event JSON readable by

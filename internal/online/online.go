@@ -129,9 +129,6 @@ type Config struct {
 	// one async refit is in flight; triggers that fire while one runs
 	// are absorbed by the next.  Close waits for the last one.
 	Async bool
-	// Trace, when non-nil, receives the refit phase spans ("refit" around
-	// each attempt, plus core's "responses"/"cholesky"/"xty"/"solve").
-	Trace *obs.Trace
 	// Logger receives refit/publish/rollback outcomes.  Nil disables.
 	Logger *obs.Logger
 	// Flight, when non-nil, is the process flight recorder: every refit
@@ -472,18 +469,17 @@ func (t *StreamTrainer) refitLocked(ctx context.Context, trigger string) (*core.
 // sync path); the async path passes a private clone and locked=false, so
 // result write-backs retake the lock themselves.  When ctx carries a
 // request span (an /v1/observe call tripped the trigger), the refit runs
-// under a "refit" child so the distributed trace shows the solve.
+// under a "refit" child, with core's "responses"/"cholesky"/"xty"/"solve"
+// stages nested beneath it, so the distributed trace shows the solve.
 func (t *StreamTrainer) refitFrom(ctx context.Context, stats *core.SuffStats, trigger string, locked bool) (*core.Model, uint64, error) {
 	_, rsp := obs.StartSpan(ctx, "refit")
 	defer rsp.End()
 	trace := rsp.TraceID()
-	sp := t.cfg.Trace.Start("refit")
-	defer sp.End()
 	t.mx.refits.Inc()
 	candidate, err := core.FitStats(stats, core.Options{
 		Alpha:   t.cfg.Alpha,
 		Workers: t.cfg.Workers,
-		Trace:   t.cfg.Trace,
+		Span:    rsp,
 	})
 	if err != nil {
 		t.mx.refitFailures.Inc()

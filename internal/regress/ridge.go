@@ -79,12 +79,12 @@ type Options struct {
 	// settings produce bitwise-identical models (see internal/pool).
 	// 0 means GOMAXPROCS; 1 forces fully sequential work.
 	Workers int
-	// Trace, when non-nil, receives per-phase timing spans ("gram", "xty",
-	// "cholesky", "solve" for the direct paths; "lsqr" for the iterative
-	// path).  The fit itself never reads a clock — all timing lives in the
-	// caller-provided trace, keeping this package inside the noclock
-	// contract.  nil disables tracing at zero cost.
-	Trace *obs.Trace
+	// Span, when non-nil, is the parent of the per-phase timing spans
+	// ("gram", "xty", "cholesky", "solve" for the direct paths; "lsqr" for
+	// the iterative path).  The fit itself never reads a clock — all
+	// timing lives in the caller's tracer, keeping this package inside
+	// the noclock contract.  nil disables tracing at zero cost.
+	Span *obs.ReqSpan
 	// RecordResiduals, for the LSQR path, keeps each response's full
 	// per-iteration residual-norm trajectory in Stats.ResidualCurves
 	// (observability only; costs one float per iteration per response).
@@ -193,7 +193,7 @@ func FitOperator(op solver.Operator, y *mat.Dense, opt Options) (*Model, error) 
 		params.RecordResiduals = true
 		curves = make([][]float64, k)
 	}
-	lsqrSpan := opt.Trace.Start("lsqr")
+	lsqrSpan := opt.Span.StartChild("lsqr")
 	pool.Do(opt.Workers, k, func(lo, hi int) {
 		rhs := make([]float64, m)
 		for j := lo; j < hi; j++ {
@@ -227,22 +227,22 @@ func FitOperator(op solver.Operator, y *mat.Dense, opt Options) (*Model, error) 
 func fitPrimal(x *mat.Dense, y *mat.Dense, opt Options) (*Model, error) {
 	xa := augment(x, opt.Intercept)
 	n := xa.Cols
-	sp := opt.Trace.Start("gram")
+	sp := opt.Span.StartChild("gram")
 	g := mat.ParGram(opt.Workers, xa)
 	sp.End()
 	for i := 0; i < n; i++ {
 		g.Set(i, i, g.At(i, i)+opt.Alpha)
 	}
-	sp = opt.Trace.Start("cholesky")
+	sp = opt.Span.StartChild("cholesky")
 	ch, err := decomp.NewCholesky(g)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("regress: normal equations not positive definite (alpha=%v): %w", opt.Alpha, err)
 	}
-	sp = opt.Trace.Start("xty")
+	sp = opt.Span.StartChild("xty")
 	xty := mat.ParMulTA(opt.Workers, xa, y)
 	sp.End()
-	sp = opt.Trace.Start("solve")
+	sp = opt.Span.StartChild("solve")
 	w := ch.Solve(xty)
 	sp.End()
 	model := splitIntercept(w, opt.Intercept, Primal)
@@ -256,7 +256,7 @@ func fitPrimal(x *mat.Dense, y *mat.Dense, opt Options) (*Model, error) {
 func fitDual(x *mat.Dense, y *mat.Dense, opt Options) (*Model, error) {
 	xa := augment(x, opt.Intercept)
 	m := xa.Rows
-	sp := opt.Trace.Start("gram")
+	sp := opt.Span.StartChild("gram")
 	g := mat.ParGramT(opt.Workers, xa)
 	sp.End()
 	alpha := opt.Alpha
@@ -268,16 +268,16 @@ func fitDual(x *mat.Dense, y *mat.Dense, opt Options) (*Model, error) {
 	for i := 0; i < m; i++ {
 		g.Set(i, i, g.At(i, i)+alpha)
 	}
-	sp = opt.Trace.Start("cholesky")
+	sp = opt.Span.StartChild("cholesky")
 	ch, err := decomp.NewCholesky(g)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("regress: dual system not positive definite (alpha=%v): %w", opt.Alpha, err)
 	}
-	sp = opt.Trace.Start("solve")
+	sp = opt.Span.StartChild("solve")
 	z := ch.Solve(y)
 	sp.End()
-	sp = opt.Trace.Start("xty")
+	sp = opt.Span.StartChild("xty")
 	w := mat.ParMulTA(opt.Workers, xa, z)
 	sp.End()
 	model := splitIntercept(w, opt.Intercept, Dual)

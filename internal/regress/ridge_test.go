@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -346,8 +347,8 @@ func TestStatsDirectSolves(t *testing.T) {
 	}
 }
 
-// TestTraceSpansPerStrategy checks each strategy emits its phase spans
-// into a caller-provided trace.
+// TestTraceSpansPerStrategy checks each strategy emits its phase spans as
+// children of the caller-provided span.
 func TestTraceSpansPerStrategy(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	x := randDense(rng, 30, 8)
@@ -361,17 +362,19 @@ func TestTraceSpansPerStrategy(t *testing.T) {
 		{IterLSQR, []string{"lsqr"}},
 	}
 	for _, tc := range cases {
-		tr := obs.NewTrace()
-		if _, err := FitDense(x, y, Options{Alpha: 0.5, Strategy: tc.strat, Trace: tr}); err != nil {
+		tr := obs.NewTracerClock(16, nil)
+		_, root := tr.StartRoot(context.Background(), "fit")
+		if _, err := FitDense(x, y, Options{Alpha: 0.5, Strategy: tc.strat, Span: root}); err != nil {
 			t.Fatal(err)
 		}
-		spans := tr.Spans()
+		spans := tr.Snapshot()
 		if len(spans) != len(tc.spans) {
 			t.Fatalf("%v: got %d spans, want %d", tc.strat, len(spans), len(tc.spans))
 		}
 		for i, want := range tc.spans {
-			if spans[i].Name != want {
-				t.Fatalf("%v: span %d = %q, want %q", tc.strat, i, spans[i].Name, want)
+			if spans[i].Name != want || spans[i].Parent != root.SpanID() {
+				t.Fatalf("%v: span %d = %q under %d, want %q under the root %d",
+					tc.strat, i, spans[i].Name, spans[i].Parent, want, root.SpanID())
 			}
 		}
 	}

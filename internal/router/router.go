@@ -551,7 +551,8 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var pr serve.PredictRequest
-	if err := json.NewDecoder(req.Body).Decode(&pr); err != nil {
+	body := http.MaxBytesReader(w, req.Body, serve.DefaultMaxBodyBytes)
+	if err := json.NewDecoder(body).Decode(&pr); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
 		return
 	}

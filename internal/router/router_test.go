@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -425,5 +427,26 @@ func TestOverloadShedding(t *testing.T) {
 		Samples: []serve.Sample{{Dense: probe(8, 0)}},
 	}); err != nil {
 		t.Fatalf("recovered replica still shed: %v", err)
+	}
+}
+
+// TestPredictBodyCap posts a body one byte over serve.DefaultMaxBodyBytes
+// to the router and to a worker: both must stop reading at the cap and
+// answer 400 rather than buffer the whole body.
+func TestPredictBodyCap(t *testing.T) {
+	r, _, workers := colocated(t, 1, Options{})
+	body := strings.Repeat(" ", serve.DefaultMaxBodyBytes+1)
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+	}{
+		{"router", r.Handler()},
+		{"worker", workers[0].Handler()},
+	} {
+		rec := httptest.NewRecorder()
+		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+			t.Errorf("%s: oversized body got %d %q, want 400 naming the size cap", tc.name, rec.Code, rec.Body.String())
+		}
 	}
 }

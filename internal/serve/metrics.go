@@ -15,14 +15,13 @@ type metrics struct {
 	reg           *obs.Registry
 	requests      *obs.CounterVec // endpoint, code
 	errors        *obs.CounterVec // endpoint
-	latency       *obs.Histogram  // predict seconds, request receipt → reply ready
 	batchSize     *obs.Histogram  // samples per inference batch
 	samples       *obs.Counter
 	batches       *obs.Counter
 	reloads       *obs.Counter
 	reloadErrors  *obs.Counter
 	queueRejects  *obs.Counter
-	latencySketch *obs.QuantileSketch // exact-rank-bounded p50/p95/p99
+	latencySketch *obs.QuantileSketch // predict seconds, receipt → reply: rank-bounded p50/p95/p99
 }
 
 // newMetrics registers the serve instrument set on a fresh registry.
@@ -35,9 +34,6 @@ func newMetrics(queueDepth, modelSeq func() int64) *metrics {
 			"HTTP requests by endpoint and status code.", "endpoint", "code"),
 		errors: reg.NewCounterVec("srdaserve_errors_total",
 			"Failed requests by endpoint.", "endpoint"),
-		latency: reg.NewHistogram("srdaserve_request_duration_seconds",
-			"Predict latency from receipt to reply.",
-			[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}),
 		batchSize: reg.NewHistogram("srdaserve_batch_size",
 			"Samples coalesced per inference batch.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
@@ -67,22 +63,6 @@ func newMetrics(queueDepth, modelSeq func() int64) *metrics {
 		"Streaming 99th-percentile predict latency in seconds (CKMS sketch, 0.1% rank error).",
 		func() float64 { return mx.latencySketch.Query(0.99) })
 	return mx
-}
-
-// observeLatency feeds one predict latency to both the fixed-bucket
-// histogram (for PromQL histogram_quantile) and the CKMS sketch (for the
-// rank-bounded p50/p95/p99 gauges).
-func (mx *metrics) observeLatency(sec float64) {
-	mx.latency.Observe(sec)
-	mx.latencySketch.Observe(sec)
-}
-
-// observeLatencyTraced is observeLatency plus the trace link: when an
-// exemplar store is attached to the histogram, outliers keep the TraceID
-// that produced them.
-func (mx *metrics) observeLatencyTraced(sec float64, trace obs.TraceID) {
-	mx.latency.ObserveTraced(sec, trace)
-	mx.latencySketch.Observe(sec)
 }
 
 // writeProm renders the Prometheus text exposition format.

@@ -17,8 +17,8 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	mx.requests.With("/v1/predict", "400").Inc()
 	mx.requests.With("/healthz", "200").Inc()
 	mx.errors.With("/v1/predict").Inc()
-	mx.observeLatency(0.001953125) // 2^-9: lands in the le="0.0025" bucket
-	mx.observeLatency(0.25)        // exactly on a bound: le is inclusive
+	mx.latencySketch.Observe(0.001953125) // 2^-9: renders exactly
+	mx.latencySketch.Observe(0.25)
 	mx.batchSize.Observe(2)
 	mx.batchSize.Observe(5)
 	mx.samples.Add(7)
@@ -36,23 +36,6 @@ srdaserve_requests_total{endpoint="/v1/predict",code="400"} 1
 # HELP srdaserve_errors_total Failed requests by endpoint.
 # TYPE srdaserve_errors_total counter
 srdaserve_errors_total{endpoint="/v1/predict"} 1
-# HELP srdaserve_request_duration_seconds Predict latency from receipt to reply.
-# TYPE srdaserve_request_duration_seconds histogram
-srdaserve_request_duration_seconds_bucket{le="0.0005"} 0
-srdaserve_request_duration_seconds_bucket{le="0.001"} 0
-srdaserve_request_duration_seconds_bucket{le="0.0025"} 1
-srdaserve_request_duration_seconds_bucket{le="0.005"} 1
-srdaserve_request_duration_seconds_bucket{le="0.01"} 1
-srdaserve_request_duration_seconds_bucket{le="0.025"} 1
-srdaserve_request_duration_seconds_bucket{le="0.05"} 1
-srdaserve_request_duration_seconds_bucket{le="0.1"} 1
-srdaserve_request_duration_seconds_bucket{le="0.25"} 2
-srdaserve_request_duration_seconds_bucket{le="0.5"} 2
-srdaserve_request_duration_seconds_bucket{le="1"} 2
-srdaserve_request_duration_seconds_bucket{le="2.5"} 2
-srdaserve_request_duration_seconds_bucket{le="+Inf"} 2
-srdaserve_request_duration_seconds_sum 0.251953125
-srdaserve_request_duration_seconds_count 2
 # HELP srdaserve_batch_size Samples coalesced per inference batch.
 # TYPE srdaserve_batch_size histogram
 srdaserve_batch_size_bucket{le="1"} 0

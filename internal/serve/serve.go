@@ -47,6 +47,10 @@ import (
 // options nor the request specify a model.
 const DefaultModelName = "default"
 
+// DefaultMaxBodyBytes caps a request body when Options.MaxBodyBytes is
+// unset; the router holds its predict bodies to the same cap.
+const DefaultMaxBodyBytes = 32 << 20
+
 // Options tunes the server.  The zero value gets sensible defaults from
 // New.
 type Options struct {
@@ -67,7 +71,7 @@ type Options struct {
 	QueueDepth int
 	// MaxRequestSamples caps samples per HTTP request (default 1024).
 	MaxRequestSamples int
-	// MaxBodyBytes caps the request body (default 32 MiB).
+	// MaxBodyBytes caps the request body (default DefaultMaxBodyBytes).
 	MaxBodyBytes int64
 	// Registry, when non-nil, backs the server with a caller-owned
 	// multi-tenant model store (co-located workers share one).  When nil,
@@ -99,7 +103,7 @@ type Options struct {
 	// latencies feed its p99-breach trigger and queue overflow fires its
 	// queue_full trigger.  Nil disables both (no-op calls).
 	Flight *obs.FlightRecorder
-	// Exemplars, when non-nil, links the predict-latency histogram to an
+	// Exemplars, when non-nil, links the predict-latency sketch to an
 	// exemplar store so latency outliers carry the TraceID that produced
 	// them (served at /debug/exemplars by cmd/srdaserve).  Stays outside
 	// the metrics registry: the /metrics exposition is unchanged.
@@ -123,7 +127,7 @@ func (o Options) withDefaults() Options {
 		o.MaxRequestSamples = 1024
 	}
 	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 32 << 20
+		o.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if o.DefaultModel == "" {
 		o.DefaultModel = DefaultModelName
@@ -191,7 +195,7 @@ func New(m *core.Model, opts Options) (*Server, error) {
 		func() int64 { return int64(s.ModelSeq()) },
 	)
 	if opts.Exemplars != nil {
-		s.metrics.latency.AttachExemplars(opts.Exemplars)
+		s.metrics.latencySketch.AttachExemplars(LatencySketchName, opts.Exemplars)
 	}
 	s.mux.HandleFunc("/v1/predict", s.instrument("/v1/predict", s.handlePredict))
 	s.mux.HandleFunc("/v1/models", s.instrument("/v1/models", s.handleModels))
@@ -335,11 +339,12 @@ func (s *Server) startRequestSpan(ctx context.Context, name string, h http.Heade
 	return s.tracer.StartRoot(ctx, name)
 }
 
-// observeLatencyTraced feeds one predict latency to the instruments with
-// the trace that produced it, then lets the flight recorder compare the
-// refreshed streaming p99 against its SLO.
+// observeLatencyTraced feeds one predict latency to the sketch with the
+// trace that produced it (an attached exemplar store keeps the outliers'
+// traces), then lets the flight recorder compare the refreshed streaming
+// p99 against its SLO.
 func (s *Server) observeLatencyTraced(sec float64, trace obs.TraceID) {
-	s.metrics.observeLatencyTraced(sec, trace)
+	s.metrics.latencySketch.ObserveTraced(sec, trace)
 	s.opts.Flight.CheckP99(s.LatencyP99(), trace)
 }
 

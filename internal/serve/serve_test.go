@@ -14,6 +14,7 @@ import (
 
 	"srda/internal/core"
 	"srda/internal/mat"
+	"srda/internal/obs"
 )
 
 // trainBlobs fits a centroided model on well-separated Gaussian blobs and
@@ -355,7 +356,8 @@ func TestModelShapeConflict(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	model, probes := trainBlobs(t, 10, 3, 11)
-	_, _, client := newTestServer(t, model, Options{})
+	ex := obs.NewExemplarStore(0, 0)
+	_, _, client := newTestServer(t, model, Options{Exemplars: ex})
 	ctx := ctxT(t)
 	if _, err := client.Predict(ctx, DenseSample(probes.RowView(0)), DenseSample(probes.RowView(1))); err != nil {
 		t.Fatal(err)
@@ -373,13 +375,18 @@ func TestMetricsExposition(t *testing.T) {
 		`srdaserve_samples_total 2`,
 		`srdaserve_batches_total`,
 		`srdaserve_batch_size_bucket{le="2"}`,
-		`srdaserve_request_duration_seconds_count 1`,
 		`srdaserve_model_seq 1`,
 		`srdaserve_queue_depth 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n---\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "srdaserve_request_latency_p50 NaN") {
+		t.Errorf("the predict latency never reached the sketch\n---\n%s", text)
+	}
+	if snap := ex.Snapshot(); len(snap) != 1 || snap[0].Metric != LatencySketchName {
+		t.Errorf("exemplars = %+v, want the predict's trace under %s", snap, LatencySketchName)
 	}
 }
 

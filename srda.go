@@ -74,20 +74,27 @@ type Options struct {
 	// harness) whenever the embedding feeds a distance-based classifier;
 	// leave false to get the paper's raw regression directions.
 	Whiten bool
-	// Trace, when non-nil, collects per-phase wall-time spans of the fit
-	// ("responses", then the solver phases — "gram"/"xty"/"cholesky"/
-	// "solve" for the direct paths or "lsqr" for the iterative one, and
-	// "whiten" when enabled).  Training code never reads the clock itself;
-	// all timing flows through the trace.  Create one with NewTrace and
-	// read it back with Trace.Spans or Trace.Seconds.
-	Trace *Trace
+	// Span, when non-nil, is the parent under which the fit records one
+	// child span per stage ("responses", then the solver stages —
+	// "gram"/"xty"/"cholesky"/"solve" for the direct paths or "lsqr" for
+	// the iterative one — and "whiten" when enabled).  Training code never
+	// reads the clock itself; all timing flows through the tracer that
+	// owns the span.  Create a Tracer with NewTracer, open a root with
+	// Tracer.StartRoot, and read the stages back from Tracer.Snapshot as
+	// the records whose Parent is the root's SpanID.
+	Span *Span
 }
 
-// Trace collects named wall-time spans; see Options.Trace.
-type Trace = obs.Trace
+// Tracer records request-scoped span trees in a fixed-size ring; the
+// serving tier and the online trainer share it.  See Options.Span.
+type Tracer = obs.Tracer
 
-// NewTrace creates an empty trace using the system clock.
-func NewTrace() *Trace { return obs.NewTrace() }
+// Span is one open span of a Tracer; see Options.Span.
+type Span = obs.ReqSpan
+
+// NewTracer creates a tracer on the system clock whose ring holds
+// capacity completed spans (a default when capacity <= 0).
+func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 
 // SolverStats is the per-fit solver telemetry stored in Model.Stats:
 // which strategy ran, and for LSQR the per-response iteration counts and
@@ -103,7 +110,7 @@ type SolverStats = regress.Stats
 type Model = core.Model
 
 func (o Options) toCore() core.Options {
-	return core.Options{Alpha: o.Alpha, Strategy: o.Solver, LSQRIter: o.LSQRIter, Workers: o.Workers, Trace: o.Trace}
+	return core.Options{Alpha: o.Alpha, Strategy: o.Solver, LSQRIter: o.LSQRIter, Workers: o.Workers, Span: o.Span}
 }
 
 // Fit trains SRDA on dense data: x is m×n with one sample per row and
