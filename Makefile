@@ -47,6 +47,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Coalesc|Queue|Close|Concurrent' ./internal/serve
 
 cover:
 	$(GO) test ./... -coverprofile=cover.out && $(GO) tool cover -func=cover.out | tail -1

@@ -98,7 +98,6 @@ func microCases() []microCase {
 					s, err := serve.New(nil, serve.Options{
 						Registry: reg,
 						Workers:  workers,
-						MaxWait:  50 * time.Microsecond,
 					})
 					if err != nil {
 						return nil, err

@@ -22,10 +22,11 @@
 //
 // Endpoints: POST /v1/predict (single or multi-sample, dense or sparse
 // {index: value} payloads, optional "model" tenant selector), GET
-// /v1/models, GET /healthz, GET /metrics (Prometheus text).  Incoming
-// samples are coalesced across requests into batches of up to -max-batch
-// samples or -max-wait of latency and classified through one GEMM per
-// batch per model.
+// /v1/models, GET /healthz, GET /metrics (Prometheus text).  A request
+// goes to an idle inference worker at once; while every worker is busy,
+// waiting requests coalesce into batches of up to -max-batch samples
+// (a request is never split) and each batch is classified through one
+// GEMM per model.
 //
 // Models hot-reload without a restart: send SIGHUP, or pass -watch to
 // poll the -model file for changes.  In-flight requests finish on the
@@ -103,7 +104,6 @@ type config struct {
 	addr         string
 	debugAddr    string
 	maxBatch     int
-	maxWait      time.Duration
 	workers      int
 	queueDepth   int
 	watch        time.Duration
@@ -143,8 +143,7 @@ func main() {
 	flag.Int64Var(&cfg.registryMB, "registry-budget-mb", 0, "resident-model byte budget in MiB; past it LRU names are evicted (0 = unlimited)")
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "optional operator listener with /debug/pprof/, /debug/vars, /debug/traces, and the full obs /metrics (keep on localhost)")
-	flag.IntVar(&cfg.maxBatch, "max-batch", 64, "max samples coalesced into one inference batch")
-	flag.DurationVar(&cfg.maxWait, "max-wait", 2*time.Millisecond, "max time the batcher holds a non-full batch open")
+	flag.IntVar(&cfg.maxBatch, "max-batch", 64, "max samples coalesced from concurrent requests into one inference batch while every worker is busy; a request is never split")
 	flag.IntVar(&cfg.workers, "workers", 0, "inference worker goroutines (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.queueDepth, "queue", 4096, "queued-sample cap; beyond it requests get 503")
 	flag.DurationVar(&cfg.watch, "watch", 0, "poll the -model file at this interval and hot-reload on change (0 = off; SIGHUP always reloads)")
@@ -409,7 +408,6 @@ func runWorker(cfg config, logger *obs.Logger, ready, debugReady chan<- net.Addr
 	}
 	s, err := serve.New(nil, serve.Options{
 		MaxBatch:   cfg.maxBatch,
-		MaxWait:    cfg.maxWait,
 		Workers:    cfg.workers,
 		QueueDepth: cfg.queueDepth,
 		Registry:   reg,
@@ -641,7 +639,6 @@ func runAll(cfg config, logger *obs.Logger, ready, debugReady chan<- net.Addr, s
 		// export as one timeline regardless of which replica served it.
 		opts := serve.Options{
 			MaxBatch:   cfg.maxBatch,
-			MaxWait:    cfg.maxWait,
 			Workers:    cfg.workers,
 			QueueDepth: cfg.queueDepth,
 			Registry:   reg,

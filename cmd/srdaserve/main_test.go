@@ -104,7 +104,6 @@ func TestServeEndToEnd(t *testing.T) {
 	base, _, stop := startServer(t, config{
 		modelPath: modelPath,
 		maxBatch:  8,
-		maxWait:   time.Millisecond,
 	})
 	defer stop()
 	client := serve.NewClient(base)

@@ -45,7 +45,6 @@ func TestOnlineSmoke(t *testing.T) {
 	base, _, stop := startServer(t, config{
 		modelPath:    modelPath,
 		maxBatch:     8,
-		maxWait:      time.Millisecond,
 		online:       true,
 		refitSamples: refitSamples,
 		holdoutFrac:  0.1,

@@ -32,7 +32,6 @@ func TestShardSmoke(t *testing.T) {
 		role:      "all",
 		replicas:  "2",
 		modelsDir: dir,
-		maxWait:   time.Millisecond,
 	})
 	defer stop()
 	client := serve.NewClient(base)

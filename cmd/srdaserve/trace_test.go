@@ -46,7 +46,6 @@ func TestTraceSmoke(t *testing.T) {
 		modelPath:  modelPath,
 		debugAddr:  "127.0.0.1:0",
 		maxBatch:   16,
-		maxWait:    time.Millisecond,
 		traceOut:   traceOut,
 		metricsOut: metricsOut,
 	})

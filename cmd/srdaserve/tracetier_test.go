@@ -107,7 +107,6 @@ func TestEndToEndTraceAll(t *testing.T) {
 		modelPath:    modelPath,
 		debugAddr:    "127.0.0.1:0",
 		maxBatch:     8,
-		maxWait:      time.Millisecond,
 		online:       true,
 		refitSamples: 9, // fires inside the single 12-sample observe below
 	})
@@ -221,7 +220,6 @@ func TestTwoProcessTraceMergeAndFlight(t *testing.T) {
 	workerBase, _, stopWorker := startServer(t, config{
 		modelPath: modelPath,
 		maxBatch:  8,
-		maxWait:   time.Millisecond,
 		traceOut:  workerTrace,
 		flightDir: flightDir,
 		flightP99: time.Nanosecond, // any real request breaches

@@ -1,7 +1,7 @@
 // Serving: the full production loop in one process — train a model, save
 // it atomically, stand up the micro-batching prediction server on a local
 // port, and query it with the typed client (dense and sparse payloads,
-// concurrent requests that coalesce into shared inference batches), then
+// concurrent requests that coalesce while the workers are busy), then
 // hot-swap the model file and watch the server pick it up.
 //
 //	go run ./examples/serving
@@ -44,7 +44,7 @@ func main() {
 		ds.NumFeatures(), model.Dim(), ds.NumClasses)
 
 	// 2. Stand up the server: micro-batching dispatcher + HTTP front end.
-	srv, err := serve.New(model, serve.Options{MaxBatch: 32, MaxWait: 2 * time.Millisecond})
+	srv, err := serve.New(model, serve.Options{MaxBatch: 32})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func main() {
 	defer stopWatch()
 	fmt.Printf("serving on http://%s\n", ln.Addr())
 
-	// 3. Query it concurrently with the typed client; simultaneous
-	// requests share inference batches server-side.
+	// 3. Query it concurrently with the typed client; requests that
+	// arrive while every worker is busy share inference batches.
 	client := serve.NewClient("http://" + ln.Addr().String())
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

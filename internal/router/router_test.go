@@ -143,7 +143,7 @@ func colocated(t *testing.T, nWorkers int, opts Options) (*Router, *registry.Reg
 	workers := make([]*serve.Server, nWorkers)
 	backends := make([]Backend, nWorkers)
 	for i := range workers {
-		s, err := serve.New(nil, serve.Options{Registry: reg, MaxWait: 200 * time.Microsecond})
+		s, err := serve.New(nil, serve.Options{Registry: reg})
 		if err != nil {
 			t.Fatal(err)
 		}

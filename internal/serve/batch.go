@@ -1,17 +1,18 @@
 package serve
 
-// This file is the micro-batching dispatcher: HTTP handlers enqueue
-// individual samples onto a channel; a batcher goroutine coalesces up to
-// MaxBatch samples or MaxWait of wall clock (whichever comes first) into
-// one inference batch; a worker pool assembles each batch into a matrix
-// and runs the model's GEMM-lowered batch predict.  Samples from different
-// HTTP requests share batches, which is what amortizes per-request
-// dispatch overhead under concurrent load.
+// This file is the micro-batching dispatcher.  The queued unit is one
+// validated request, admitted whole or refused whole against QueueDepth
+// samples.  A batcher goroutine holds the current batch and, in one
+// select, offers it on an unbuffered channel to the worker pool while it
+// keeps taking requests that fit under MaxBatch samples.  An idle worker
+// therefore takes a lone request at once, and requests coalesce exactly
+// while every worker is busy; there is no timer.  Requests are never
+// split: one that does not fit opens the next batch, and one larger than
+// MaxBatch runs as a batch of its own.  A worker assembles its batch into
+// one matrix per model and runs that model's GEMM-lowered batch predict.
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"srda/internal/classify"
@@ -20,141 +21,113 @@ import (
 	"srda/internal/sparse"
 )
 
-// pending tracks one HTTP request's samples across however many inference
-// batches they land in.  done closes when every sample is resolved (or
-// failed); results are safe to read only after done.
+// pending is one request in flight: its validated samples in dispatcher
+// form and the slots its batch resolves.  Sample i is dense[i] when that
+// is non-nil, else the sparse entries cols/vals[ptr[i]:ptr[i+1]] (sorted
+// by column, exact zeros dropped).  The one worker that runs the request
+// writes classes, embeddings, modelSeq and err, then closes done.
 type pending struct {
-	classes    []int
-	embeddings [][]float64 // nil unless the request asked for embeddings
-	model      string      // resolved registry name answering the request
-	modelSeq   atomic.Uint64
-	remaining  atomic.Int32
-	mu         sync.Mutex
-	err        error
-	done       chan struct{}
-	// span is the request's root span; runBatch opens a "batch" child per
-	// request so every trace shows the shared inference interval.  Nil when
-	// tracing is off.
-	span *obs.ReqSpan
-}
-
-func newPending(n int, embed bool) *pending {
-	p := &pending{classes: make([]int, n), done: make(chan struct{})}
-	if embed {
-		p.embeddings = make([][]float64, n)
-	}
-	p.remaining.Store(int32(n))
-	return p
-}
-
-func (p *pending) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-func (p *pending) failure() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// settle resolves k samples; the last one closes done.
-func (p *pending) settle(k int) {
-	if k > 0 && p.remaining.Add(-int32(k)) == 0 {
-		close(p.done)
-	}
-}
-
-// item is one sample in flight: either a dense vector or a sparse
-// (cols, vals) pair, plus the slot it resolves into.  model is the
-// resolved registry name; the dispatcher groups a mixed-tenant batch by
-// it, one GEMM per model present.
-type item struct {
-	p     *pending
-	idx   int
-	model string
-	dense []float64
+	model string      // resolved registry name answering the request
+	width int         // features the samples need: the model's count if any is dense, else max sparse index + 1
+	dense [][]float64 // nil when every sample is sparse
+	ptr   []int
 	cols  []int
 	vals  []float64
-	width int // len(dense), or max sparse index + 1
+	// span is the request's root span; the batch opens a "batch" child
+	// under it.  Nil when tracing is off.
+	span *obs.ReqSpan
+
+	classes    []int
+	embeddings [][]float64 // nil unless the request asked for embeddings
+	modelSeq   uint64
+	err        error
+	done       chan struct{}
 }
 
-func (it *item) sparse() bool { return it.dense == nil }
+func (p *pending) rows() int { return len(p.classes) }
 
-// batcher coalesces queued items into batches for the worker pool.  It
-// owns the flush timer: a batch is dispatched when it reaches MaxBatch
-// samples or when MaxWait has elapsed since its first sample arrived.
+func (p *pending) finish(err error) {
+	p.err = err
+	close(p.done)
+}
+
+// enqueue admits a request whole or refuses it whole with ErrQueueFull,
+// counting its samples against QueueDepth.  It never blocks: the queue
+// holds QueueDepth requests and every admitted request has a sample.
+func (s *Server) enqueue(p *pending) error {
+	k := int64(p.rows())
+	for {
+		q := s.queued.Load()
+		if q+k > int64(s.opts.QueueDepth) {
+			s.metrics.queueRejects.Add(k)
+			s.logger.Sample("queue_full", time.Second).Warn("prediction queue full",
+				"rejected", k, "queue_depth", s.opts.QueueDepth)
+			s.opts.Flight.NoteQueueFull(p.span.TraceID())
+			return ErrQueueFull
+		}
+		if s.queued.CompareAndSwap(q, q+k) {
+			break
+		}
+	}
+	s.queue <- p
+	return nil
+}
+
+// batcher coalesces queued requests into batches for the worker pool.
+// After Close it keeps dispatching until the queue is empty, so requests
+// admitted before the stop signal are answered rather than leaked.
 func (s *Server) batcher() {
 	defer close(s.workCh)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+	var (
+		batch []*pending
+		size  int      // samples in batch
+		next  *pending // taken but too large to join batch: opens the next one
+	)
+	// intake is the queue while the batch has room, nil (never ready) once
+	// it is full.
+	intake := func() chan *pending {
+		if next != nil || size >= s.opts.MaxBatch {
+			return nil
+		}
+		return s.queue
 	}
-	var batch []*item
-	flush := func() {
-		if len(batch) > 0 {
-			s.workCh <- batch
-			batch = nil
+	take := func(p *pending) {
+		s.queued.Add(-int64(p.rows()))
+		if size > 0 && size+p.rows() > s.opts.MaxBatch {
+			next = p
+			return
+		}
+		batch, size = append(batch, p), size+p.rows()
+	}
+	handedOff := func() {
+		batch, size = nil, 0
+		if next != nil {
+			batch, size, next = []*pending{next}, next.rows(), nil
 		}
 	}
+	stop := s.stop
 	for {
-		if len(batch) == 0 {
-			select {
-			case it := <-s.queue:
-				batch = append(batch, it)
-				if len(batch) >= s.opts.MaxBatch {
-					flush()
-					continue
-				}
-				timer.Reset(s.opts.MaxWait)
-			case <-s.stop:
-				s.drain(flush, &batch)
-				return
-			}
+		// Coalesce what is already queued before offering the batch.
+		select {
+		case p := <-intake():
+			take(p)
 			continue
-		}
-		select {
-		case it := <-s.queue:
-			batch = append(batch, it)
-			if len(batch) >= s.opts.MaxBatch {
-				stopTimer(timer)
-				flush()
-			}
-		case <-timer.C:
-			flush()
-		case <-s.stop:
-			stopTimer(timer)
-			s.drain(flush, &batch)
-			return
-		}
-	}
-}
-
-// drain empties whatever is still queued at shutdown and flushes it, so
-// samples enqueued before the stop signal are answered rather than leaked.
-func (s *Server) drain(flush func(), batch *[]*item) {
-	for {
-		select {
-		case it := <-s.queue:
-			*batch = append(*batch, it)
-			if len(*batch) >= s.opts.MaxBatch {
-				flush()
-			}
 		default:
-			flush()
-			return
 		}
-	}
-}
-
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
+		work := s.workCh
+		if len(batch) == 0 {
+			if stop == nil {
+				return // stopped and drained
+			}
+			work = nil // nothing to offer: wait for a request or the stop
+		}
 		select {
-		case <-t.C:
-		default:
+		case work <- batch:
+			handedOff()
+		case p := <-intake():
+			take(p)
+		case <-stop:
+			stop = nil
 		}
 	}
 }
@@ -166,15 +139,15 @@ func (s *Server) worker() {
 	}
 }
 
-// runBatch splits a coalesced batch by registry model (samples from
-// different tenants share the dispatcher but never a GEMM) and runs one
-// inference sub-batch per model in first-appearance order.
-func (s *Server) runBatch(batch []*item) {
+// runBatch splits a batch by registry model (requests for different
+// tenants share the dispatcher but never a GEMM) and runs one inference
+// sub-batch per model in first-appearance order.
+func (s *Server) runBatch(batch []*pending) {
 	// Single-tenant batches — the overwhelmingly common case — skip the
 	// grouping allocation entirely.
 	uniform := true
-	for _, it := range batch[1:] {
-		if it.model != batch[0].model {
+	for _, p := range batch[1:] {
+		if p.model != batch[0].model {
 			uniform = false
 			break
 		}
@@ -184,30 +157,29 @@ func (s *Server) runBatch(batch []*item) {
 		return
 	}
 	var order []string
-	groups := make(map[string][]*item)
-	for _, it := range batch {
-		if _, ok := groups[it.model]; !ok {
-			order = append(order, it.model)
+	groups := make(map[string][]*pending)
+	for _, p := range batch {
+		if _, ok := groups[p.model]; !ok {
+			order = append(order, p.model)
 		}
-		groups[it.model] = append(groups[it.model], it)
+		groups[p.model] = append(groups[p.model], p)
 	}
 	for _, name := range order {
 		s.runModelBatch(name, groups[name])
 	}
 }
 
-// runModelBatch assembles one model's sub-batch into a matrix, runs the
+// runModelBatch assembles one model's requests into a matrix, runs the
 // batched projection and nearest-centroid assignment on the snapshot
 // loaded once for the whole sub-batch (publishes and rollbacks therefore
-// never tear a batch), and writes the per-sample results back.
-func (s *Server) runModelBatch(name string, batch []*item) {
+// never tear a batch), and writes the results back per request.
+func (s *Server) runModelBatch(name string, reqs []*pending) {
 	snap, ok := s.reg.Get(name)
 	if !ok {
 		// Evicted or deleted between enqueue and dispatch.
 		err := &UnknownModelError{Name: name}
-		for _, it := range batch {
-			it.p.fail(err)
-			it.p.settle(1)
+		for _, p := range reqs {
+			p.finish(err)
 		}
 		return
 	}
@@ -215,71 +187,65 @@ func (s *Server) runModelBatch(name string, batch []*item) {
 	n := m.W.Rows
 
 	// A reload may have changed the feature count since enqueue-time
-	// validation; fail the now-incompatible samples instead of panicking.
-	valid := batch[:0]
-	for _, it := range batch {
-		ok := it.width <= n
-		if !it.sparse() {
-			ok = it.width == n
-		}
-		if !ok {
-			it.p.fail(ErrModelShape)
-			it.p.settle(1)
+	// validation; fail the now-incompatible requests instead of panicking.
+	valid := reqs[:0]
+	rows, allSparse := 0, true
+	for _, p := range reqs {
+		if p.width > n || (p.dense != nil && p.width != n) {
+			p.finish(ErrModelShape)
 			continue
 		}
-		valid = append(valid, it)
+		valid = append(valid, p)
+		rows += p.rows()
+		allSparse = allSparse && p.dense == nil
 	}
-	if len(valid) == 0 {
+	if rows == 0 {
 		return
 	}
 	s.metrics.batches.Inc()
-	s.metrics.samples.Add(int64(len(valid)))
-	s.metrics.batchSize.Observe(float64(len(valid)))
+	s.metrics.samples.Add(int64(rows))
+	s.metrics.batchSize.Observe(float64(rows))
 
-	// Fan-in tracing: one "batch" child per distinct request in the batch,
-	// so each request's trace shows the shared inference interval.  The
-	// kernel spans below (core.gemm / core.project_csr / pool.do /
-	// classify) attach to the first traced request's batch span — one
-	// execution, one set of kernel spans, owned by one trace.
-	batchSpans := make(map[*pending]*obs.ReqSpan, 4)
+	// Fan-in tracing: one "batch" child per request, so each request's
+	// trace shows the shared inference interval.  The kernel spans below
+	// (core.gemm / core.project_csr / pool.do / classify) attach to the
+	// first traced request's batch span — one execution, one set of kernel
+	// spans, owned by one trace.
+	spans := make([]*obs.ReqSpan, len(valid))
 	var owner *obs.ReqSpan
-	for _, it := range valid {
-		if _, ok := batchSpans[it.p]; !ok {
-			sp := it.p.span.StartChild("batch")
-			batchSpans[it.p] = sp
-			if owner == nil && sp != nil {
-				owner = sp
-			}
+	for i, p := range valid {
+		spans[i] = p.span.StartChild("batch")
+		if owner == nil {
+			owner = spans[i]
 		}
 	}
 	ctx := obs.ContextWithSpan(context.Background(), owner)
 
-	allSparse := true
-	for _, it := range valid {
-		if !it.sparse() {
-			allSparse = false
-			break
-		}
-	}
 	var emb *mat.Dense
 	if allSparse {
-		b := sparse.NewBuilder(len(valid), n)
-		for r, it := range valid {
-			for t, j := range it.cols {
-				b.Add(r, j, it.vals[t])
+		x := &sparse.CSR{Rows: rows, Cols: n, RowPtr: make([]int, 1, rows+1)}
+		for _, p := range valid {
+			base := len(x.Val)
+			for _, end := range p.ptr[1:] {
+				x.RowPtr = append(x.RowPtr, base+end)
 			}
+			x.ColIdx = append(x.ColIdx, p.cols...)
+			x.Val = append(x.Val, p.vals...)
 		}
-		emb = m.ProjectBatchCSRCtx(ctx, b.Build(), nil)
+		emb = m.ProjectBatchCSRCtx(ctx, x, nil)
 	} else {
-		x := mat.NewDense(len(valid), n)
-		for r, it := range valid {
-			row := x.RowView(r)
-			if it.sparse() {
-				for t, j := range it.cols {
-					row[j] = it.vals[t]
+		x := mat.NewDense(rows, n)
+		r := 0
+		for _, p := range valid {
+			for i := 0; i < p.rows(); i, r = i+1, r+1 {
+				row := x.RowView(r)
+				if p.dense != nil && p.dense[i] != nil {
+					copy(row, p.dense[i])
+					continue
 				}
-			} else {
-				copy(row, it.dense)
+				for t := p.ptr[i]; t < p.ptr[i+1]; t++ {
+					row[p.cols[t]] = p.vals[t]
+				}
 			}
 		}
 		emb = m.ProjectBatchCtx(ctx, x, nil)
@@ -288,36 +254,15 @@ func (s *Server) runModelBatch(name string, batch []*item) {
 	_, csp := obs.StartSpan(ctx, "classify")
 	classes := nc.PredictBatch(emb)
 	csp.End()
-	for r, it := range valid {
-		it.p.classes[it.idx] = classes[r]
-		if it.p.embeddings != nil {
-			it.p.embeddings[it.idx] = append([]float64(nil), emb.RowView(r)...)
+	r := 0
+	for i, p := range valid {
+		copy(p.classes, classes[r:])
+		for e := range p.embeddings {
+			p.embeddings[e] = append([]float64(nil), emb.RowView(r+e)...)
 		}
-		it.p.modelSeq.Store(snap.Version)
-		it.p.settle(1)
-	}
-	//srdalint:ignore maprange each End stamps its own request's span; cross-request event order is scheduler-dependent regardless
-	for _, sp := range batchSpans {
-		sp.End()
-	}
-}
-
-// enqueue submits one request's samples to the dispatcher.  It never
-// blocks: when the queue is full the remaining samples are rejected and
-// the pending is failed with errQueueFull (already-queued samples still
-// resolve, so done always closes).
-func (s *Server) enqueue(p *pending, items []*item) {
-	for i, it := range items {
-		select {
-		case s.queue <- it:
-		default:
-			s.metrics.queueRejects.Add(int64(len(items) - i))
-			s.logger.Sample("queue_full", time.Second).Warn("prediction queue full",
-				"rejected", len(items)-i, "queue_depth", s.opts.QueueDepth)
-			s.opts.Flight.NoteQueueFull(p.span.TraceID())
-			p.fail(ErrQueueFull)
-			p.settle(len(items) - i)
-			return
-		}
+		r += p.rows()
+		p.modelSeq = snap.Version
+		spans[i].End()
+		p.finish(nil)
 	}
 }

@@ -54,12 +54,10 @@ const DefaultMaxBodyBytes = 32 << 20
 // Options tunes the server.  The zero value gets sensible defaults from
 // New.
 type Options struct {
-	// MaxBatch caps the samples coalesced into one inference batch
-	// (default 64).
+	// MaxBatch caps the samples coalesced from several requests into one
+	// inference batch while every worker is busy (default 64).  A request
+	// is never split, so a larger one runs as a batch of its own.
 	MaxBatch int
-	// MaxWait bounds how long the batcher holds a non-full batch open
-	// waiting for more samples (default 2ms).
-	MaxWait time.Duration
 	// Workers is the inference worker-pool size (default GOMAXPROCS).
 	// The same value bounds the kernel sharding inside the model's batch
 	// projection (bitwise-identical at any setting); the shared pool in
@@ -114,9 +112,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
 	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -140,8 +135,9 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts    Options
 	reg     *registry.Registry
-	queue   chan *item
-	workCh  chan []*item
+	queue   chan *pending
+	queued  atomic.Int64 // samples of the requests in queue
+	workCh  chan []*pending
 	stop    chan struct{}
 	stopped atomic.Bool
 	wg      sync.WaitGroup
@@ -159,6 +155,30 @@ type Server struct {
 // caller-owned registry m may be nil and requests are answered from
 // whatever the registry holds.
 func New(m *core.Model, opts Options) (*Server, error) {
+	s, err := newServer(m, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.startDispatch()
+	return s, nil
+}
+
+// startDispatch starts the batcher and the worker pool.
+func (s *Server) startDispatch() {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.batcher()
+	}()
+	for i := 0; i < s.opts.Workers; i++ {
+		s.wg.Add(1)
+		//srdalint:ignore ctxflow bounded fan-out: exactly opts.Workers dispatch goroutines, joined on drain
+		go s.worker()
+	}
+}
+
+// newServer builds a Server whose dispatcher is not yet started.
+func newServer(m *core.Model, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	reg := opts.Registry
 	if reg == nil {
@@ -179,8 +199,8 @@ func New(m *core.Model, opts Options) (*Server, error) {
 	s := &Server{
 		opts:   opts,
 		reg:    reg,
-		queue:  make(chan *item, opts.QueueDepth),
-		workCh: make(chan []*item, opts.Workers),
+		queue:  make(chan *pending, opts.QueueDepth), // admission keeps at most QueueDepth requests queued
+		workCh: make(chan []*pending),
 		stop:   make(chan struct{}),
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
@@ -191,7 +211,7 @@ func New(m *core.Model, opts Options) (*Server, error) {
 		s.tracer = obs.NewTracer(opts.TraceCapacity)
 	}
 	s.metrics = newMetrics(
-		func() int64 { return int64(len(s.queue)) },
+		s.queued.Load,
 		func() int64 { return int64(s.ModelSeq()) },
 	)
 	if opts.Exemplars != nil {
@@ -204,16 +224,6 @@ func New(m *core.Model, opts Options) (*Server, error) {
 	s.mux.HandleFunc("/v1/sketches", s.instrument("/v1/sketches", s.handleSketches))
 	if opts.Trainer != nil {
 		s.mux.HandleFunc("/v1/observe", s.instrument("/v1/observe", s.handleObserve))
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.batcher()
-	}()
-	for i := 0; i < opts.Workers; i++ {
-		s.wg.Add(1)
-		//srdalint:ignore ctxflow bounded fan-out: exactly opts.Workers dispatch goroutines, joined on drain
-		go s.worker()
 	}
 	return s, nil
 }
@@ -283,7 +293,7 @@ func (s *Server) Swap(m *core.Model) (uint64, error) {
 	return snap.Version, nil
 }
 
-// Close stops the dispatcher, draining already-queued samples first.  Call
+// Close stops the dispatcher, draining already-queued requests first.  Call
 // it after the HTTP listener has stopped accepting requests (e.g. after
 // http.Server.Shutdown) so no handler is still enqueueing; handlers caught
 // mid-wait are released with a 503.  The context bounds the drain.
@@ -504,13 +514,13 @@ func (s *Server) Predict(ctx context.Context, req *PredictRequest) (*PredictResp
 	ctx, root := s.startRequestSpan(ctx, "request", nil)
 	defer root.End()
 	_, sp := obs.StartSpan(ctx, "parse")
-	p, items, err := s.buildPending(req)
+	p, err := s.buildPending(req)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	p.span = root
-	if err := s.submit(ctx, p, items); err != nil {
+	if err := s.submit(ctx, p); err != nil {
 		return nil, err
 	}
 	s.observeLatencyTraced(time.Since(begin).Seconds(), root.TraceID())
@@ -518,7 +528,7 @@ func (s *Server) Predict(ctx context.Context, req *PredictRequest) (*PredictResp
 		Classes:    p.classes,
 		Embeddings: p.embeddings,
 		Model:      p.model,
-		ModelSeq:   p.modelSeq.Load(),
+		ModelSeq:   p.modelSeq,
 	}, nil
 }
 
@@ -542,13 +552,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 		sp.End()
 		return writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
 	}
-	p, items, err := s.buildPending(&req)
+	p, err := s.buildPending(&req)
 	sp.End()
 	if err != nil {
 		return writeTypedErr(w, err)
 	}
 	p.span = root
-	if err := s.submit(ctx, p, items); err != nil {
+	if err := s.submit(ctx, p); err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return http.StatusServiceUnavailable // client gone; nothing to write
 		}
@@ -558,22 +568,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 		Classes:    p.classes,
 		Embeddings: p.embeddings,
 		Model:      p.model,
-		ModelSeq:   p.modelSeq.Load(),
+		ModelSeq:   p.modelSeq,
 	})
 }
 
 // buildPending validates one predict request against the registry and
 // converts it to dispatcher form, returning typed errors.
-func (s *Server) buildPending(req *PredictRequest) (*pending, []*item, error) {
+func (s *Server) buildPending(req *PredictRequest) (*pending, error) {
 	samples := req.Samples
 	if len(samples) == 0 && (len(req.Dense) > 0 || len(req.Sparse) > 0) {
 		samples = []Sample{req.Sample}
 	}
 	if len(samples) == 0 {
-		return nil, nil, badRequestf("no samples")
+		return nil, badRequestf("no samples")
 	}
 	if len(samples) > s.opts.MaxRequestSamples {
-		return nil, nil, badRequestf("%d samples exceeds the per-request cap of %d",
+		return nil, badRequestf("%d samples exceeds the per-request cap of %d",
 			len(samples), s.opts.MaxRequestSamples)
 	}
 	name := req.Model
@@ -582,29 +592,34 @@ func (s *Server) buildPending(req *PredictRequest) (*pending, []*item, error) {
 	}
 	snap, ok := s.reg.Get(name)
 	if !ok {
-		return nil, nil, &UnknownModelError{Name: name}
+		return nil, &UnknownModelError{Name: name}
 	}
 	n := snap.Model.W.Rows
-	p := newPending(len(samples), req.Embed)
-	p.model = name
-	items := make([]*item, len(samples))
-	for i, smp := range samples {
-		it, err := buildItem(p, i, smp, n)
-		if err != nil {
-			return nil, nil, badRequestf("sample %d: %v", i, err)
-		}
-		it.model = name
-		items[i] = it
+	p := &pending{
+		model:   name,
+		ptr:     make([]int, 1, len(samples)+1),
+		classes: make([]int, len(samples)),
+		done:    make(chan struct{}),
 	}
-	return p, items, nil
+	if req.Embed {
+		p.embeddings = make([][]float64, len(samples))
+	}
+	for i, smp := range samples {
+		if err := p.add(i, smp, n); err != nil {
+			return nil, badRequestf("sample %d: %v", i, err)
+		}
+	}
+	return p, nil
 }
 
-// submit enqueues the pending's items and waits for resolution under a
-// "queue" span.
-func (s *Server) submit(ctx context.Context, p *pending, items []*item) error {
+// submit enqueues the request and waits for its batch under a "queue"
+// span.
+func (s *Server) submit(ctx context.Context, p *pending) error {
 	_, queueSp := obs.StartSpan(ctx, "queue")
 	defer queueSp.End()
-	s.enqueue(p, items)
+	if err := s.enqueue(p); err != nil {
+		return err
+	}
 	select {
 	case <-p.done:
 	case <-ctx.Done():
@@ -612,44 +627,58 @@ func (s *Server) submit(ctx context.Context, p *pending, items []*item) error {
 	case <-s.stop:
 		return ErrShuttingDown
 	}
-	return p.failure()
+	return p.err
 }
 
-// buildItem validates one sample against the model's feature count n and
-// converts it to dispatcher form.
-func buildItem(p *pending, idx int, smp Sample, n int) (*item, error) {
+// add validates sample i against the model's feature count n and appends
+// it in dispatcher form.
+func (p *pending) add(i int, smp Sample, n int) error {
 	hasDense, hasSparse := len(smp.Dense) > 0, len(smp.Sparse) > 0
 	if hasDense == hasSparse {
-		return nil, fmt.Errorf("need exactly one of dense or sparse")
+		return fmt.Errorf("need exactly one of dense or sparse")
 	}
 	if hasDense {
 		if len(smp.Dense) != n {
-			return nil, fmt.Errorf("dense sample has %d features, model expects %d", len(smp.Dense), n)
+			return fmt.Errorf("dense sample has %d features, model expects %d", len(smp.Dense), n)
 		}
-		return &item{p: p, idx: idx, dense: smp.Dense, width: len(smp.Dense)}, nil
+		for j, v := range smp.Dense {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("feature %d is not finite (%v)", j, v)
+			}
+		}
+		if p.dense == nil {
+			p.dense = make([][]float64, p.rows())
+		}
+		p.dense[i] = smp.Dense
+		p.width = n
+		p.ptr = append(p.ptr, len(p.cols))
+		return nil
 	}
-	cols := make([]int, 0, len(smp.Sparse))
+	start := len(p.cols)
 	//srdalint:ignore maprange keys are validated then sorted below before any arithmetic sees them
-	for j := range smp.Sparse {
+	for j, v := range smp.Sparse {
 		if j < 0 {
-			return nil, fmt.Errorf("negative feature index %d", j)
+			return fmt.Errorf("negative feature index %d", j)
 		}
 		if j >= n {
-			return nil, fmt.Errorf("feature index %d out of range for a %d-feature model", j, n)
+			return fmt.Errorf("feature index %d out of range for a %d-feature model", j, n)
 		}
-		cols = append(cols, j)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("feature %d is not finite (%v)", j, v)
+		}
+		p.width = max(p.width, j+1)
+		if v != 0 { //srdalint:ignore floatcmp exact zeros are dropped from the sparse structure, as a CSR build drops them
+			p.cols = append(p.cols, j)
+		}
 	}
 	// Sort so the CSR row is column-ordered: kernel dot products accumulate
 	// in index order and stay bitwise reproducible across requests.
-	sort.Ints(cols)
-	it := &item{p: p, idx: idx, cols: cols, vals: make([]float64, len(cols))}
-	for t, j := range cols {
-		it.vals[t] = smp.Sparse[j]
-		if j+1 > it.width {
-			it.width = j + 1
-		}
+	sort.Ints(p.cols[start:])
+	for _, j := range p.cols[start:] {
+		p.vals = append(p.vals, smp.Sparse[j])
 	}
-	return it, nil
+	p.ptr = append(p.ptr, len(p.cols))
+	return nil
 }
 
 // HealthSnapshot builds the /healthz reply programmatically — the same
@@ -659,7 +688,7 @@ func (s *Server) HealthSnapshot() *Health {
 	h := &Health{
 		Status:            "ok",
 		UptimeSeconds:     time.Since(s.start).Seconds(),
-		QueueDepth:        len(s.queue),
+		QueueDepth:        int(s.queued.Load()),
 		Models:            s.reg.Len(),
 		LatencyP99Seconds: s.LatencyP99(),
 	}

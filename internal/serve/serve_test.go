@@ -3,12 +3,13 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -186,30 +187,62 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestMicroBatchCoalescing pins the batcher's size trigger: with MaxWait
-// effectively infinite and MaxBatch=4, four concurrent single-sample
-// requests must be answered by exactly one inference batch.
+// predictOne is a single-dense-sample request for row k of probes.
+func predictOne(probes *mat.Dense, k int) *PredictRequest {
+	return &PredictRequest{Samples: []Sample{DenseSample(probes.RowView(k))}}
+}
+
+// queueBeforeDispatch builds a server whose dispatcher is not running,
+// admits reqs in order, then starts the dispatcher, so every request is
+// queued while no worker can take a batch.  It returns the requests'
+// pendings once all are answered.
+func queueBeforeDispatch(t *testing.T, model *core.Model, opts Options, reqs ...*PredictRequest) (*Server, []*pending) {
+	t.Helper()
+	s, err := newServer(model, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := make([]*pending, len(reqs))
+	for i, req := range reqs {
+		if ps[i], err = s.buildPending(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.enqueue(ps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.startDispatch()
+	t.Cleanup(func() {
+		if err := s.Close(context.Background()); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	for i, p := range ps {
+		select {
+		case <-p.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("request %d never answered", i)
+		}
+		if p.err != nil {
+			t.Fatalf("request %d: %v", i, p.err)
+		}
+	}
+	return s, ps
+}
+
+// TestMicroBatchCoalescing pins the coalescing rule: four single-sample
+// requests queued while no worker can take a batch are answered by
+// exactly one inference batch of 4.
 func TestMicroBatchCoalescing(t *testing.T) {
 	model, probes := trainBlobs(t, 10, 4, 5)
-	s, _, client := newTestServer(t, model, Options{MaxBatch: 4, MaxWait: time.Hour})
-	ctx := ctxT(t)
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	got := make([]int, 4)
-	for k := 0; k < 4; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			got[k], errs[k] = client.PredictOne(ctx, DenseSample(probes.RowView(k)))
-		}(k)
+	reqs := make([]*PredictRequest, 4)
+	for k := range reqs {
+		reqs[k] = predictOne(probes, k)
 	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", k, err)
-		}
-		if want := model.PredictVec(probes.RowView(k)); got[k] != want {
-			t.Fatalf("request %d: got class %d, want %d", k, got[k], want)
+	s, ps := queueBeforeDispatch(t, model, Options{MaxBatch: 4, Workers: 2}, reqs...)
+	for k, p := range ps {
+		if want := model.PredictVec(probes.RowView(k)); p.classes[0] != want {
+			t.Fatalf("request %d: got class %d, want %d", k, p.classes[0], want)
 		}
 	}
 	if b := s.metrics.batches.Value(); b != 1 {
@@ -217,6 +250,102 @@ func TestMicroBatchCoalescing(t *testing.T) {
 	}
 	if n := s.metrics.samples.Value(); n != 4 {
 		t.Fatalf("expected 4 samples predicted, got %d", n)
+	}
+}
+
+// TestCoalescingCarriesWholeRequests pins that requests are never split:
+// with MaxBatch 4, queued requests of 3, 2 and 1 samples run as [3] and
+// [2, 1] — the 2-sample request does not fit and opens the next batch.
+func TestCoalescingCarriesWholeRequests(t *testing.T) {
+	model, probes := trainBlobs(t, 10, 3, 5)
+	multi := func(k int) *PredictRequest {
+		req := &PredictRequest{}
+		for i := 0; i < k; i++ {
+			req.Samples = append(req.Samples, DenseSample(probes.RowView(i%probes.Rows)))
+		}
+		return req
+	}
+	s, ps := queueBeforeDispatch(t, model, Options{MaxBatch: 4}, multi(3), multi(2), multi(1))
+	for _, p := range ps {
+		for i, c := range p.classes {
+			if want := model.PredictVec(probes.RowView(i % probes.Rows)); c != want {
+				t.Fatalf("sample %d: got class %d, want %d", i, c, want)
+			}
+		}
+	}
+	if b, n := s.metrics.batches.Value(), s.metrics.samples.Value(); b != 2 || n != 6 {
+		t.Fatalf("got %d batches of %d samples, want 2 batches of 6", b, n)
+	}
+}
+
+// TestOversizedRequestOneBatch pins that a request larger than MaxBatch
+// is answered as one batch rather than split.
+func TestOversizedRequestOneBatch(t *testing.T) {
+	model, probes := trainBlobs(t, 10, 3, 5)
+	s, _, _ := newTestServer(t, model, Options{MaxBatch: 4})
+	req := &PredictRequest{}
+	for i := 0; i < 10; i++ {
+		req.Samples = append(req.Samples, DenseSample(probes.RowView(i%probes.Rows)))
+	}
+	resp, err := s.Predict(ctxT(t), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range resp.Classes {
+		if want := model.PredictVec(probes.RowView(i % probes.Rows)); c != want {
+			t.Fatalf("sample %d: got class %d, want %d", i, c, want)
+		}
+	}
+	if b, n := s.metrics.batches.Value(), s.metrics.samples.Value(); b != 1 || n != 10 {
+		t.Fatalf("got %d batches of %d samples, want 1 batch of 10", b, n)
+	}
+}
+
+// TestIdleWorkerTakesLoneSample pins that an idle worker dispatches a
+// lone sample at once: 100 sequential single-sample predicts with default
+// options finish well inside what even a 1ms hold per request would cost.
+func TestIdleWorkerTakesLoneSample(t *testing.T) {
+	model, probes := trainBlobs(t, 10, 3, 5)
+	s, _, _ := newTestServer(t, model, Options{})
+	ctx := ctxT(t)
+	begin := time.Now()
+	for i := 0; i < 100; i++ {
+		if _, err := s.Predict(ctx, predictOne(probes, i%probes.Rows)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if el := time.Since(begin); el >= 100*time.Millisecond {
+		t.Fatalf("100 sequential predicts took %v, want < 100ms", el)
+	}
+}
+
+// TestNonFinitePredictRejected pins that NaN and ±Inf feature values are
+// refused with a RequestError naming the sample and feature, on the
+// in-process transport the router's LocalBackend uses.
+func TestNonFinitePredictRejected(t *testing.T) {
+	model, probes := trainBlobs(t, 10, 3, 4)
+	s, _, _ := newTestServer(t, model, Options{})
+	ctx := ctxT(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		dense := append([]float64(nil), probes.RowView(0)...)
+		dense[3] = bad
+		for name, smp := range map[string]Sample{
+			"dense":  {Dense: dense},
+			"sparse": {Sparse: map[int]float64{0: 1, 3: bad}},
+		} {
+			req := &PredictRequest{Samples: []Sample{DenseSample(probes.RowView(1)), smp}}
+			_, err := s.Predict(ctx, req)
+			var reqErr *RequestError
+			if !errors.As(err, &reqErr) || StatusCode(err) != http.StatusBadRequest {
+				t.Fatalf("%s %v: err = %v, want a 400 RequestError", name, bad, err)
+			}
+			if !strings.Contains(err.Error(), "sample 1") || !strings.Contains(err.Error(), "feature 3") {
+				t.Errorf("%s %v: error %q does not name sample 1, feature 3", name, bad, err)
+			}
+		}
+	}
+	if n := s.metrics.samples.Value(); n != 0 {
+		t.Fatalf("%d samples reached a batch", n)
 	}
 }
 
@@ -309,48 +438,70 @@ func TestReloadFromFileErrors(t *testing.T) {
 	}
 }
 
-// TestQueueFullRejects drives enqueue directly (no dispatcher attached) so
-// the overflow path is deterministic.
+// TestQueueFullRejects drives enqueue with no dispatcher attached, so
+// admission is deterministic: a request is admitted or refused whole, and
+// both the depth gauge and the reject counter count samples.
 func TestQueueFullRejects(t *testing.T) {
-	s := &Server{opts: Options{}.withDefaults(), queue: make(chan *item, 1)}
-	s.metrics = newMetrics(func() int64 { return int64(len(s.queue)) }, func() int64 { return 0 })
-	p := newPending(3, false)
-	items := make([]*item, 3)
-	for i := range items {
-		items[i] = &item{p: p, idx: i, dense: []float64{1}, width: 1}
+	model, probes := trainBlobs(t, 10, 3, 4)
+	s, err := newServer(model, Options{QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.enqueue(p, items)
-	if err := p.failure(); err != ErrQueueFull {
+	build := func(k int) *pending {
+		req := &PredictRequest{}
+		for i := 0; i < k; i++ {
+			req.Samples = append(req.Samples, DenseSample(probes.RowView(0)))
+		}
+		p, err := s.buildPending(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if err := s.enqueue(build(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.enqueue(build(2)); err != ErrQueueFull {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if got := s.metrics.queueRejects.Value(); got != 2 {
 		t.Fatalf("queueRejects = %d, want 2", got)
 	}
 	if len(s.queue) != 1 {
-		t.Fatalf("queued %d items, want 1", len(s.queue))
+		t.Fatalf("queued %d requests, want 1", len(s.queue))
+	}
+	var sb strings.Builder
+	s.metrics.writeProm(&sb)
+	if !strings.Contains(sb.String(), "\nsrdaserve_queue_depth 3\n") {
+		t.Fatalf("queue depth gauge should count 3 queued samples\n---\n%s", sb.String())
+	}
+	if h := s.HealthSnapshot(); h.QueueDepth != 3 {
+		t.Fatalf("Health.QueueDepth = %d, want 3", h.QueueDepth)
 	}
 }
 
-// TestModelShapeConflict exercises the mid-flight reload guard: items
+// TestModelShapeConflict exercises the mid-flight reload guard: a request
 // validated against one model must fail cleanly if a swapped model has a
-// different feature count by the time their batch runs.
+// different feature count by the time its batch runs.
 func TestModelShapeConflict(t *testing.T) {
-	modelA, _ := trainBlobs(t, 10, 3, 9)
-	s, _, _ := newTestServer(t, modelA, Options{MaxWait: time.Hour})
+	modelA, probes := trainBlobs(t, 10, 3, 9)
+	s, _, _ := newTestServer(t, modelA, Options{})
+	p, err := s.buildPending(predictOne(probes, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	modelB, _ := trainBlobs(t, 6, 3, 10) // different feature count
 	if _, err := s.Swap(modelB); err != nil {
 		t.Fatal(err)
 	}
-	p := newPending(1, false)
-	it := &item{p: p, idx: 0, model: DefaultModelName, dense: make([]float64, 10), width: 10}
-	s.runBatch([]*item{it})
+	s.runBatch([]*pending{p})
 	select {
 	case <-p.done:
 	case <-time.After(time.Second):
 		t.Fatal("pending never settled")
 	}
-	if err := p.failure(); err != ErrModelShape {
-		t.Fatalf("err = %v, want ErrModelShape", err)
+	if p.err != ErrModelShape {
+		t.Fatalf("err = %v, want ErrModelShape", p.err)
 	}
 }
 
