@@ -48,6 +48,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Coalesc|Queue|Close|Concurrent' ./internal/serve
+	$(GO) test -race -count=5 -run 'Lockstep|Bitwise|Twin|Workers' ./internal/solver ./internal/regress ./internal/sparse
 
 cover:
 	$(GO) test ./... -coverprofile=cover.out && $(GO) tool cover -func=cover.out | tail -1

@@ -65,26 +65,41 @@ func Scal(alpha float64, x []float64) {
 // Nrm2 returns the Euclidean norm of x, computed with scaling so that it
 // neither overflows nor underflows for extreme magnitudes.
 func Nrm2(x []float64) float64 {
-	var scale, ssq float64
-	ssq = 1
+	var acc NormAcc
 	for _, v := range x {
-		if v == 0 { //srdalint:ignore floatcmp exact zero skip keeps the scaled-ssq update well-defined
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
+		acc.Add(v)
 	}
-	if scale == 0 { //srdalint:ignore floatcmp an all-zero vector has exact norm 0
+	return acc.Norm()
+}
+
+// NormAcc is Nrm2 one element at a time: adding x's elements in order and
+// then calling Norm gives exactly Nrm2(x).  A row-major block keeps one
+// accumulator per column to take all its column norms in a single pass.
+// The zero value is an empty accumulator.
+type NormAcc struct{ scale, ssq float64 }
+
+// Add accumulates v.
+func (n *NormAcc) Add(v float64) {
+	if v == 0 { //srdalint:ignore floatcmp exact zero skip keeps the scaled-ssq update well-defined
+		return
+	}
+	a := math.Abs(v)
+	if n.scale < a {
+		r := n.scale / a
+		n.ssq = 1 + n.ssq*r*r
+		n.scale = a
+	} else {
+		r := a / n.scale
+		n.ssq += r * r
+	}
+}
+
+// Norm returns the Euclidean norm of the elements added so far.
+func (n NormAcc) Norm() float64 {
+	if n.scale == 0 { //srdalint:ignore floatcmp an all-zero vector has exact norm 0
 		return 0
 	}
-	return scale * math.Sqrt(ssq)
+	return n.scale * math.Sqrt(n.ssq)
 }
 
 // Asum returns the sum of absolute values of x.

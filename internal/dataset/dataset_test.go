@@ -276,6 +276,9 @@ func TestReadLibSVMErrors(t *testing.T) {
 		"0 12\n",       // missing colon
 		"0 0:1\n",      // 0-based index
 		"0 1:notnum\n", // bad value
+		"0 1:nan\n",    // non-finite values
+		"0 2:1 1:-inf\n",
+		"1 3:+Inf\n",
 	} {
 		if _, err := ReadLibSVM(bytes.NewBufferString(bad), 0); err == nil {
 			t.Fatalf("accepted %q", bad)
@@ -393,6 +396,11 @@ func FuzzReadLibSVM(f *testing.F) {
 		for _, y := range ds.Labels {
 			if y < 0 || y >= ds.NumClasses {
 				t.Fatal("label out of range")
+			}
+		}
+		for _, v := range ds.Sparse.Val {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted non-finite value %v", v)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -90,6 +91,11 @@ func ReadLibSVM(r io.Reader, numFeatures int) (*Dataset, error) {
 			val, err := strconv.ParseFloat(f[colon+1:], 64)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d: bad feature value %q", lineNo, f[colon+1:])
+			}
+			// The training kernels assume finite input; a NaN or ±Inf here
+			// would otherwise train silently into a NaN model.
+			if math.IsNaN(val) || math.IsInf(val, 0) {
+				return nil, fmt.Errorf("dataset: line %d: non-finite feature value %q", lineNo, f[colon+1:])
 			}
 			if idx > maxFeat {
 				maxFeat = idx

@@ -118,6 +118,55 @@ func (a *CSR) MulTVec(x, dst []float64) []float64 {
 	return dst
 }
 
+// MulBlock computes the m×k block Y = A·X for a row-major n×k block x,
+// allocating dst when nil.  Column j of Y is bitwise MulVec of column j of
+// x: each output entry sums its row's stored entries in storage order.
+func (a *CSR) MulBlock(k int, x, dst []float64) []float64 {
+	if k < 0 || len(x) != a.Cols*k {
+		panic("sparse: MulBlock length mismatch")
+	}
+	if dst == nil {
+		dst = make([]float64, a.Rows*k)
+	}
+	a.mulBlockRange(0, a.Rows, k, x, dst)
+	return dst
+}
+
+// mulBlockRange computes rows [rlo, rhi) of the block product A·X, the
+// k-wide form of mulVecRange: every dst entry starts at zero and adds
+// val·x over its row's stored entries in storage order.
+func (a *CSR) mulBlockRange(rlo, rhi, k int, x, dst []float64) {
+	for i := rlo; i < rhi; i++ {
+		d := dst[i*k : i*k+k]
+		for j := range d {
+			d[j] = 0
+		}
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			v := a.Val[p]
+			xr := x[a.ColIdx[p]*k:][:len(d)]
+			for j, xv := range xr {
+				d[j] += v * xv
+			}
+		}
+	}
+}
+
+// MulTBlock computes the n×k block Y = Aᵀ·X for a row-major m×k block x,
+// allocating dst when nil.  Each output entry accumulates over the rows
+// in ascending order, as MulTVec does; MulTVec skips a row whose x entry
+// is exactly zero, which adds only signed zeros here, so for finite A
+// column j of Y is bitwise MulTVec of column j of x.
+func (a *CSR) MulTBlock(k int, x, dst []float64) []float64 {
+	if k < 0 || len(x) != a.Rows*k {
+		panic("sparse: MulTBlock length mismatch")
+	}
+	if dst == nil {
+		dst = make([]float64, a.Cols*k)
+	}
+	a.mulTBlockRange(0, a.Cols, k, x, dst)
+	return dst
+}
+
 // AddScaledRow accumulates alpha * row i of A into the dense vector dst.
 func (a *CSR) AddScaledRow(i int, alpha float64, dst []float64) {
 	cols, vals := a.Row(i)

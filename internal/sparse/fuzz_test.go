@@ -3,23 +3,28 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
 // FuzzCSRMulVec builds a random CSR from fuzzer-chosen shape/density
 // parameters and cross-checks MulVec/MulTVec against the dense oracle
 // (mat.Dense products on the uncompressed matrix), plus the Par* twins
-// bitwise against the sequential kernels.  The checked-in corpus in
-// testdata/fuzz/FuzzCSRMulVec seeds empty, single-entry, dense-ish, and
-// ragged matrices.
+// bitwise against the sequential kernels.  It then checks the block
+// products of width k: every column of MulBlock/MulTBlock and their Par
+// twins must be bitwise the single-vector MulVec/MulTVec of that column.
+// zeroCol, when in [0, k), names a column of the Aᵀ·U input that is all
+// zeros.  The checked-in corpus in testdata/fuzz/FuzzCSRMulVec seeds
+// empty, single-entry, dense-ish, and ragged matrices, widths 1 and 19,
+// and an all-zero column.
 func FuzzCSRMulVec(f *testing.F) {
-	f.Add(0, 0, int64(1), 0.5, 4)
-	f.Add(1, 1, int64(2), 1.0, 2)
-	f.Add(5, 3, int64(3), 0.0, 7)
-	f.Add(7, 11, int64(4), 0.3, 3)
-	f.Add(32, 17, int64(5), 0.05, 5)
-	f.Add(13, 64, int64(6), 0.9, 1)
-	f.Fuzz(func(t *testing.T, r, c int, seed int64, fill float64, workers int) {
+	f.Add(0, 0, int64(1), 0.5, 4, 3, -1)
+	f.Add(1, 1, int64(2), 1.0, 2, 1, -1)
+	f.Add(5, 3, int64(3), 0.0, 7, 2, 0)
+	f.Add(7, 11, int64(4), 0.3, 3, 5, 4)
+	f.Add(32, 17, int64(5), 0.05, 5, 19, -1)
+	f.Add(13, 64, int64(6), 0.9, 1, 24, 7)
+	f.Fuzz(func(t *testing.T, r, c int, seed int64, fill float64, workers, k, zeroCol int) {
 		const maxDim = 64
 		if r < 0 || c < 0 || r > maxDim || c > maxDim {
 			t.Skip()
@@ -27,7 +32,7 @@ func FuzzCSRMulVec(f *testing.F) {
 		if math.IsNaN(fill) || fill < 0 || fill > 1 {
 			t.Skip()
 		}
-		if workers < 0 || workers > 16 {
+		if workers < 0 || workers > 16 || k < 1 || k > 24 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -72,5 +77,48 @@ func FuzzCSRMulVec(f *testing.F) {
 				t.Fatalf("ParMulTVec(workers=%d): col %d = %v, sequential %v", workers, j, parT[j], gotT[j])
 			}
 		}
+
+		xb, ub := make([]float64, c*k), make([]float64, r*k)
+		for i := range xb {
+			xb[i] = rng.NormFloat64()
+		}
+		for i := range ub {
+			if rng.Intn(4) > 0 { // leave a quarter exact zeros
+				ub[i] = rng.NormFloat64()
+			}
+			if i%k == zeroCol {
+				ub[i] = 0
+			}
+		}
+		blocks := map[string][]float64{
+			"MulBlock":     a.MulBlock(k, xb, nil),
+			"ParMulBlock":  a.ParMulBlock(workers, k, xb, nil),
+			"MulTBlock":    a.MulTBlock(k, ub, nil),
+			"ParMulTBlock": a.ParMulTBlock(workers, k, ub, nil),
+		}
+		for j := 0; j < k; j++ {
+			want := a.MulVec(column(xb, k, j), nil)
+			wantT := a.MulTVec(column(ub, k, j), nil)
+			for name, blk := range blocks {
+				w := want
+				if strings.Contains(name, "TBlock") {
+					w = wantT
+				}
+				for i := range w {
+					if math.Float64bits(blk[i*k+j]) != math.Float64bits(w[i]) {
+						t.Fatalf("%s(k=%d, workers=%d): entry (%d, %d) = %v, single-vector %v", name, k, workers, i, j, blk[i*k+j], w[i])
+					}
+				}
+			}
+		}
 	})
+}
+
+// column copies column j of the row-major block blk of width k.
+func column(blk []float64, k, j int) []float64 {
+	col := make([]float64, len(blk)/k)
+	for i := range col {
+		col[i] = blk[i*k+j]
+	}
+	return col
 }

@@ -99,6 +99,67 @@ func (a *CSR) ParMulTVec(workers int, x, dst []float64) []float64 {
 	return dst
 }
 
+// mulTBlockRange accumulates the output rows [jlo, jhi) of the block
+// product Aᵀ·X, the k-wide form of mulTVecRange: one colWindow search per
+// matrix row serves all k columns, and every output entry adds val·x over
+// the rows in ascending order.
+func (a *CSR) mulTBlockRange(jlo, jhi, k int, x, dst []float64) {
+	out := dst[jlo*k : jhi*k]
+	for j := range out {
+		out[j] = 0
+	}
+	for i := 0; i < a.Rows; i++ {
+		xr := x[i*k : i*k+k]
+		s, e := a.colWindow(i, jlo, jhi)
+		for p := s; p < e; p++ {
+			v := a.Val[p]
+			d := dst[a.ColIdx[p]*k:][:len(xr)]
+			for j, xv := range xr {
+				d[j] += v * xv
+			}
+		}
+	}
+}
+
+// ParMulBlock computes Y = A·X like MulBlock, sharding output rows across
+// the worker pool.  Bitwise identical to MulBlock for any workers.
+func (a *CSR) ParMulBlock(workers, k int, x, dst []float64) []float64 {
+	if k < 0 || len(x) != a.Cols*k {
+		panic("sparse: ParMulBlock length mismatch")
+	}
+	if dst == nil {
+		dst = make([]float64, a.Rows*k)
+	}
+	if workers == 1 || a.Rows < 2 || a.NNZ()*k < parMinNNZ {
+		a.mulBlockRange(0, a.Rows, k, x, dst)
+		return dst
+	}
+	pool.Do(workers, a.Rows, func(lo, hi int) {
+		a.mulBlockRange(lo, hi, k, x, dst)
+	})
+	return dst
+}
+
+// ParMulTBlock computes Y = Aᵀ·X like MulTBlock, sharding output rows of Y
+// (columns of A) across the worker pool.  Bitwise identical to MulTBlock
+// for any workers.
+func (a *CSR) ParMulTBlock(workers, k int, x, dst []float64) []float64 {
+	if k < 0 || len(x) != a.Rows*k {
+		panic("sparse: ParMulTBlock length mismatch")
+	}
+	if dst == nil {
+		dst = make([]float64, a.Cols*k)
+	}
+	if workers == 1 || a.Cols < 2 || a.NNZ()*k < parMinNNZ {
+		a.mulTBlockRange(0, a.Cols, k, x, dst)
+		return dst
+	}
+	pool.Do(workers, a.Cols, func(lo, hi int) {
+		a.mulTBlockRange(lo, hi, k, x, dst)
+	})
+	return dst
+}
+
 // gramUpperRange accumulates the rows [ilo, ihi) of the upper triangle of
 // G = AᵀA: for every matrix row p (ascending) and every stored pair
 // (i, j) with i in the span and j >= i, G[i,j] += A[p,i]*A[p,j].  Column

@@ -52,6 +52,56 @@ func TestParMulVecBitwiseEqualsMulVec(t *testing.T) {
 	}
 }
 
+// TestBlockProductsBitwiseEqualSingleVector checks the block kernels a
+// lockstep solver streams A through: for every shape, width and worker
+// count, column j of (Par)MulBlock and (Par)MulTBlock is bitwise the
+// single-vector MulVec/MulTVec of column j, and sharding never changes a
+// bit.  Widths 1 and 19 are the single-solve and 20-class cases.
+func TestBlockProductsBitwiseEqualSingleVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, sh := range parShapes {
+		_, a := randSparseDense(rng, sh.r, sh.c, sh.fill)
+		for _, k := range []int{1, 3, 19} {
+			x, u := make([]float64, sh.c*k), make([]float64, sh.r*k)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			for i := range u {
+				if i%3 > 0 { // exact zeros, as MulTVec's skip sees them
+					u[i] = rng.NormFloat64()
+				}
+			}
+			seq, seqT := a.MulBlock(k, x, nil), a.MulTBlock(k, u, nil)
+			for j := 0; j < k; j++ {
+				if i, ok := bitsEqualVec(column(seq, k, j), a.MulVec(column(x, k, j), nil)); !ok {
+					t.Fatalf("%v k=%d: MulBlock entry (%d, %d) differs from MulVec", a, k, i, j)
+				}
+				if i, ok := bitsEqualVec(column(seqT, k, j), a.MulTVec(column(u, k, j), nil)); !ok {
+					t.Fatalf("%v k=%d: MulTBlock entry (%d, %d) differs from MulTVec", a, k, i, j)
+				}
+			}
+			for _, w := range sparseEqWorkers {
+				// Pre-poison dst: the Par kernels must fully overwrite it.
+				got, gotT := make([]float64, sh.r*k), make([]float64, sh.c*k)
+				for i := range got {
+					got[i] = math.NaN()
+				}
+				for i := range gotT {
+					gotT[i] = math.NaN()
+				}
+				a.ParMulBlock(w, k, x, got)
+				a.ParMulTBlock(w, k, u, gotT)
+				if i, ok := bitsEqualVec(got, seq); !ok {
+					t.Fatalf("%v k=%d workers=%d: ParMulBlock[%d] = %v, MulBlock %v", a, k, w, i, got[i], seq[i])
+				}
+				if i, ok := bitsEqualVec(gotT, seqT); !ok {
+					t.Fatalf("%v k=%d workers=%d: ParMulTBlock[%d] = %v, MulTBlock %v", a, k, w, i, gotT[i], seqT[i])
+				}
+			}
+		}
+	}
+}
+
 func TestParMulTVecBitwiseEqualsMulTVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for _, sh := range parShapes {
