@@ -34,8 +34,8 @@ type Options struct {
 	// LSQRIter caps LSQR iterations per response (default 30; the paper
 	// sets 15 for 20Newsgroups).
 	LSQRIter int
-	// Workers bounds all parallelism in the fit: the independent
-	// per-response solves on the LSQR path and the worker-pool sharding
+	// Workers bounds all parallelism in the fit: the column groups of
+	// the lockstep solve on the LSQR path and the worker-pool sharding
 	// inside every dense/sparse kernel (0 = GOMAXPROCS, 1 = sequential).
 	// Every setting produces a bitwise-identical model; the trained
 	// Model inherits the value for its batch-projection kernels.
