@@ -56,14 +56,18 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Active fuzzing of the kernel oracles and the model decoder (the same
-# targets run as plain regression tests from the checked-in corpus
+# Active fuzzing of the kernel oracles, the model decoder, and the
+# predict/observe body scanner and router peek against encoding/json (the
+# same targets run as plain regression tests from the checked-in corpus
 # during `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzGemmShapes -fuzztime=30s ./internal/blas
 	$(GO) test -fuzz=FuzzCSRMulVec -fuzztime=30s ./internal/sparse
 	$(GO) test -fuzz=FuzzCholUpdate -fuzztime=30s ./internal/decomp
 	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzScanPredict$$' -fuzztime=30s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzScanObserve$$' -fuzztime=30s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzPeekPredict$$' -fuzztime=30s ./internal/serve
 
 # Regenerate every table and figure at laptop scale (minutes).
 repro:

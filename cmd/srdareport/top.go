@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"srda/internal/serve"
 	"srda/internal/telemetry"
 )
 
@@ -106,7 +107,7 @@ func fetchSnapshot(source string, live bool) (*telemetry.ClusterSnapshot, error)
 		if resp.StatusCode != http.StatusOK {
 			return nil, fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
 		}
-		if data, err = io.ReadAll(resp.Body); err != nil {
+		if data, err = serve.ReadReply(resp.Body, resp.ContentLength); err != nil {
 			return nil, err
 		}
 	} else {

@@ -136,3 +136,22 @@ func TestSubcommandHelp(t *testing.T) {
 		})
 	}
 }
+
+// TestTopLiveReplyBound: a live source streaming an endless reply fails
+// with exit 1 once the reply passes serve.MaxReplyBytes, instead of
+// buffering it.
+func TestTopLiveReplyBound(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		chunk := bytes.Repeat([]byte(" "), 64<<10)
+		for {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer srv.Close()
+	var out, errOut bytes.Buffer
+	if code := topMain(&out, &errOut, []string{srv.URL}); code != 1 || !strings.Contains(errOut.String(), "size limit") {
+		t.Errorf("endless reply = %d %q, want 1 naming the size limit", code, errOut.String())
+	}
+}

@@ -20,6 +20,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -45,6 +46,16 @@ type Backend interface {
 	Health(ctx context.Context) (*serve.Health, error)
 }
 
+// BodyBackend is the optional byte transport of a Backend: it forwards
+// an encoded predict body unchanged and returns the worker's status and
+// reply bytes, so the router never decodes the samples.  The error is
+// non-nil only when no reply came back.  LocalBackend and HTTPBackend
+// implement it.  A decorator that embeds Backend does not, so its typed
+// Predict keeps seeing every request.
+type BodyBackend interface {
+	PredictBody(ctx context.Context, body []byte) (status int, reply []byte, err error)
+}
+
 // LocalBackend adapts an in-process *serve.Server: co-located router and
 // workers share one address space and skip the network entirely.
 type LocalBackend struct {
@@ -56,6 +67,11 @@ func (b *LocalBackend) Name() string { return b.ReplicaName }
 
 func (b *LocalBackend) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
 	return b.Server.Predict(ctx, req)
+}
+
+func (b *LocalBackend) PredictBody(ctx context.Context, body []byte) (int, []byte, error) {
+	code, reply := b.Server.PredictBody(ctx, nil, body)
+	return code, reply, nil
 }
 
 func (b *LocalBackend) Health(context.Context) (*serve.Health, error) {
@@ -72,6 +88,10 @@ func (b *HTTPBackend) Name() string { return b.ReplicaName }
 
 func (b *HTTPBackend) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
 	return b.Client.PredictRaw(ctx, req)
+}
+
+func (b *HTTPBackend) PredictBody(ctx context.Context, body []byte) (int, []byte, error) {
+	return b.Client.PredictBody(ctx, body)
 }
 
 func (b *HTTPBackend) Health(ctx context.Context) (*serve.Health, error) {
@@ -503,57 +523,117 @@ func (r *Router) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 		ctx, root = r.tracer.StartRoot(ctx, "route")
 		defer root.End()
 	}
+	b, tenant, err := r.admit(ctx, req.Model)
+	if err != nil {
+		return nil, err
+	}
+	return r.forwardTyped(ctx, b, tenant, req)
+}
+
+// admit runs quota, ring lookup and overload checks for one request and
+// returns the replica to forward to and the tenant it is metered as.
+func (r *Router) admit(ctx context.Context, model string) (Backend, string, error) {
 	trace := obs.SpanFromContext(ctx).TraceID()
-	tenant := req.Model
+	tenant := model
 	if tenant == "" {
 		tenant = serve.DefaultModelName
 	}
 	if !r.quotas.allow(tenant) {
-		return nil, r.shed("quota", tenant, trace, http.StatusTooManyRequests,
+		return nil, tenant, r.shed("quota", tenant, trace, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant %q over its request quota", tenant))
 	}
 	name := r.ring.Load().lookup(r.opts.Seed, tenant)
 	if name == "" {
-		return nil, r.shed("no_backend", tenant, trace, http.StatusServiceUnavailable,
+		return nil, tenant, r.shed("no_backend", tenant, trace, http.StatusServiceUnavailable,
 			"no healthy replica on the ring")
 	}
 	if msg, over := r.overloaded(name); over {
-		return nil, r.shed("overload", tenant, trace, http.StatusServiceUnavailable, msg)
+		return nil, tenant, r.shed("overload", tenant, trace, http.StatusServiceUnavailable, msg)
 	}
 	r.mu.RLock()
 	st := r.replicas[name]
 	r.mu.RUnlock()
 	if st == nil {
-		return nil, r.shed("no_backend", tenant, trace, http.StatusServiceUnavailable,
+		return nil, tenant, r.shed("no_backend", tenant, trace, http.StatusServiceUnavailable,
 			"replica left the ring mid-route")
 	}
-	// The "forward" span rides the context into the backend call: the
-	// typed HTTP client stamps it onto the outgoing request as a
-	// traceparent header, and a co-located worker parents its "request"
-	// span under it — either way the worker continues this TraceID.
+	return st.backend, tenant, nil
+}
+
+// forward times one backend call under a "forward" span and counts it
+// for the replica by the status call returns.  The span rides the context
+// into the call: the HTTP client stamps it onto the outgoing request as a
+// traceparent header, and a co-located worker parents its "request" span
+// under it — either way the worker continues this TraceID.
+func (r *Router) forward(ctx context.Context, b Backend, tenant string, call func(context.Context) int) {
+	trace := obs.SpanFromContext(ctx).TraceID()
 	fctx, fsp := obs.StartSpan(ctx, "forward")
 	begin := r.now()
-	resp, err := st.backend.Predict(fctx, req)
+	code := call(fctx)
 	sec := r.now().Sub(begin).Seconds()
 	fsp.End()
 	r.observeForward(tenant, sec, trace)
-	r.mx.requests.With(name, strconv.Itoa(serve.StatusCode(err))).Inc()
-	if err != nil {
-		r.mx.backendErrors.With(name).Inc()
-		return nil, err
+	r.mx.requests.With(b.Name(), strconv.Itoa(code)).Inc()
+	if code != http.StatusOK {
+		r.mx.backendErrors.With(b.Name()).Inc()
 	}
-	return resp, nil
 }
 
+// forwardTyped forwards a decoded request through the backend's typed
+// Predict.
+func (r *Router) forwardTyped(ctx context.Context, b Backend, tenant string, req *serve.PredictRequest) (resp *serve.PredictResponse, err error) {
+	r.forward(ctx, b, tenant, func(fctx context.Context) int {
+		resp, err = b.Predict(fctx, req)
+		return serve.StatusCode(err)
+	})
+	return resp, err
+}
+
+// forwardBody relays an encoded body through a byte backend and returns
+// the worker's status and reply.  A 200 reply must carry one class per
+// sample, as the typed client checks.
+func (r *Router) forwardBody(ctx context.Context, b Backend, bb BodyBackend, tenant string, body []byte, samples int) (code int, reply []byte) {
+	r.forward(ctx, b, tenant, func(fctx context.Context) int {
+		var err error
+		if code, reply, err = bb.PredictBody(fctx, body); err == nil && code == http.StatusOK {
+			err = checkClasses(reply, samples)
+		}
+		if err != nil {
+			code, reply = serve.ErrorBody(err)
+		}
+		return code
+	})
+	return code, reply
+}
+
+// checkClasses checks that a 200 predict reply answers each sample.
+func checkClasses(reply []byte, samples int) error {
+	var resp serve.PredictResponse
+	if err := json.Unmarshal(reply, &resp); err != nil {
+		return fmt.Errorf("router: decoding predict response: %w", err)
+	}
+	if len(resp.Classes) != samples {
+		return fmt.Errorf("router: replica returned %d classes for %d samples", len(resp.Classes), samples)
+	}
+	return nil
+}
+
+// handlePredict reads the capped body once and peeks at its model.  A
+// byte backend gets the body unchanged and its reply is relayed as is;
+// a typed-only backend gets the decoded request.
 func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var pr serve.PredictRequest
-	body := http.MaxBytesReader(w, req.Body, serve.DefaultMaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&pr); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
+	body, err := serve.ReadRequestBody(w, req, serve.DefaultMaxBodyBytes)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("request body: %v", err))
+		return
+	}
+	model, samples, err := serve.PeekPredict(body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Continue the caller's trace when the request carries a traceparent
@@ -566,16 +646,38 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 		ctx, root = r.tracer.StartRoot(ctx, "route")
 	}
 	defer root.End()
-	resp, err := r.Predict(ctx, &pr)
-	if err != nil {
-		code := serve.StatusCode(err)
-		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", strconv.Itoa(r.opts.RetryAfterSeconds))
-		}
-		writeErr(w, code, err.Error())
-		return
+	code, reply := r.predictBody(ctx, model, samples, body)
+	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", strconv.Itoa(r.opts.RetryAfterSeconds))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	// A failed write means the client hung up; there is nobody to tell.
+	_, _ = w.Write(reply)
+}
+
+// predictBody admits and forwards one encoded request.
+func (r *Router) predictBody(ctx context.Context, model string, samples int, body []byte) (int, []byte) {
+	b, tenant, err := r.admit(ctx, model)
+	if err != nil {
+		return serve.ErrorBody(err)
+	}
+	if bb, ok := b.(BodyBackend); ok {
+		return r.forwardBody(ctx, b, bb, tenant, body, samples)
+	}
+	var pr serve.PredictRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&pr); err != nil {
+		return serve.ErrorBody(&serve.RequestError{Msg: "bad JSON: " + err.Error()})
+	}
+	resp, err := r.forwardTyped(ctx, b, tenant, &pr)
+	if err != nil {
+		return serve.ErrorBody(err)
+	}
+	reply, err := json.Marshal(resp)
+	if err != nil {
+		return serve.ErrorBody(err)
+	}
+	return http.StatusOK, append(reply, '\n')
 }
 
 // RouterHealth is the router's /healthz reply.

@@ -145,40 +145,81 @@ func (c *Client) PredictOne(ctx context.Context, s Sample) (int, error) {
 	return classes[0], nil
 }
 
-// PredictRaw sends a fully-formed request and returns the raw response —
-// the HTTP transport the router's remote backends forward through.
+// PredictRaw sends a fully-formed request and returns the typed
+// response: the transport of typed callers, such as backend decorators
+// that inspect each reply.
 func (c *Client) PredictRaw(ctx context.Context, req *PredictRequest) (*PredictResponse, error) {
 	return c.do(ctx, *req)
 }
 
+// PredictBody posts an encoded predict body unchanged and returns the
+// reply's status and bytes, retrying 503s under c.Retry: the transport
+// the router's HTTP backends forward through.  The error is non-nil only
+// when no reply was read: a transport failure, a cancelled context, or a
+// reply longer than MaxReplyBytes (ErrReplyTooLarge).
+func (c *Client) PredictBody(ctx context.Context, body []byte) (int, []byte, error) {
+	rep, err := c.predict(ctx, body)
+	if err != nil {
+		return 0, nil, err
+	}
+	return rep.code, rep.body, nil
+}
+
 func (c *Client) do(ctx context.Context, req PredictRequest) (*PredictResponse, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := c.predict(ctx, body)
+	if err != nil {
+		return nil, err
+	}
+	if rep.code != http.StatusOK {
+		return nil, rep.statusError()
+	}
+	var out PredictResponse
+	if err := json.Unmarshal(rep.body, &out); err != nil {
+		return nil, fmt.Errorf("serve: decoding predict response: %w", err)
+	}
+	want := len(req.Samples)
+	if want == 0 {
+		want = 1 // shorthand single-sample form
+	}
+	if len(out.Classes) != want {
+		return nil, fmt.Errorf("serve: server returned %d classes for %d samples", len(out.Classes), want)
+	}
+	return &out, nil
+}
+
+// predict posts an encoded predict body, retrying 503 replies under
+// c.Retry.  Other replies, 429 quota sheds included, return at once, and
+// so do transport errors.
+func (c *Client) predict(ctx context.Context, body []byte) (*reply, error) {
 	attempts := 1
 	if c.Retry != nil && c.Retry.MaxAttempts > 1 {
 		attempts = c.Retry.MaxAttempts
 	}
-	var err error
+	var rep *reply
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			if werr := c.waitBackoff(ctx, attempt-1, err); werr != nil {
-				return nil, werr
+			if err := c.waitBackoff(ctx, attempt-1, rep.retryAfter); err != nil {
+				return nil, err
 			}
 		}
-		var resp *PredictResponse
-		resp, err = c.doOnce(ctx, req)
-		if err == nil {
-			return resp, nil
+		var err error
+		if rep, err = c.roundTrip(ctx, http.MethodPost, "/v1/predict", body); err != nil {
+			return nil, err
 		}
-		var st *StatusError
-		if !errors.As(err, &st) || st.Code != http.StatusServiceUnavailable {
-			return nil, err // non-retryable: 4xx (incl. 429 quota sheds), transport errors
+		if rep.code != http.StatusServiceUnavailable {
+			break
 		}
 	}
-	return nil, err
+	return rep, nil
 }
 
 // waitBackoff sleeps for retry k's backoff: base·2ᵏ with half-to-full
-// jitter, capped at MaxDelay, floored by any server Retry-After hint.
-func (c *Client) waitBackoff(ctx context.Context, k int, cause error) error {
+// jitter, capped at MaxDelay, floored by the server's Retry-After hint.
+func (c *Client) waitBackoff(ctx context.Context, k int, retryAfter time.Duration) error {
 	p := c.Retry
 	base := p.BaseDelay
 	if base <= 0 {
@@ -198,9 +239,8 @@ func (c *Client) waitBackoff(ctx context.Context, k int, cause error) error {
 	}
 	d = d/2 + time.Duration(c.jitter.Float64()*float64(d/2))
 	c.jitterMu.Unlock()
-	var st *StatusError
-	if errors.As(cause, &st) && st.RetryAfter > d {
-		d = st.RetryAfter
+	if retryAfter > d {
+		d = retryAfter
 	}
 	if d > maxd {
 		d = maxd
@@ -216,131 +256,107 @@ func (c *Client) waitBackoff(ctx context.Context, k int, cause error) error {
 	return ctx.Err()
 }
 
-func (c *Client) doOnce(ctx context.Context, req PredictRequest) (*PredictResponse, error) {
-	body, err := json.Marshal(req)
+// reply is one reply read back from a worker or router, its body
+// bounded by MaxReplyBytes.
+type reply struct {
+	code       int
+	retryAfter time.Duration // the Retry-After hint (0 when absent)
+	body       []byte
+}
+
+// statusError turns a non-200 reply into a *StatusError carrying the
+// server's message and any Retry-After hint.
+func (r *reply) statusError() error {
+	st := &StatusError{Code: r.code, RetryAfter: r.retryAfter}
+	var er errorReply
+	if err := json.Unmarshal(r.body, &er); err == nil {
+		st.Message = er.Error
+	}
+	return st
+}
+
+// roundTrip sends one request and reads its reply.  A POST carries body
+// as JSON with the context's span as a traceparent header.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) (*reply, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/predict", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	if body != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+		obs.InjectTrace(hreq.Header, obs.SpanFromContext(ctx))
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	obs.InjectTrace(hreq.Header, obs.SpanFromContext(ctx))
 	hresp, err := c.httpClient().Do(hreq)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = hresp.Body.Close() }() // best-effort; response already read or failed
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
+	defer func() { _ = hresp.Body.Close() }() // best-effort; the body is read below or abandoned
+	b, err := ReadReply(hresp.Body, hresp.ContentLength)
+	if err != nil {
+		return nil, err
 	}
-	var out PredictResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("serve: decoding predict response: %w", err)
+	rep := &reply{code: hresp.StatusCode, body: b}
+	if secs, err := strconv.Atoi(hresp.Header.Get("Retry-After")); err == nil && secs >= 0 {
+		rep.retryAfter = time.Duration(secs) * time.Second
 	}
-	want := len(req.Samples)
-	if want == 0 {
-		want = 1 // shorthand single-sample form
+	return rep, nil
+}
+
+// getJSON fetches path and decodes a 200 reply into out.
+func (c *Client) getJSON(ctx context.Context, path, what string, out any) error {
+	rep, err := c.roundTrip(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return err
 	}
-	if len(out.Classes) != want {
-		return nil, fmt.Errorf("serve: server returned %d classes for %d samples", len(out.Classes), want)
+	if rep.code != http.StatusOK {
+		return rep.statusError()
 	}
-	return &out, nil
+	if err := json.Unmarshal(rep.body, out); err != nil {
+		return fmt.Errorf("serve: decoding %s: %w", what, err)
+	}
+	return nil
 }
 
 // Health fetches /healthz.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = hresp.Body.Close() }() // best-effort; response already read or failed
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
-	}
 	var h Health
-	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
-		return nil, fmt.Errorf("serve: decoding health response: %w", err)
+	if err := c.getJSON(ctx, "/healthz", "health response", &h); err != nil {
+		return nil, err
 	}
 	return &h, nil
 }
 
 // Models fetches /v1/models, the registry listing.
 func (c *Client) Models(ctx context.Context) (*ModelList, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/models", nil)
-	if err != nil {
-		return nil, err
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = hresp.Body.Close() }() // best-effort; response already read or failed
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
-	}
 	var ml ModelList
-	if err := json.NewDecoder(hresp.Body).Decode(&ml); err != nil {
-		return nil, fmt.Errorf("serve: decoding model list: %w", err)
+	if err := c.getJSON(ctx, "/v1/models", "model list", &ml); err != nil {
+		return nil, err
 	}
 	return &ml, nil
 }
 
 // Metrics fetches the raw /metrics exposition text.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
+	rep, err := c.roundTrip(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return "", err
 	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return "", err
+	if rep.code != http.StatusOK {
+		return "", rep.statusError()
 	}
-	defer func() { _ = hresp.Body.Close() }() // best-effort; response already read or failed
-	if hresp.StatusCode != http.StatusOK {
-		return "", decodeError(hresp)
-	}
-	b, err := io.ReadAll(hresp.Body)
-	return string(b), err
+	return string(rep.body), nil
 }
 
 // Sketches fetches the worker's CKMS quantile-sketch snapshots from
 // /v1/sketches, keyed by metric base name.
 func (c *Client) Sketches(ctx context.Context) (map[string]obs.SketchSnapshot, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/sketches", nil)
-	if err != nil {
-		return nil, err
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = hresp.Body.Close() }() // best-effort; response already read or failed
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
-	}
 	var out map[string]obs.SketchSnapshot
-	if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("serve: decoding /v1/sketches reply: %w", err)
+	if err := c.getJSON(ctx, "/v1/sketches", "/v1/sketches reply", &out); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// decodeError turns a non-200 reply into a *StatusError carrying the
-// server's message and any Retry-After hint.
-func decodeError(resp *http.Response) error {
-	st := &StatusError{Code: resp.StatusCode}
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
-		st.RetryAfter = time.Duration(secs) * time.Second
-	}
-	var er errorReply
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); err == nil {
-		st.Message = er.Error
-	}
-	return st
 }

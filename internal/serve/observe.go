@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 
 	"srda/internal/obs"
 )
@@ -59,52 +57,44 @@ type ObserveResponse struct {
 }
 
 // handleObserve feeds POSTed labeled samples to the co-located trainer.
-// Registered only when Options.Trainer is set.
+// Registered only when Options.Trainer is set.  The body goes through
+// the predict scanner, which fills the cols/vals/label the trainer
+// takes.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeErr(w, http.StatusMethodNotAllowed, "POST required")
 	}
 	if s.stopped.Load() {
-		return writeTypedErr(w, ErrShuttingDown)
+		code, reply := ErrorBody(ErrShuttingDown)
+		return writeReply(w, code, reply)
 	}
 	ctx, root := s.startRequestSpan(r.Context(), "observe", r.Header)
 	defer root.End()
-	var req ObserveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		return writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
+	body, err := ReadRequestBody(w, r, s.opts.MaxBodyBytes)
+	if err != nil {
+		return writeErr(w, http.StatusBadRequest, "request body: %v", err)
 	}
-	if len(req.Samples) == 0 {
+	req, err := scanObserve(body, s.opts.MaxRequestSamples)
+	if err != nil {
+		return writeErr(w, http.StatusBadRequest, "%v", err)
+	}
+	samples := req.recs[:req.live]
+	if len(samples) == 0 {
 		return writeErr(w, http.StatusBadRequest, "no samples")
 	}
-	if len(req.Samples) > s.opts.MaxRequestSamples {
-		return writeErr(w, http.StatusBadRequest, "%d samples exceeds the per-request cap of %d",
-			len(req.Samples), s.opts.MaxRequestSamples)
-	}
 	tr := s.opts.Trainer
-	for i, ls := range req.Samples {
-		hasDense, hasSparse := len(ls.Dense) > 0, len(ls.Sparse) > 0
+	for i, ls := range samples {
+		hasDense, hasSparse := len(ls.dense) > 0, len(ls.cols) > 0
 		if hasDense == hasSparse {
 			return writeErr(w, http.StatusBadRequest, "sample %d: need exactly one of dense or sparse", i)
 		}
-		var err error
 		if hasDense {
-			err = tr.ObserveCtx(ctx, ls.Dense, ls.Label)
+			err = tr.ObserveCtx(ctx, ls.dense, ls.label)
 		} else {
-			// Sort the columns before absorbing: the trainer's streaming
-			// statistics accumulate in index order, so a map-ordered row
-			// would make the refit depend on Go's per-run map seed.
-			cols := make([]int, 0, len(ls.Sparse))
-			//srdalint:ignore maprange keys are sorted below before the trainer's float accumulation sees them
-			for j := range ls.Sparse {
-				cols = append(cols, j)
-			}
-			sort.Ints(cols)
-			vals := make([]float64, len(cols))
-			for t, j := range cols {
-				vals[t] = ls.Sparse[j]
-			}
-			err = tr.ObserveSparseCtx(ctx, cols, vals, ls.Label)
+			// Sorted columns: the trainer's streaming statistics
+			// accumulate in index order.
+			cols, vals := sortSparse(ls.cols, ls.vals)
+			err = tr.ObserveSparseCtx(ctx, cols, vals, ls.label)
 		}
 		if err != nil {
 			// Samples before i were absorbed; the caller sees how far the
@@ -113,7 +103,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 		}
 	}
 	return writeJSON(w, http.StatusOK, ObserveResponse{
-		Observed: len(req.Samples),
+		Observed: len(samples),
 		Seen:     tr.Seen(),
 	})
 }
@@ -125,22 +115,15 @@ func (c *Client) Observe(ctx context.Context, samples ...LabeledSample) (*Observ
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/observe", bytes.NewReader(body))
+	rep, err := c.roundTrip(ctx, http.MethodPost, "/v1/observe", body)
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	obs.InjectTrace(hreq.Header, obs.SpanFromContext(ctx))
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = hresp.Body.Close() }() // best-effort; response already read or failed
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
+	if rep.code != http.StatusOK {
+		return nil, rep.statusError()
 	}
 	var out ObserveResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(rep.body, &out); err != nil {
 		return nil, fmt.Errorf("serve: decoding observe response: %w", err)
 	}
 	return &out, nil

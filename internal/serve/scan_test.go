@@ -1,0 +1,190 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// The differential targets hold the body scanner and PeekPredict to
+// encoding/json on the same bytes.  The reference is what the handlers
+// called before the scanner: json.NewDecoder(...).Decode, which ignores
+// text after the first value.  Each checked-in corpus entry under
+// testdata/fuzz is one trap: key case, duplicate keys, nulls, number
+// forms strconv takes but JSON does not, sparse key forms, trailing text
+// and the empty body.
+
+// FuzzScanPredict: the same accept/reject decision as encoding/json,
+// the same model and embed flag, and per sample the same dense bits and
+// the same sparse columns and value bits.
+func FuzzScanPredict(f *testing.F) {
+	f.Add([]byte(`{"samples":[{"dense":[1,2.5e-3,-0]},{"sparse":{"10":1,"2":0}}],"model":"m","embed":true}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var ref PredictRequest
+		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&ref)
+		got, err := scanPredict(b, math.MaxInt)
+		if (refErr == nil) != (err == nil) {
+			t.Fatalf("%q: encoding/json err=%v, scanner err=%v", b, refErr, err)
+		}
+		if err != nil {
+			return
+		}
+		if got.model != ref.Model || got.embed != ref.Embed {
+			t.Fatalf("%q: model/embed %q/%v, encoding/json %q/%v", b, got.model, got.embed, ref.Model, ref.Embed)
+		}
+		sameSample(t, b, "shorthand", &got.top, ref.Sample, 0)
+		if got.live != len(ref.Samples) {
+			t.Fatalf("%q: %d samples, encoding/json %d", b, got.live, len(ref.Samples))
+		}
+		for i, smp := range ref.Samples {
+			sameSample(t, b, "sample", &got.recs[i], smp, 0)
+		}
+	})
+}
+
+// FuzzScanObserve is FuzzScanPredict for observe bodies, labels
+// included.
+func FuzzScanObserve(f *testing.F) {
+	f.Add([]byte(`{"samples":[{"dense":[1,2],"label":1},{"sparse":{"3":0.5},"label":0}]}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var ref ObserveRequest
+		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&ref)
+		got, err := scanObserve(b, math.MaxInt)
+		if (refErr == nil) != (err == nil) {
+			t.Fatalf("%q: encoding/json err=%v, scanner err=%v", b, refErr, err)
+		}
+		if err != nil {
+			return
+		}
+		if got.live != len(ref.Samples) {
+			t.Fatalf("%q: %d samples, encoding/json %d", b, got.live, len(ref.Samples))
+		}
+		for i, ls := range ref.Samples {
+			sameSample(t, b, "sample", &got.recs[i], ls.Sample, ls.Label)
+		}
+	})
+}
+
+// FuzzPeekPredict: whenever encoding/json decodes a body, the peek
+// accepts it with the same model and sample count; whenever the peek
+// rejects a body, encoding/json rejects it too.
+func FuzzPeekPredict(f *testing.F) {
+	f.Add([]byte(`{"samples":[{"dense":[1]},{"dense":[2]}],"model":"tenant-a"}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var ref PredictRequest
+		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&ref)
+		model, n, err := PeekPredict(b)
+		if err != nil {
+			if refErr == nil {
+				t.Fatalf("%q: peek rejected (%v) a body encoding/json decodes", b, err)
+			}
+			return
+		}
+		if refErr != nil {
+			return // a type error past the peek's syntax check
+		}
+		if model != ref.Model {
+			t.Fatalf("%q: peek model %q, encoding/json %q", b, model, ref.Model)
+		}
+		if want := max(len(ref.Samples), 1); n != want {
+			t.Fatalf("%q: peek counted %d samples, want %d", b, n, want)
+		}
+	})
+}
+
+// sameSample compares a scanned sample with encoding/json's decode of
+// it: dense length and bits, the sparse map the writes leave, the label.
+func sameSample(t *testing.T, b []byte, what string, got *rawSample, ref Sample, label int) {
+	t.Helper()
+	if len(got.dense) != len(ref.Dense) {
+		t.Fatalf("%q: %s dense has %d values, encoding/json %d", b, what, len(got.dense), len(ref.Dense))
+	}
+	for j, v := range ref.Dense {
+		if math.Float64bits(got.dense[j]) != math.Float64bits(v) {
+			t.Fatalf("%q: %s dense[%d] = %v, encoding/json %v", b, what, j, got.dense[j], v)
+		}
+	}
+	m := map[int]float64{}
+	for k, j := range got.cols {
+		m[j] = got.vals[k]
+	}
+	if len(m) != len(ref.Sparse) {
+		t.Fatalf("%q: %s sparse has %d columns, encoding/json %d", b, what, len(m), len(ref.Sparse))
+	}
+	for j, v := range ref.Sparse {
+		w, ok := m[j]
+		if !ok || math.Float64bits(w) != math.Float64bits(v) {
+			t.Fatalf("%q: %s sparse[%d] = %v (present %v), encoding/json %v", b, what, j, w, ok, v)
+		}
+	}
+	cols, vals := sortSparse(append([]int(nil), got.cols...), append([]float64(nil), got.vals...))
+	if len(cols) != len(m) {
+		t.Fatalf("%q: %s sortSparse kept %d columns of %d", b, what, len(cols), len(m))
+	}
+	for k, j := range cols {
+		if k > 0 && j <= cols[k-1] || math.Float64bits(vals[k]) != math.Float64bits(m[j]) {
+			t.Fatalf("%q: %s sortSparse gave %v %v, want the map %v in column order", b, what, cols, vals, m)
+		}
+	}
+	if got.label != label {
+		t.Fatalf("%q: %s label %d, encoding/json %d", b, what, got.label, label)
+	}
+}
+
+// TestScanSampleCap: a samples array longer than the cap is refused
+// while scanning, before its elements are stored.
+func TestScanSampleCap(t *testing.T) {
+	body := `{"samples":[` + strings.Repeat(`{"dense":[1]},`, 4) + `{"dense":[1]}]}`
+	if _, err := scanPredict([]byte(body), 5); err != nil {
+		t.Fatalf("5 samples under a cap of 5: %v", err)
+	}
+	if _, err := scanPredict([]byte(body), 4); err == nil || StatusCode(err) != 400 {
+		t.Fatalf("5 samples under a cap of 4: %v, want a 400", err)
+	}
+}
+
+// BenchmarkScanPredict times the scanner against encoding/json's decode
+// on a 64×784 dense body with full-precision values.
+func BenchmarkScanPredict(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	req := PredictRequest{Samples: make([]Sample, 64)}
+	for i := range req.Samples {
+		x := make([]float64, 784)
+		for j := range x {
+			x[j] = rng.Float64()
+		}
+		req.Samples[i] = DenseSample(x)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("scanner", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if _, err := scanPredict(body, 1024); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("peek", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if _, _, err := PeekPredict(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding_json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var r PredictRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

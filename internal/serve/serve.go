@@ -32,7 +32,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -455,8 +454,8 @@ func (e *UnknownModelError) Error() string {
 
 // StatusCode maps a typed predict error to its HTTP status: nil → 200,
 // RequestError → 400, UnknownModelError → 404, ErrModelShape → 409,
-// ErrQueueFull/ErrShuttingDown → 503, StatusError → its own code,
-// anything else → 500.
+// ErrQueueFull/ErrShuttingDown → 503, ErrReplyTooLarge → 502,
+// StatusError → its own code, anything else → 500.
 func StatusCode(err error) int {
 	var reqErr *RequestError
 	var unkErr *UnknownModelError
@@ -472,6 +471,8 @@ func StatusCode(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShuttingDown):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrReplyTooLarge):
+		return http.StatusBadGateway
 	case errors.As(err, &stErr):
 		return stErr.Code
 	default:
@@ -491,21 +492,41 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) int {
 	return writeJSON(w, code, errorReply{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeTypedErr renders a typed predict error, advertising Retry-After
-// on retryable 503s so the client's backoff has a floor.
-func writeTypedErr(w http.ResponseWriter, err error) int {
-	code := StatusCode(err)
+// writeReply writes an encoded reply, advertising Retry-After on
+// retryable 503s so the client's backoff has a floor.
+func writeReply(w http.ResponseWriter, code int, reply []byte) int {
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	return writeErr(w, code, "%v", err)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	// A failed write means the client hung up; there is nobody to tell.
+	_, _ = w.Write(reply)
+	return code
+}
+
+// encodeReply encodes v as writeJSON would write it, newline included;
+// a value that does not encode is a 500.
+func encodeReply(code int, v any) (int, []byte) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return ErrorBody(err)
+	}
+	return code, append(b, '\n')
+}
+
+// ErrorBody renders err as an error reply: its status (StatusCode) and
+// {"error": message}.
+func ErrorBody(err error) (int, []byte) {
+	b, _ := json.Marshal(errorReply{Error: err.Error()}) // a struct of one string always encodes
+	return StatusCode(err), append(b, '\n')
 }
 
 // Predict answers one request through the in-process transport: the same
 // validation, micro-batching dispatch, and tracing as POST /v1/predict,
 // with typed errors instead of HTTP statuses (map them with StatusCode).
-// This is how the router reaches co-located workers without a network
-// hop, which keeps the whole tier testable under -race.
+// In-process callers that hold a typed request use it; the router's
+// co-located transport forwards the encoded body to PredictBody instead.
 func (s *Server) Predict(ctx context.Context, req *PredictRequest) (*PredictResponse, error) {
 	if s.stopped.Load() {
 		return nil, ErrShuttingDown
@@ -524,61 +545,97 @@ func (s *Server) Predict(ctx context.Context, req *PredictRequest) (*PredictResp
 		return nil, err
 	}
 	s.observeLatencyTraced(time.Since(begin).Seconds(), root.TraceID())
-	return &PredictResponse{
-		Classes:    p.classes,
-		Embeddings: p.embeddings,
-		Model:      p.model,
-		ModelSeq:   p.modelSeq,
-	}, nil
+	return p.response(), nil
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
+// PredictBody answers one encoded POST /v1/predict body and returns the
+// HTTP status and the JSON reply.  The body is parsed once, by the
+// scanner in scan.go, straight into dispatcher form.  h carries the
+// caller's trace header (nil in process, where a span on ctx continues
+// the trace instead).  The HTTP handler and the router's co-located
+// transport both call it.
+func (s *Server) PredictBody(ctx context.Context, h http.Header, body []byte) (int, []byte) {
 	begin := time.Now()
 	var trace obs.TraceID
 	defer func() { s.observeLatencyTraced(time.Since(begin).Seconds(), trace) }()
-	if r.Method != http.MethodPost {
-		return writeErr(w, http.StatusMethodNotAllowed, "POST required")
-	}
 	if s.stopped.Load() {
-		return writeTypedErr(w, ErrShuttingDown)
+		return ErrorBody(ErrShuttingDown)
 	}
-	ctx, root := s.startRequestSpan(r.Context(), "request", r.Header)
+	ctx, root := s.startRequestSpan(ctx, "request", h)
 	defer root.End()
 	trace = root.TraceID()
 	_, sp := obs.StartSpan(ctx, "parse")
-	var req PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		sp.End()
-		return writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
-	}
-	p, err := s.buildPending(&req)
+	p, err := s.parsePredict(body)
 	sp.End()
 	if err != nil {
-		return writeTypedErr(w, err)
+		return ErrorBody(err)
 	}
 	p.span = root
 	if err := s.submit(ctx, p); err != nil {
+		code, reply := ErrorBody(err)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return http.StatusServiceUnavailable // client gone; nothing to write
+			code = http.StatusServiceUnavailable // the caller is gone; not a server fault
 		}
-		return writeTypedErr(w, err)
+		return code, reply
 	}
-	return writeJSON(w, http.StatusOK, PredictResponse{
-		Classes:    p.classes,
-		Embeddings: p.embeddings,
-		Model:      p.model,
-		ModelSeq:   p.modelSeq,
-	})
+	return encodeReply(http.StatusOK, p.response())
 }
 
-// buildPending validates one predict request against the registry and
-// converts it to dispatcher form, returning typed errors.
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
+	if r.Method != http.MethodPost {
+		return writeErr(w, http.StatusMethodNotAllowed, "POST required")
+	}
+	body, err := ReadRequestBody(w, r, s.opts.MaxBodyBytes)
+	if err != nil {
+		return writeErr(w, http.StatusBadRequest, "request body: %v", err)
+	}
+	code, reply := s.PredictBody(r.Context(), r.Header, body)
+	return writeReply(w, code, reply)
+}
+
+// parsePredict scans a predict body and validates it like a typed
+// request.
+func (s *Server) parsePredict(body []byte) (*pending, error) {
+	b, err := scanPredict(body, s.opts.MaxRequestSamples)
+	if err != nil {
+		return nil, err
+	}
+	return s.newPending(b.model, b.embed, b.samples())
+}
+
+// buildPending validates a typed predict request; its samples take the
+// scanner's form first, so both paths share newPending's rules.
 func (s *Server) buildPending(req *PredictRequest) (*pending, error) {
 	samples := req.Samples
 	if len(samples) == 0 && (len(req.Dense) > 0 || len(req.Sparse) > 0) {
 		samples = []Sample{req.Sample}
 	}
+	out := make([]rawSample, len(samples))
+	for i, smp := range samples {
+		out[i].dense = smp.Dense
+		out[i].cols = make([]int, 0, len(smp.Sparse))
+		out[i].vals = make([]float64, 0, len(smp.Sparse))
+		//srdalint:ignore maprange keys are sorted by sortSparse before any arithmetic sees them
+		for j, v := range smp.Sparse {
+			out[i].cols = append(out[i].cols, j)
+			out[i].vals = append(out[i].vals, v)
+		}
+	}
+	return s.newPending(req.Model, req.Embed, out)
+}
+
+func (p *pending) response() *PredictResponse {
+	return &PredictResponse{
+		Classes:    p.classes,
+		Embeddings: p.embeddings,
+		Model:      p.model,
+		ModelSeq:   p.modelSeq,
+	}
+}
+
+// newPending validates one predict request's samples against the
+// registry and converts them to dispatcher form, returning typed errors.
+func (s *Server) newPending(model string, embed bool, samples []rawSample) (*pending, error) {
 	if len(samples) == 0 {
 		return nil, badRequestf("no samples")
 	}
@@ -586,7 +643,7 @@ func (s *Server) buildPending(req *PredictRequest) (*pending, error) {
 		return nil, badRequestf("%d samples exceeds the per-request cap of %d",
 			len(samples), s.opts.MaxRequestSamples)
 	}
-	name := req.Model
+	name := model
 	if name == "" {
 		name = s.opts.DefaultModel
 	}
@@ -601,11 +658,11 @@ func (s *Server) buildPending(req *PredictRequest) (*pending, error) {
 		classes: make([]int, len(samples)),
 		done:    make(chan struct{}),
 	}
-	if req.Embed {
+	if embed {
 		p.embeddings = make([][]float64, len(samples))
 	}
-	for i, smp := range samples {
-		if err := p.add(i, smp, n); err != nil {
+	for i := range samples {
+		if err := p.add(i, &samples[i], n); err != nil {
 			return nil, badRequestf("sample %d: %v", i, err)
 		}
 	}
@@ -631,17 +688,19 @@ func (s *Server) submit(ctx context.Context, p *pending) error {
 }
 
 // add validates sample i against the model's feature count n and appends
-// it in dispatcher form.
-func (p *pending) add(i int, smp Sample, n int) error {
-	hasDense, hasSparse := len(smp.Dense) > 0, len(smp.Sparse) > 0
+// it in dispatcher form.  This is the one place the predict rules live:
+// exactly one of dense or sparse, the dense length, finite values, sparse
+// index range, column order, and exact zeros dropped.
+func (p *pending) add(i int, smp *rawSample, n int) error {
+	hasDense, hasSparse := len(smp.dense) > 0, len(smp.cols) > 0
 	if hasDense == hasSparse {
 		return fmt.Errorf("need exactly one of dense or sparse")
 	}
 	if hasDense {
-		if len(smp.Dense) != n {
-			return fmt.Errorf("dense sample has %d features, model expects %d", len(smp.Dense), n)
+		if len(smp.dense) != n {
+			return fmt.Errorf("dense sample has %d features, model expects %d", len(smp.dense), n)
 		}
-		for j, v := range smp.Dense {
+		for j, v := range smp.dense {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("feature %d is not finite (%v)", j, v)
 			}
@@ -649,14 +708,16 @@ func (p *pending) add(i int, smp Sample, n int) error {
 		if p.dense == nil {
 			p.dense = make([][]float64, p.rows())
 		}
-		p.dense[i] = smp.Dense
+		p.dense[i] = smp.dense
 		p.width = n
 		p.ptr = append(p.ptr, len(p.cols))
 		return nil
 	}
-	start := len(p.cols)
-	//srdalint:ignore maprange keys are validated then sorted below before any arithmetic sees them
-	for j, v := range smp.Sparse {
+	// Column order makes the CSR row's kernel dot products accumulate in
+	// index order, bitwise reproducible across requests.
+	cols, vals := sortSparse(smp.cols, smp.vals)
+	for t, j := range cols {
+		v := vals[t]
 		if j < 0 {
 			return fmt.Errorf("negative feature index %d", j)
 		}
@@ -669,13 +730,8 @@ func (p *pending) add(i int, smp Sample, n int) error {
 		p.width = max(p.width, j+1)
 		if v != 0 { //srdalint:ignore floatcmp exact zeros are dropped from the sparse structure, as a CSR build drops them
 			p.cols = append(p.cols, j)
+			p.vals = append(p.vals, v)
 		}
-	}
-	// Sort so the CSR row is column-ordered: kernel dot products accumulate
-	// in index order and stay bitwise reproducible across requests.
-	sort.Ints(p.cols[start:])
-	for _, j := range p.cols[start:] {
-		p.vals = append(p.vals, smp.Sparse[j])
 	}
 	p.ptr = append(p.ptr, len(p.cols))
 	return nil
