@@ -48,7 +48,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Coalesc|Queue|Close|Concurrent' ./internal/serve
-	$(GO) test -race -count=5 -run 'Lockstep|Bitwise|Twin|Workers' ./internal/solver ./internal/regress ./internal/sparse
+	$(GO) test -race -count=5 -run 'Lockstep|Bitwise|Twin|Workers' ./internal/solver ./internal/regress ./internal/sparse ./internal/decomp
 
 cover:
 	$(GO) test ./... -coverprofile=cover.out && $(GO) tool cover -func=cover.out | tail -1
@@ -56,14 +56,18 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Active fuzzing of the kernel oracles, the model decoder, and the
-# predict/observe body scanner and router peek against encoding/json (the
+# Active fuzzing of the kernel oracles (the blocked parallel Cholesky
+# against the unblocked sweep among them), the model and DiskCSR
+# decoders, and the predict/observe body scanner and router peek against
+# encoding/json (the
 # same targets run as plain regression tests from the checked-in corpus
 # during `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzGemmShapes -fuzztime=30s ./internal/blas
 	$(GO) test -fuzz=FuzzCSRMulVec -fuzztime=30s ./internal/sparse
 	$(GO) test -fuzz=FuzzCholUpdate -fuzztime=30s ./internal/decomp
+	$(GO) test -run='^$$' -fuzz='^FuzzParCholesky$$' -fuzztime=30s ./internal/decomp
+	$(GO) test -run='^$$' -fuzz='^FuzzOpenDiskCSR$$' -fuzztime=30s ./internal/sparse
 	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzScanPredict$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzScanObserve$$' -fuzztime=30s ./internal/serve

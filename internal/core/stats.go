@@ -30,7 +30,7 @@ type SuffStats struct {
 	// (the last column duplicates counts).
 	classSums *mat.Dense
 	// gram is (n+1)×(n+1) with only the upper triangle maintained;
-	// decomp.NewCholesky reads nothing else.
+	// decomp.ParCholesky reads nothing else.
 	gram *mat.Dense
 	seen int
 	aug  []float64 // scratch: augmented sample
@@ -186,7 +186,7 @@ func FitStats(s *SuffStats, opt Options) (*Model, error) {
 		g.Set(i, i, g.At(i, i)+opt.Alpha)
 	}
 	sp = opt.Span.StartChild("cholesky")
-	ch, err := decomp.NewCholesky(g)
+	ch, err := decomp.ParCholesky(opt.Workers, g)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: normal equations not positive definite (alpha=%v): %w", opt.Alpha, err)

@@ -13,6 +13,7 @@ import (
 
 	"srda/internal/blas"
 	"srda/internal/mat"
+	"srda/internal/pool"
 )
 
 // ErrNotPositiveDefinite is returned by Cholesky when the input matrix is
@@ -27,10 +28,39 @@ type Cholesky struct {
 	R *mat.Dense
 }
 
-// NewCholesky factors the symmetric positive definite n×n matrix A.
-// Only the upper triangle of A is read.  It returns
-// ErrNotPositiveDefinite when a non-positive pivot is encountered.
-func NewCholesky(a *mat.Dense) (*Cholesky, error) {
+// NewCholesky factors the symmetric positive definite n×n matrix A on
+// the calling goroutine: ParCholesky(1, a).  Only the upper triangle of A
+// is read.  It returns ErrNotPositiveDefinite when a non-positive pivot
+// is encountered.
+func NewCholesky(a *mat.Dense) (*Cholesky, error) { return ParCholesky(1, a) }
+
+// cholPanel is the number of pivot rows ParCholesky factors before it
+// applies them to the trailing rows: one pool fork per 32 pivots rather
+// than one per pivot, and each trailing row takes the panel's 32 updates
+// while it sits in cache.
+const cholPanel = 32
+
+// parMinFlops mirrors the internal/mat threshold: trailing updates below
+// ~32Ki multiply-adds are not worth a pool handoff and run inline.
+const parMinFlops = 1 << 15
+
+// ParCholesky factors A like NewCholesky with the trailing updates
+// sharded across the worker pool (workers <= 0 means GOMAXPROCS, 1 runs
+// on the caller).  The sweep is right-looking and blocked in panels of
+// cholPanel pivot rows: the panel's own rows are factored in place, then
+// every trailing row i takes the panel's Axpys in ascending pivot order.
+// Trailing rows are independent and row i holds n−i entries, so they are
+// sharded by equal area (pool.DoUpper).  Every element of R receives the
+// same operations in the same order as in the unblocked sweep, whatever
+// the panel width or worker count, so the factor is bitwise identical to
+// NewCholesky's.
+func ParCholesky(workers int, a *mat.Dense) (*Cholesky, error) {
+	return parCholesky(workers, cholPanel, a)
+}
+
+// parCholesky is ParCholesky with the panel width as a parameter, so the
+// equivalence tests can sweep it.
+func parCholesky(workers, panel int, a *mat.Dense) (*Cholesky, error) {
 	n := a.Rows
 	if a.Cols != n {
 		panic("decomp: Cholesky of non-square matrix")
@@ -39,23 +69,49 @@ func NewCholesky(a *mat.Dense) (*Cholesky, error) {
 	for i := 0; i < n; i++ {
 		copy(r.RowView(i)[i:], a.RowView(i)[i:])
 	}
-	for k := 0; k < n; k++ {
-		rk := r.RowView(k)
-		d := rk[k]
-		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
+	// One closure for every panel: pool.DoUpper returns only after all
+	// spans finish, so the loop may move k0 and k1 between calls.
+	var k0, k1 int
+	trail := func(lo, hi int) { cholTrailRange(r, k0, k1, k1+lo, k1+hi) }
+	for ; k0 < n; k0 = k1 {
+		k1 = min(k0+panel, n)
+		for k := k0; k < k1; k++ {
+			rk := r.RowView(k)
+			d := rk[k]
+			if d <= 0 || math.IsNaN(d) {
+				return nil, ErrNotPositiveDefinite
+			}
+			d = math.Sqrt(d)
+			rk[k] = d
+			inv := 1 / d
+			for j := k + 1; j < n; j++ {
+				rk[j] *= inv
+			}
+			for i := k + 1; i < k1; i++ {
+				blas.Axpy(-rk[i], rk[i:], r.RowView(i)[i:])
+			}
 		}
-		d = math.Sqrt(d)
-		rk[k] = d
-		inv := 1 / d
-		for j := k + 1; j < n; j++ {
-			rk[j] *= inv
+		t := n - k1
+		if workers == 1 || (k1-k0)*t*(t+1)/2 < parMinFlops {
+			cholTrailRange(r, k0, k1, k1, n)
+			continue
 		}
-		for i := k + 1; i < n; i++ {
-			blas.Axpy(-rk[i], rk[i:], r.RowView(i)[i:])
-		}
+		pool.DoUpper(workers, t, trail)
 	}
 	return &Cholesky{R: r}, nil
+}
+
+// cholTrailRange applies the factored panel rows [k0, k1) to the trailing
+// rows [ilo, ihi): row i takes one Axpy per pivot k, in ascending k,
+// exactly the updates the unblocked sweep gives it at steps k0..k1−1.
+func cholTrailRange(r *mat.Dense, k0, k1, ilo, ihi int) {
+	for i := ilo; i < ihi; i++ {
+		ri := r.RowView(i)[i:]
+		for k := k0; k < k1; k++ {
+			rk := r.RowView(k)
+			blas.Axpy(-rk[i], rk[i:], ri)
+		}
+	}
 }
 
 // SolveVec solves A x = b in place of dst (allocated when nil) via the two

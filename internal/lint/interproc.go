@@ -113,7 +113,7 @@ func isHotEntry(n *graph.Node) bool {
 		return true
 	}
 	if underAny(rel, []string{"internal/decomp"}) {
-		if name == "NewCholesky" || name == "SolveSPD" ||
+		if name == "NewCholesky" || name == "ParCholesky" || name == "SolveSPD" ||
 			name == "SolveUpperTranspose" || name == "SolveUpperVec" {
 			return true
 		}

@@ -103,9 +103,10 @@ func gramMirrorRange(g *Dense, jlo, jhi int) {
 }
 
 // ParGram computes AᵀA like Gram, sharding the upper-triangle
-// accumulation and then the mirror over output rows; the pool barrier
-// between the passes guarantees the mirror reads only final values.
-// Bitwise identical to Gram for any workers.
+// accumulation and then the mirror over output rows in spans of equal
+// area (upper row i holds n−i entries, mirror row j holds j); the pool
+// barrier between the passes guarantees the mirror reads only final
+// values.  Bitwise identical to Gram for any workers.
 func ParGram(workers int, a *Dense) *Dense {
 	n := a.Cols
 	g := NewDense(n, n)
@@ -114,11 +115,11 @@ func ParGram(workers int, a *Dense) *Dense {
 		gramMirrorRange(g, 0, n)
 		return g
 	}
-	pool.Do(workers, n, func(lo, hi int) {
+	pool.DoUpper(workers, n, func(lo, hi int) {
 		gramUpperRange(a, g, lo, hi)
 	})
-	pool.Do(workers, n, func(lo, hi int) {
-		gramMirrorRange(g, lo, hi)
+	pool.DoUpper(workers, n, func(lo, hi int) {
+		gramMirrorRange(g, n-hi, n-lo)
 	})
 	return g
 }
@@ -139,7 +140,8 @@ func gramTRange(a, g *Dense, ilo, ihi int) {
 }
 
 // ParGramT computes AAᵀ like GramT with output rows sharded across the
-// worker pool.  Each element is a single dot product, so the result is
+// worker pool in spans of equal area (row i computes m−i dots).  Each
+// element is a single dot product, so the result is
 // bitwise identical to GramT for any workers.
 func ParGramT(workers int, a *Dense) *Dense {
 	m := a.Rows
@@ -148,7 +150,7 @@ func ParGramT(workers int, a *Dense) *Dense {
 		gramTRange(a, g, 0, m)
 		return g
 	}
-	pool.Do(workers, m, func(lo, hi int) {
+	pool.DoUpper(workers, m, func(lo, hi int) {
 		gramTRange(a, g, lo, hi)
 	})
 	return g

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -101,4 +102,26 @@ func TestParMulOnSlicedViews(t *testing.T) {
 	matBitsEqual(t, "ParMul/view", 7, ParMul(7, a, b), Mul(a, b))
 	matBitsEqual(t, "ParGram/view", 7, ParGram(7, a), Gram(a))
 	matBitsEqual(t, "ParGramT/view", 7, ParGramT(7, a), GramT(a))
+}
+
+// gramSink keeps BenchmarkParGram's result live.
+var gramSink *Dense
+
+// BenchmarkParGram times the Gram of a 1500×785 matrix at density 0.6,
+// the fit-dense primal shape, at several worker counts.
+func BenchmarkParGram(b *testing.B) {
+	rng := rand.New(rand.NewSource(64))
+	a := randDense(rng, 1500, 785)
+	for i := range a.Data {
+		if rng.Float64() < 0.4 {
+			a.Data[i] = 0
+		}
+	}
+	for _, w := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				gramSink = ParGram(w, a)
+			}
+		})
+	}
 }

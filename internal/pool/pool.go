@@ -84,7 +84,9 @@ func (p *Pool) startWorkers() {
 // completion before return.  Shard boundaries depend only on (n, shards),
 // never on scheduling, so callers that need reproducible partitions get
 // them for free.
-func (p *Pool) Run(shards, n int, fn func(lo, hi int)) {
+func (p *Pool) Run(shards, n int, fn func(lo, hi int)) { p.run(shards, n, false, fn) }
+
+func (p *Pool) run(shards, n int, upper bool, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -100,12 +102,12 @@ func (p *Pool) Run(shards, n int, fn func(lo, hi int)) {
 	}
 	p.startWorkers()
 	var wg sync.WaitGroup
-	base, rem := n/shards, n%shards
 	lo := 0
-	for s := 0; s < shards-1; s++ {
-		hi := lo + base
-		if s < rem {
-			hi++
+	for s := 1; s < shards; s++ {
+		hi := spanStart(n, shards, s, upper)
+		if hi == lo {
+			// A row heavier than one share leaves this span empty.
+			continue
 		}
 		spanLo, spanHi := lo, hi
 		wg.Add(1)
@@ -132,6 +134,30 @@ func (p *Pool) Run(shards, n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
+// spanStart returns the first row of span s when [0, n) is cut into
+// shards spans (1 <= shards <= n, 0 <= s <= shards).  Plain spans differ
+// in length by at most one.  Upper spans cut an n-row upper triangle,
+// where row i weighs n−i: span s starts at the smallest row b whose
+// prefix area Σ_{i<b}(n−i) reaches s/shards of the total.  A span's area
+// therefore exceeds the ideal share by less than one row, and the last
+// span is never empty.  Pure integer arithmetic, no allocation.
+func spanStart(n, shards, s int, upper bool) int {
+	if !upper {
+		return s*(n/shards) + min(s, n%shards)
+	}
+	target := s * (n * (n + 1) / 2)
+	lo, hi := 0, n
+	for lo < hi {
+		b := int(uint(lo+hi) >> 1)
+		if (b*n-b*(b-1)/2)*shards >= target {
+			hi = b
+		} else {
+			lo = b + 1
+		}
+	}
+	return lo
+}
+
 // shared is the process-wide pool every Par* kernel uses, sized by
 // GOMAXPROCS at startup.  Requesting more shards than workers is allowed
 // (Run only bounds concurrency, not sharding), which is how the
@@ -145,6 +171,14 @@ func Shared() *Pool { return shared }
 // spans; workers <= 0 means GOMAXPROCS.  This is the single entry point
 // the parallel kernels use.
 func Do(workers, n int, fn func(lo, hi int)) { shared.Run(workers, n, fn) }
+
+// DoUpper is Do over the rows of an n-row upper triangle, split into
+// spans of near-equal area (row i weighs n−i, see spanStart) instead of
+// near-equal row counts: the split that balances the Gram and Cholesky
+// kernels, whose row i costs O(n−i).  Callers whose row i costs O(i) —
+// the lower triangle — shard the reversed index:
+// DoUpper(w, n, func(lo, hi int) { f(n-hi, n-lo) }).
+func DoUpper(workers, n int, fn func(lo, hi int)) { shared.run(workers, n, true, fn) }
 
 // DoCtx is Do under request-scoped tracing: when ctx carries an active
 // span (obs.StartSpan), the whole sharded run is recorded as one

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,4 +158,104 @@ func TestRunManyConcurrentCallers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// upperArea is the area of rows [lo, hi) of an n-row upper triangle,
+// where row i holds n−i entries.
+func upperArea(n, lo, hi int) int {
+	a := 0
+	for i := lo; i < hi; i++ {
+		a += n - i
+	}
+	return a
+}
+
+// TestUpperSpansTileAndBalance checks the equal-area split behind DoUpper:
+// the spans tile [0, n) in order, no span's area exceeds the ideal share
+// by a full row or more, and the bounds depend only on (n, shards).
+func TestUpperSpansTileAndBalance(t *testing.T) {
+	for n := 1; n <= 200; n++ {
+		for shards := 1; shards <= n && shards <= 16; shards++ {
+			total := n * (n + 1) / 2
+			prev := spanStart(n, shards, 0, true)
+			if prev != 0 {
+				t.Fatalf("n=%d shards=%d: first span starts at %d", n, shards, prev)
+			}
+			for s := 1; s <= shards; s++ {
+				b := spanStart(n, shards, s, true)
+				if b < prev {
+					t.Fatalf("n=%d shards=%d: span %d starts at %d, before %d", n, shards, s, b, prev)
+				}
+				if got := spanStart(n, shards, s, true); got != b {
+					t.Fatalf("n=%d shards=%d: span %d bound %d then %d", n, shards, s, b, got)
+				}
+				// area·shards < total + shards·(one row): strictly less
+				// than the ideal share plus the widest row.
+				if area := upperArea(n, prev, b); area*shards >= total+n*shards {
+					t.Fatalf("n=%d shards=%d: span %d area %d, ideal %d/%d", n, shards, s-1, area, total, shards)
+				}
+				prev = b
+			}
+			if prev != n {
+				t.Fatalf("n=%d shards=%d: spans end at %d", n, shards, prev)
+			}
+			if last := spanStart(n, shards, shards-1, true); last >= n {
+				t.Fatalf("n=%d shards=%d: last span is empty", n, shards)
+			}
+		}
+	}
+}
+
+// TestDoUpperCoversRangeOnce runs the equal-area split through the pool:
+// every row is visited exactly once for n = 0, n < shards and shards
+// beyond GOMAXPROCS, and the span set repeats from call to call.
+func TestDoUpperCoversRangeOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 65, 785} {
+		for _, shards := range []int{0, 1, 2, 4, 7, 3 * runtime.GOMAXPROCS(0), 100} {
+			collect := func() map[[2]int]bool {
+				var mu sync.Mutex
+				spans := map[[2]int]bool{}
+				seen := make([]int, n)
+				DoUpper(shards, n, func(lo, hi int) {
+					mu.Lock()
+					defer mu.Unlock()
+					if lo < 0 || hi > n || lo >= hi {
+						t.Errorf("n=%d shards=%d: bad span [%d,%d)", n, shards, lo, hi)
+						return
+					}
+					spans[[2]int{lo, hi}] = true
+					for i := lo; i < hi; i++ {
+						seen[i]++
+					}
+				})
+				for i, c := range seen {
+					if c != 1 {
+						t.Fatalf("n=%d shards=%d: row %d visited %d times", n, shards, i, c)
+					}
+				}
+				return spans
+			}
+			a, b := collect(), collect()
+			if len(a) != len(b) {
+				t.Fatalf("n=%d shards=%d: %d spans, then %d", n, shards, len(a), len(b))
+			}
+			for s := range a {
+				if !b[s] {
+					t.Fatalf("n=%d shards=%d: span %v missing on second call", n, shards, s)
+				}
+			}
+		}
+	}
+}
+
+// TestSpanStartAllocatesNothing: the split is pure arithmetic.
+func TestSpanStartAllocatesNothing(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		for s := 0; s <= 7; s++ {
+			_ = spanStart(785, 7, s, true)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("spanStart allocated %v times per run", allocs)
+	}
 }

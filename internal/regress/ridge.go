@@ -217,7 +217,7 @@ func fitPrimal(x *mat.Dense, y *mat.Dense, opt Options) (*Model, error) {
 		g.Set(i, i, g.At(i, i)+opt.Alpha)
 	}
 	sp = opt.Span.StartChild("cholesky")
-	ch, err := decomp.NewCholesky(g)
+	ch, err := decomp.ParCholesky(opt.Workers, g)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("regress: normal equations not positive definite (alpha=%v): %w", opt.Alpha, err)
@@ -252,7 +252,7 @@ func fitDual(x *mat.Dense, y *mat.Dense, opt Options) (*Model, error) {
 		g.Set(i, i, g.At(i, i)+alpha)
 	}
 	sp = opt.Span.StartChild("cholesky")
-	ch, err := decomp.NewCholesky(g)
+	ch, err := decomp.ParCholesky(opt.Workers, g)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("regress: dual system not positive definite (alpha=%v): %w", opt.Alpha, err)

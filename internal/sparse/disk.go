@@ -76,44 +76,88 @@ func (a *CSR) WriteFile(path string) (err error) {
 	return w.Flush()
 }
 
+// ErrDiskCSRCorrupt is wrapped by every error that reports a DiskCSR
+// file whose bytes break the format, as opposed to an I/O failure: a bad
+// magic, a header that disagrees with the file size, row pointers that
+// are not monotone from 0 to nnz, or a column index outside [0, cols)
+// (or not increasing within its row, for Load).
+const ErrDiskCSRCorrupt = diskError("sparse: corrupt DiskCSR file")
+
+// errColRange is the streaming form of ErrDiskCSRCorrupt: a constant, so
+// the per-entry check allocates nothing.
+const errColRange = diskError("sparse: corrupt DiskCSR file: column index out of range")
+
+// diskError is a constant error type, so the package's errors need no
+// initialization at start-up.
+type diskError string
+
+func (e diskError) Error() string { return string(e) }
+
+// Is matches every diskError to ErrDiskCSRCorrupt under errors.Is.
+func (e diskError) Is(target error) bool { return target == ErrDiskCSRCorrupt }
+
+// diskHeaderLen is the byte length of the magic and the three counts.
+const diskHeaderLen = int64(len(diskMagic)) + 3*8
+
 // OpenDiskCSR opens a file written by WriteFile, loading only the row
-// pointers.  The caller owns Close.
+// pointers.  The header must account for the file size exactly and the
+// row pointers must climb from 0 to nnz, so no count read from the file
+// can size an allocation beyond the file itself.  The caller owns Close.
 func OpenDiskCSR(path string) (*DiskCSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	d, err := openDiskCSR(f)
+	if err != nil {
+		_ = f.Close() // error path: the open failure is the error to report
+		return nil, fmt.Errorf("sparse: %s: %w", path, err)
+	}
+	return d, nil
+}
+
+func openDiskCSR(f *os.File) (*DiskCSR, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := st.Size()
+	if size < diskHeaderLen {
+		return nil, fmt.Errorf("%w: %d-byte file is shorter than the header", ErrDiskCSRCorrupt, size)
+	}
 	r := bufio.NewReader(f)
-	magic := make([]byte, len(diskMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		_ = f.Close() // error path: the read failure is the error to report
-		return nil, fmt.Errorf("sparse: reading magic: %w", err)
+	var hdr [diskHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("sparse: reading header: %w", err)
 	}
-	if string(magic) != diskMagic {
-		_ = f.Close() // error path: the read failure is the error to report
-		return nil, fmt.Errorf("sparse: %s is not a DiskCSR file", path)
+	if string(hdr[:len(diskMagic)]) != diskMagic {
+		return nil, fmt.Errorf("%w: bad magic", ErrDiskCSRCorrupt)
 	}
-	var rows, cols, nnz int64
-	for _, p := range []*int64{&rows, &cols, &nnz} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			_ = f.Close() // error path: the read failure is the error to report
-			return nil, err
-		}
-	}
-	if rows < 0 || cols < 0 || nnz < 0 {
-		_ = f.Close() // error path: the read failure is the error to report
-		return nil, fmt.Errorf("sparse: corrupt header (%d, %d, %d)", rows, cols, nnz)
+	le := binary.LittleEndian
+	rows := int64(le.Uint64(hdr[8:]))
+	cols := int64(le.Uint64(hdr[16:]))
+	nnz := int64(le.Uint64(hdr[24:]))
+	// Bound each count by the file before multiplying, so the size sum
+	// cannot overflow.
+	body := size - diskHeaderLen
+	if rows < 0 || cols < 0 || nnz < 0 || rows >= body/8 || nnz > body/16 ||
+		(rows+1)*8+nnz*16 != body {
+		return nil, fmt.Errorf("%w: header (%d rows, %d cols, %d nnz) does not match the %d-byte file", ErrDiskCSRCorrupt, rows, cols, nnz, size)
 	}
 	rowPtr := make([]int64, rows+1)
-	if err := binary.Read(r, binary.LittleEndian, rowPtr); err != nil {
-		_ = f.Close() // error path: the read failure is the error to report
+	if err := binary.Read(r, le, rowPtr); err != nil {
 		return nil, fmt.Errorf("sparse: reading row pointers: %w", err)
 	}
-	if rowPtr[rows] != nnz {
-		_ = f.Close() // error path: the read failure is the error to report
-		return nil, fmt.Errorf("sparse: row pointers inconsistent with nnz")
+	if rowPtr[0] != 0 || rowPtr[rows] != nnz {
+		return nil, fmt.Errorf("%w: row pointers run from %d to %d, want 0 to nnz %d", ErrDiskCSRCorrupt, rowPtr[0], rowPtr[rows], nnz)
 	}
-	headerLen := int64(len(diskMagic)) + 3*8 + (rows+1)*8
+	for i := int64(0); i < rows; i++ {
+		if rowPtr[i+1] < rowPtr[i] {
+			//srdalint:ignore hotalloc error exit: runs at most once, then the open fails
+			return nil, fmt.Errorf("%w: row pointer %d decreases", ErrDiskCSRCorrupt, i+1)
+		}
+	}
+	headerLen := diskHeaderLen + (rows+1)*8
 	return &DiskCSR{
 		Rows:   int(rows),
 		Cols:   int(cols),
@@ -132,16 +176,18 @@ func (d *DiskCSR) NNZ() int { return int(d.rowPtr[d.Rows]) }
 
 // streamer walks the colidx and value regions sequentially in lockstep.
 type streamer struct {
-	cols *bufio.Reader
-	vals *bufio.Reader
-	cbuf [8]byte
-	vbuf [8]byte
+	ncols int64 // column indices must fall in [0, ncols)
+	cols  *bufio.Reader
+	vals  *bufio.Reader
+	cbuf  [8]byte
+	vbuf  [8]byte
 }
 
 func (d *DiskCSR) newStreamer() *streamer {
 	return &streamer{
-		cols: bufio.NewReaderSize(io.NewSectionReader(d.f, d.colOff, int64(d.NNZ())*8), 1<<18),
-		vals: bufio.NewReaderSize(io.NewSectionReader(d.f, d.valOff, int64(d.NNZ())*8), 1<<18),
+		ncols: int64(d.Cols),
+		cols:  bufio.NewReaderSize(io.NewSectionReader(d.f, d.colOff, int64(d.NNZ())*8), 1<<18),
+		vals:  bufio.NewReaderSize(io.NewSectionReader(d.f, d.valOff, int64(d.NNZ())*8), 1<<18),
 	}
 }
 
@@ -153,6 +199,9 @@ func (s *streamer) next() (col int, val float64, err error) {
 		return 0, 0, err
 	}
 	c := int64(binary.LittleEndian.Uint64(s.cbuf[:]))
+	if c < 0 || c >= s.ncols {
+		return 0, 0, errColRange
+	}
 	v := binary.LittleEndian.Uint64(s.vbuf[:])
 	return int(c), math.Float64frombits(v), nil
 }
@@ -208,7 +257,8 @@ func (d *DiskCSR) MulTVec(x, dst []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// Load reads the whole matrix into memory (for tests and small files).
+// Load reads the whole matrix into memory (for tests and small files),
+// checking that column indices increase within each row as CSR requires.
 func (d *DiskCSR) Load() (*CSR, error) {
 	nnz := d.NNZ()
 	out := &CSR{
@@ -222,13 +272,20 @@ func (d *DiskCSR) Load() (*CSR, error) {
 		out.RowPtr[i] = int(d.rowPtr[i])
 	}
 	st := d.newStreamer()
-	for k := 0; k < nnz; k++ {
-		col, val, err := st.next()
-		if err != nil {
-			return nil, err
+	for i := 0; i < d.Rows; i++ {
+		for k := out.RowPtr[i]; k < out.RowPtr[i+1]; k++ {
+			col, val, err := st.next()
+			if err != nil {
+				//srdalint:ignore hotalloc error exit: runs at most once, then Load returns
+				return nil, fmt.Errorf("sparse: loading row %d: %w", i, err)
+			}
+			if k > out.RowPtr[i] && col <= out.ColIdx[k-1] {
+				//srdalint:ignore hotalloc error exit: runs at most once, then Load returns
+				return nil, fmt.Errorf("%w: row %d column indices not increasing", ErrDiskCSRCorrupt, i)
+			}
+			out.ColIdx[k] = col
+			out.Val[k] = val
 		}
-		out.ColIdx[k] = col
-		out.Val[k] = val
 	}
 	return out, nil
 }

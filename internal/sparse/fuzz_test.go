@@ -1,8 +1,12 @@
 package sparse
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -121,4 +125,99 @@ func column(blk []float64, k, j int) []float64 {
 		col[i] = blk[i*k+j]
 	}
 	return col
+}
+
+// diskCSRBytes serializes a through WriteFile, the seed for
+// FuzzOpenDiskCSR.
+func diskCSRBytes(tb testing.TB, a *CSR) []byte {
+	path := filepath.Join(tb.TempDir(), "seed.csr")
+	if err := a.WriteFile(path); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// FuzzOpenDiskCSR feeds arbitrary bytes to the DiskCSR reader.  It must
+// never panic, must reject malformed files with ErrDiskCSRCorrupt only,
+// and may allocate no more than a small multiple of the file size plus
+// its fixed stream buffers.  A file it accepts must load as a valid CSR
+// whose in-memory products match the streamed ones bit for bit.  The
+// checked-in corpus in testdata/fuzz/FuzzOpenDiskCSR holds a bad magic,
+// a truncated header, a non-monotone rowPtr, an out-of-range colIdx, an
+// nnz past the file size, and row counts that overflow the row-pointer
+// allocation.
+func FuzzOpenDiskCSR(f *testing.F) {
+	rng := rand.New(rand.NewSource(17))
+	_, a := randSparseDense(rng, 5, 4, 0.5)
+	f.Add(diskCSRBytes(f, a))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "m.csr")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := OpenDiskCSR(path)
+		var m *CSR
+		if err == nil {
+			m, err = d.Load()
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+32*uint64(len(data)) {
+			t.Fatalf("reading a %d-byte file allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrDiskCSRCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			if d != nil {
+				_ = d.Close() // rejected file: the Load error is the result
+			}
+			return
+		}
+		defer d.Close()
+		if m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != len(m.ColIdx) || len(m.ColIdx) != len(m.Val) {
+			t.Fatalf("accepted inconsistent CSR: rowptr %v, %d cols, %d vals", m.RowPtr, len(m.ColIdx), len(m.Val))
+		}
+		for i := 0; i < m.Rows; i++ {
+			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+				if c := m.ColIdx[k]; c < 0 || c >= m.Cols || k > m.RowPtr[i] && c <= m.ColIdx[k-1] {
+					t.Fatalf("accepted row %d with column %d", i, c)
+				}
+			}
+		}
+		if m.Cols > 1<<16 {
+			return // a valid but very wide matrix: skip the products
+		}
+		x, y := make([]float64, m.Cols), make([]float64, m.Rows)
+		for i := range x {
+			x[i] = float64(i%7) - 3
+		}
+		for i := range y {
+			y[i] = float64(i%5) - 2
+		}
+		got, err := d.MulVec(x, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotT, err := d.MulTVec(y, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantT := m.MulVec(x, nil), m.MulTVec(y, nil)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("streamed MulVec[%d] = %v, in-memory %v", i, got[i], want[i])
+			}
+		}
+		for j := range wantT {
+			if math.Float64bits(gotT[j]) != math.Float64bits(wantT[j]) {
+				t.Fatalf("streamed MulTVec[%d] = %v, in-memory %v", j, gotT[j], wantT[j])
+			}
+		}
+	})
 }

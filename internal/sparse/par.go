@@ -204,7 +204,9 @@ func (a *CSR) Gram(dst *mat.Dense) *mat.Dense {
 }
 
 // ParGram computes G = AᵀA like Gram, sharding the upper-triangle
-// accumulation and then the mirror over output rows of G; the two passes
+// accumulation and then the mirror over output rows of G in spans of
+// equal triangle area (upper row i holds n−i entries, mirror row j holds
+// j); the two passes
 // are separated by the pool barrier, so the mirror only reads final upper
 // values.  Bitwise identical to Gram for any workers.
 func (a *CSR) ParGram(workers int, dst *mat.Dense) *mat.Dense {
@@ -214,11 +216,12 @@ func (a *CSR) ParGram(workers int, dst *mat.Dense) *mat.Dense {
 		a.gramMirrorRange(0, a.Cols, dst)
 		return dst
 	}
-	pool.Do(workers, a.Cols, func(lo, hi int) {
+	n := a.Cols
+	pool.DoUpper(workers, n, func(lo, hi int) {
 		a.gramUpperRange(lo, hi, dst)
 	})
-	pool.Do(workers, a.Cols, func(lo, hi int) {
-		a.gramMirrorRange(lo, hi, dst)
+	pool.DoUpper(workers, n, func(lo, hi int) {
+		a.gramMirrorRange(n-hi, n-lo, dst)
 	})
 	return dst
 }
