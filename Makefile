@@ -58,20 +58,21 @@ bench:
 
 # Active fuzzing of the kernel oracles (the blocked parallel Cholesky
 # against the unblocked sweep among them), the model and DiskCSR
-# decoders, and the predict/observe body scanner and router peek against
-# encoding/json (the
-# same targets run as plain regression tests from the checked-in corpus
-# during `make test`).
+# decoders, the predict/observe body scanner and router peek against
+# encoding/json, and the scraped-metrics parser and SLO config validator
+# (the same targets run as plain regression tests from the checked-in
+# corpus during `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzGemmShapes -fuzztime=30s ./internal/blas
 	$(GO) test -fuzz=FuzzCSRMulVec -fuzztime=30s ./internal/sparse
-	$(GO) test -fuzz=FuzzCholUpdate -fuzztime=30s ./internal/decomp
 	$(GO) test -run='^$$' -fuzz='^FuzzParCholesky$$' -fuzztime=30s ./internal/decomp
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenDiskCSR$$' -fuzztime=30s ./internal/sparse
 	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzScanPredict$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzScanObserve$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzPeekPredict$$' -fuzztime=30s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzParsePrometheus$$' -fuzztime=30s ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzValidateSLOConfig$$' -fuzztime=30s ./internal/telemetry
 
 # Regenerate every table and figure at laptop scale (minutes).
 repro:

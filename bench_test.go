@@ -404,18 +404,17 @@ func BenchmarkTransformSparse(b *testing.B) {
 
 // --- Extension benchmarks -------------------------------------------------
 
-// BenchmarkIncrementalAdd measures the O(n²) per-sample streaming update.
-func BenchmarkIncrementalAdd(b *testing.B) {
+// BenchmarkSuffStatsAbsorb measures the O(n²) per-sample streaming update.
+func BenchmarkSuffStatsAbsorb(b *testing.B) {
 	pie, _, _, _ := datasets()
-	n := pie.NumFeatures()
-	inc, err := srda.NewIncrementalSRDA(n, pie.NumClasses, 1)
+	stats, err := srda.NewSuffStats(pie.NumFeatures(), pie.NumClasses)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		row := pie.Dense.RowView(i % pie.NumSamples())
-		if err := inc.Add(row, pie.Labels[i%pie.NumSamples()]); err != nil {
+		if err := stats.Absorb(row, pie.Labels[i%pie.NumSamples()]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -513,49 +513,50 @@ func isqrt(n int) int {
 	return r
 }
 
-// ablationIncremental compares streaming updates against batch refits:
-// the amortized per-sample cost of the incremental trainer vs refitting
-// from scratch at every arrival.
+// ablationIncremental compares streaming absorption against batch
+// refits: the sufficient statistics absorb each sample in O(n²) and
+// solve once at the end, while the batch side refits from scratch at
+// every refresh.
 func (b *bench) ablationIncremental() error {
-	fmt.Println("Ablation — incremental SRDA vs batch refits (total seconds to process a stream)")
+	fmt.Println("Ablation — streaming SRDA vs batch refits (total seconds to process a stream)")
 	ds := srda.PIELike(srda.PIEConfig{Classes: 8, PerClass: 60, Side: 14, Seed: b.seed})
 	// interleave classes so every prefix of the stream covers all of them
 	perm := rand.New(rand.NewSource(b.seed)).Perm(ds.NumSamples())
 	shuffled := ds.Subset(perm)
 	x, labels := shuffled.Dense, shuffled.Labels
 	n := ds.NumFeatures()
-	fmt.Printf("%-10s %14s %14s %12s\n", "stream m", "incremental", "batch-refit", "speedup")
+	opt := srda.Options{Alpha: 1, Solver: srda.SolverPrimal, Workers: b.workers}
+	fmt.Printf("%-10s %14s %14s %12s\n", "stream m", "streaming", "batch-refit", "speedup")
 	for _, m := range []int{60, 120, 240, 480} {
-		// incremental: one Add per sample + one final Model()
+		// streaming: one Absorb per sample + one final FitStats
 		start := time.Now()
-		inc, err := srda.NewIncrementalSRDA(n, ds.NumClasses, 1)
+		stats, err := srda.NewSuffStats(n, ds.NumClasses)
 		if err != nil {
 			return err
 		}
 		for i := 0; i < m; i++ {
-			if err := inc.Add(x.RowView(i), labels[i]); err != nil {
+			if err := stats.Absorb(x.RowView(i), labels[i]); err != nil {
 				return err
 			}
 		}
-		if _, err := inc.Model(); err != nil {
+		if _, err := srda.FitStats(stats, opt); err != nil {
 			return err
 		}
-		incSec := time.Since(start).Seconds()
+		streamSec := time.Since(start).Seconds()
 
 		// batch: refit from scratch every 20 arrivals (a generous refresh
 		// cadence for the batch side)
 		start = time.Now()
 		for upTo := 20; upTo <= m; upTo += 20 {
 			sub := x.Slice(0, upTo, 0, n)
-			if _, err := srda.Fit(sub.Clone(), labels[:upTo], ds.NumClasses,
-				srda.Options{Alpha: 1, Solver: srda.SolverPrimal, Workers: b.workers}); err != nil {
+			if _, err := srda.Fit(sub.Clone(), labels[:upTo], ds.NumClasses, opt); err != nil {
 				return err
 			}
 		}
 		batchSec := time.Since(start).Seconds()
-		fmt.Printf("%-10d %14.4f %14.4f %11.1fx\n", m, incSec, batchSec, batchSec/incSec)
+		fmt.Printf("%-10d %14.4f %14.4f %11.1fx\n", m, streamSec, batchSec, batchSec/streamSec)
 	}
-	fmt.Println("expected: incremental advantage grows linearly with stream length")
+	fmt.Println("expected: streaming advantage grows linearly with stream length")
 	return nil
 }
 

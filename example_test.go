@@ -77,22 +77,22 @@ func ExampleComplexitySpeedup() {
 }
 
 // Streaming training with exact batch equivalence.
-func ExampleNewIncrementalSRDA() {
+func ExampleNewSuffStats() {
 	x, labels := exampleData()
-	inc, err := srda.NewIncrementalSRDA(5, 2, 1)
+	stats, err := srda.NewSuffStats(5, 2)
 	if err != nil {
 		panic(err)
 	}
 	for i := 0; i < x.Rows; i++ {
-		if err := inc.Add(x.RowView(i), labels[i]); err != nil {
+		if err := stats.Absorb(x.RowView(i), labels[i]); err != nil {
 			panic(err)
 		}
 	}
-	model, err := inc.Model()
+	model, err := srda.FitStats(stats, srda.Options{Alpha: 1})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("seen:", inc.NumSeen(), "dims:", model.Dim())
+	fmt.Println("seen:", stats.Seen(), "dims:", model.Dim())
 	// Output:
 	// seen: 40 dims: 1
 }

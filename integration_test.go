@@ -99,8 +99,8 @@ func TestIntegrationTextToModelFile(t *testing.T) {
 }
 
 // TestIntegrationStreamingMatchesDiskMatchesBatch ties three training
-// modes together: batch, incremental, and out-of-core must agree on the
-// same data (batch≡incremental exactly; disk≡in-memory-LSQR exactly).
+// modes together: batch, streaming, and out-of-core must agree on the
+// same data (batch≡streaming bitwise; disk≡in-memory-LSQR exactly).
 func TestIntegrationStreamingMatchesDiskMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	m, n, c := 80, 15, 3
@@ -119,24 +119,22 @@ func TestIntegrationStreamingMatchesDiskMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := srda.NewIncrementalSRDA(n, c, 1)
+	stats, err := srda.NewSuffStats(n, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < m; i++ {
-		if err := inc.Add(x.RowView(i), labels[i]); err != nil {
+		if err := stats.Absorb(x.RowView(i), labels[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	streamed, err := inc.Model()
+	streamed, err := srda.FitStats(stats, srda.Options{Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < c-1; j++ {
-			if math.Abs(batch.W.At(i, j)-streamed.W.At(i, j)) > 1e-7 {
-				t.Fatal("incremental diverged from batch")
-			}
+	for i, v := range streamed.W.Data {
+		if math.Float64bits(v) != math.Float64bits(batch.W.Data[i]) {
+			t.Fatalf("streamed W[%d] = %v diverged from batch %v", i, v, batch.W.Data[i])
 		}
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"srda/internal/blas"
 	"srda/internal/decomp"
@@ -87,13 +88,20 @@ func (s *SuffStats) ClassMean(k int, dst []float64) []float64 {
 	return dst
 }
 
-// Absorb accumulates one dense labeled sample in O(n²).
+// Absorb accumulates one dense labeled sample in O(n²).  A NaN or ±Inf
+// feature is rejected: it would poison the Gram matrix for every later
+// refit.
 func (s *SuffStats) Absorb(x []float64, label int) error {
 	if len(x) != s.n {
 		return fmt.Errorf("core: sample has %d features, expected %d", len(x), s.n)
 	}
 	if label < 0 || label >= s.c {
 		return fmt.Errorf("core: label %d out of range [0,%d)", label, s.c)
+	}
+	for j, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: feature %d is not finite (%v)", j, v)
+		}
 	}
 	copy(s.aug, x)
 	s.aug[s.n] = 1
@@ -109,11 +117,16 @@ func (s *SuffStats) AbsorbSparse(cols []int, vals []float64, label int) error {
 	if label < 0 || label >= s.c {
 		return fmt.Errorf("core: label %d out of range [0,%d)", label, s.c)
 	}
+	if len(cols) != len(vals) {
+		return fmt.Errorf("core: %d column indices but %d values", len(cols), len(vals))
+	}
 	for t, j := range cols {
 		if j < 0 || j >= s.n {
 			return fmt.Errorf("core: feature index %d out of range for %d features", j, s.n)
 		}
-		_ = t
+		if v := vals[t]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: feature %d is not finite (%v)", j, v)
+		}
 	}
 	for j := 0; j < s.n; j++ {
 		s.aug[j] = 0

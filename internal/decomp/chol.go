@@ -185,96 +185,6 @@ func (c *Cholesky) CondEstimate() float64 {
 	return r * r
 }
 
-// LogDet returns the log-determinant of A (twice the log of the product of
-// R's diagonal).
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.R.Rows; i++ {
-		s += math.Log(c.R.At(i, i))
-	}
-	return 2 * s
-}
-
-// SolveSPD is a convenience wrapper: factor A and solve A X = B.
-func SolveSPD(a, b *mat.Dense) (*mat.Dense, error) {
-	ch, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return ch.Solve(b), nil
-}
-
-// Update performs the rank-one update A ← A + v·vᵀ on the factorization
-// in place (the LINPACK dchud Givens sweep): after the call, RᵀR equals
-// the updated matrix.  Cost is O(n²); this is the primitive behind exact
-// incremental SRDA, where every new training sample is a rank-one update
-// of the regularized Gram matrix.  The input vector is not modified.
-func (c *Cholesky) Update(v []float64) {
-	n := c.R.Rows
-	if len(v) != n {
-		panic("decomp: Update length mismatch")
-	}
-	w := append([]float64(nil), v...)
-	for k := 0; k < n; k++ {
-		rk := c.R.RowView(k)
-		if w[k] == 0 { //srdalint:ignore floatcmp exact zero weight contributes nothing to the update
-			continue
-		}
-		r := math.Hypot(rk[k], w[k])
-		cs := rk[k] / r
-		sn := w[k] / r
-		rk[k] = r
-		for j := k + 1; j < n; j++ {
-			t := rk[j]
-			rk[j] = cs*t + sn*w[j]
-			w[j] = cs*w[j] - sn*t
-		}
-	}
-}
-
-// Downdate performs the rank-one downdate A ← A − v·vᵀ (LINPACK dchdd),
-// returning ErrNotPositiveDefinite when the result would lose positive
-// definiteness.  Used to retire samples from an incremental model.
-func (c *Cholesky) Downdate(v []float64) error {
-	n := c.R.Rows
-	if len(v) != n {
-		panic("decomp: Downdate length mismatch")
-	}
-	// Solve Rᵀ p = v, then check ρ² = 1 − ‖p‖² > 0.
-	p := append([]float64(nil), v...)
-	for k := 0; k < n; k++ {
-		rk := c.R.RowView(k)
-		p[k] /= rk[k]
-		blas.Axpy(-p[k], rk[k+1:], p[k+1:])
-	}
-	rho2 := 1.0
-	for _, pi := range p {
-		rho2 -= pi * pi
-	}
-	if rho2 <= 0 {
-		return ErrNotPositiveDefinite
-	}
-	rho := math.Sqrt(rho2)
-	// Apply the inverse Givens sweep from the bottom up.
-	w := make([]float64, n)
-	for k := n - 1; k >= 0; k-- {
-		r := math.Hypot(rho, p[k])
-		cs := rho / r
-		sn := p[k] / r
-		rho = r
-		rk := c.R.RowView(k)
-		for j := k; j < n; j++ {
-			t := rk[j]
-			rk[j] = cs*t - sn*w[j]
-			w[j] = cs*w[j] + sn*t
-		}
-		if rk[k] < 0 {
-			blas.Scal(-1, rk[k:])
-		}
-	}
-	return nil
-}
-
 // SolveUpperTranspose solves Rᵀ·X = B for upper-triangular R by forward
 // substitution, returning a new matrix.
 func SolveUpperTranspose(r *mat.Dense, b *mat.Dense) *mat.Dense {

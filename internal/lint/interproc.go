@@ -86,11 +86,11 @@ func (p *Pass) hotNodes() []*graph.Node {
 // graphOf returns the module's call graph.
 func (p *Pass) graphOf() *graph.Graph { return p.Module.ensureInterproc().g }
 
-// cholEntryMethods are the Cholesky solve/update methods that sit on the
-// refit hot path (the online trainer calls them per refit, the primal
-// fit per train).
+// cholEntryMethods are the Cholesky solve methods that sit on the refit
+// hot path (the online trainer calls them per refit, the primal fit per
+// train).
 var cholEntryMethods = map[string]bool{
-	"SolveVec": true, "Solve": true, "Update": true, "Downdate": true,
+	"SolveVec": true, "Solve": true,
 }
 
 // isHotEntry decides whether a function is a kernel entry point: the
@@ -113,7 +113,7 @@ func isHotEntry(n *graph.Node) bool {
 		return true
 	}
 	if underAny(rel, []string{"internal/decomp"}) {
-		if name == "NewCholesky" || name == "ParCholesky" || name == "SolveSPD" ||
+		if name == "NewCholesky" || name == "ParCholesky" ||
 			name == "SolveUpperTranspose" || name == "SolveUpperVec" {
 			return true
 		}

@@ -115,6 +115,16 @@ func familyOf(sample string, declared map[string]string) string {
 	return sample
 }
 
+// knownPromType reports whether t is a metric type the text format
+// defines.
+func knownPromType(t string) bool {
+	switch t {
+	case "counter", "gauge", "histogram", "summary", "untyped":
+		return true
+	}
+	return false
+}
+
 // ParsePrometheus parses one text exposition into its metric families,
 // in document order.  Lines it cannot attribute to the grammar are an
 // error — a scrape target speaking another format should fail loudly,
@@ -139,23 +149,25 @@ func ParsePrometheus(data []byte) ([]PromFamily, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			fields := strings.SplitN(line, " ", 4)
-			if len(fields) < 3 {
+			if len(fields) < 3 || fields[0] != "#" || (fields[1] != "HELP" && fields[1] != "TYPE") {
 				continue // free-form comment
 			}
-			switch fields[1] {
-			case "HELP":
+			if !validPromName(fields[2], true) {
+				return nil, fmt.Errorf("obs: line %d: %s names no valid metric: %q", ln+1, fields[1], line)
+			}
+			if fields[1] == "HELP" {
 				f := family(fields[2])
 				if len(fields) == 4 {
 					f.Help = fields[3]
 				}
-			case "TYPE":
-				if len(fields) < 4 {
-					return nil, fmt.Errorf("obs: line %d: TYPE without a type: %q", ln+1, line)
-				}
-				f := family(fields[2])
-				f.Type = fields[3]
-				declared[fields[2]] = fields[3]
+				continue
 			}
+			if len(fields) < 4 || !knownPromType(fields[3]) {
+				return nil, fmt.Errorf("obs: line %d: TYPE without a known type: %q", ln+1, line)
+			}
+			f := family(fields[2])
+			f.Type = fields[3]
+			declared[fields[2]] = fields[3]
 			continue
 		}
 		sample, err := parseSampleLine(line)
@@ -178,8 +190,8 @@ func parseSampleLine(line string) (PromSample, error) {
 		s.Name = rest[:i]
 		rest = rest[i:]
 	}
-	if s.Name == "" {
-		return s, fmt.Errorf("sample line has no metric name: %q", line)
+	if !validPromName(s.Name, true) {
+		return s, fmt.Errorf("sample line has no valid metric name: %q", line)
 	}
 	if rest[0] == '{' {
 		labels, tail, err := parseLabels(rest)
@@ -224,6 +236,14 @@ func parseLabels(rest string) ([]PromLabel, string, error) {
 			return nil, "", fmt.Errorf("malformed label pair")
 		}
 		name := strings.TrimSpace(rest[:eq])
+		if !validPromName(name, false) {
+			return nil, "", fmt.Errorf("invalid label name %q", name)
+		}
+		for _, l := range labels {
+			if l.Name == name {
+				return nil, "", fmt.Errorf("duplicate label %s", name)
+			}
+		}
 		rest = rest[eq+1:]
 		if len(rest) == 0 || rest[0] != '"' {
 			return nil, "", fmt.Errorf("label %s value is not quoted", name)
@@ -253,12 +273,32 @@ func parseLabels(rest string) ([]PromLabel, string, error) {
 			return nil, "", err
 		}
 		labels = append(labels, PromLabel{Name: name, Value: val})
-		rest = rest[i+1:]
-		rest = strings.TrimLeft(rest, " \t")
-		if len(rest) > 0 && rest[0] == ',' {
+		rest = strings.TrimLeft(rest[i+1:], " \t")
+		switch {
+		case strings.HasPrefix(rest, ","):
 			rest = rest[1:]
+		case !strings.HasPrefix(rest, "}"):
+			return nil, "", fmt.Errorf("expected , or } after label %s", name)
 		}
 	}
+}
+
+// validPromName reports whether name fits the text format's grammar:
+// [a-zA-Z_:][a-zA-Z0-9_:]* for metric names, the same without colons
+// for label names.
+func validPromName(name string, colon bool) bool {
+	if name == "" {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		ok := c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(colon && c == ':') || (i > 0 && c >= '0' && c <= '9')
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // CanonicalSeriesKey renders name plus labels (sorted by label name,

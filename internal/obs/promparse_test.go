@@ -137,6 +137,12 @@ untyped_orphan 7 1700000000000
 		`broken{tenant="x} 1` + "\n",
 		"srda_x 1 notatimestamp\n",
 		"# TYPE lonely\n",
+		"# HELP \n",
+		"# TYPE lonely bogus\n",
+		`two{a="1"b="2"} 1` + "\n",
+		`bad{1a="1"} 1` + "\n",
+		`dup{a="1",a="2"} 1` + "\n",
+		"9lives 1\n",
 	} {
 		if _, err := ParsePrometheus([]byte(bad)); err == nil {
 			t.Errorf("ParsePrometheus(%q) accepted malformed input", bad)

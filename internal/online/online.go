@@ -407,14 +407,22 @@ func (t *StreamTrainer) validateSample(dense []float64, cols []int, vals []float
 		if len(dense) != t.cfg.NumFeatures {
 			return fmt.Errorf("online: sample has %d features, expected %d", len(dense), t.cfg.NumFeatures)
 		}
+		for j, v := range dense {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("online: feature %d is not finite (%v)", j, v)
+			}
+		}
 		return nil
 	}
 	if len(cols) != len(vals) {
 		return fmt.Errorf("online: %d column indices but %d values", len(cols), len(vals))
 	}
-	for _, j := range cols {
+	for i, j := range cols {
 		if j < 0 || j >= t.cfg.NumFeatures {
 			return fmt.Errorf("online: feature index %d out of range for %d features", j, t.cfg.NumFeatures)
+		}
+		if v := vals[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("online: feature %d is not finite (%v)", j, v)
 		}
 	}
 	return nil

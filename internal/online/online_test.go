@@ -17,9 +17,9 @@ import (
 // fakeClock is a manually-advanced clock for the interval trigger.
 type fakeClock struct{ now time.Time }
 
-func (f *fakeClock) Now() time.Time              { return f.now }
-func (f *fakeClock) Advance(d time.Duration)     { f.now = f.now.Add(d) }
-func newFakeClock() *fakeClock                   { return &fakeClock{now: time.Unix(1_700_000_000, 0)} }
+func (f *fakeClock) Now() time.Time          { return f.now }
+func (f *fakeClock) Advance(d time.Duration) { f.now = f.now.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{now: time.Unix(1_700_000_000, 0)} }
 func blobSample(rng *rand.Rand, n, lab int) []float64 {
 	x := make([]float64, n)
 	for j := range x {
@@ -69,7 +69,10 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestObserveErrors(t *testing.T) {
-	tr, err := NewStreamTrainer(Config{NumFeatures: 3, NumClasses: 2, Alpha: 1})
+	// Every second sample would go to the holdout: a rejected one must
+	// not be diverted either.
+	tr, err := NewStreamTrainer(Config{NumFeatures: 3, NumClasses: 2, Alpha: 1,
+		Policy: RefitPolicy{HoldoutFrac: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +85,22 @@ func TestObserveErrors(t *testing.T) {
 	if err := tr.ObserveSparse([]int{7}, []float64{1}, 0); err == nil {
 		t.Fatal("out-of-range sparse index accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := tr.Observe([]float64{bad, 1, 0}, 1); err == nil {
+			t.Fatalf("dense sample with %v accepted", bad)
+		}
+		if err := tr.ObserveSparse([]int{0, 2}, []float64{1, bad}, 1); err == nil {
+			t.Fatalf("sparse sample with %v accepted", bad)
+		}
+	}
 	if tr.Seen() != 0 {
 		t.Fatalf("failed observes counted: %d", tr.Seen())
 	}
 	if got := tr.mx.samples.Value(); got != 0 {
 		t.Fatalf("srdaonline_samples_total = %d after only failures", got)
+	}
+	if len(tr.holdout) != 0 || tr.mx.holdout.Value() != 0 {
+		t.Fatalf("failed observes diverted to the holdout: %d", len(tr.holdout))
 	}
 }
 

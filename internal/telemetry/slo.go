@@ -12,6 +12,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -95,6 +96,9 @@ func ValidateSLOConfig(data []byte) (*SLOConfig, error) {
 	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("telemetry: SLO config is not valid JSON for the schema: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("telemetry: SLO config has data after the JSON document")
+	}
 	if cfg.Schema != SLOSchema {
 		return nil, fmt.Errorf("telemetry: SLO config schema %q, want %q", cfg.Schema, SLOSchema)
 	}
@@ -136,10 +140,15 @@ func ValidateSLOConfig(data []byte) (*SLOConfig, error) {
 	if len(cfg.Windows) == 0 {
 		cfg.Windows = DefaultBurnWindows()
 	}
+	seen = map[string]bool{}
 	for i, w := range cfg.Windows {
 		if w.Name == "" {
 			return nil, fmt.Errorf("telemetry: window %d has no name", i)
 		}
+		if seen[w.Name] {
+			return nil, fmt.Errorf("telemetry: duplicate window %q", w.Name)
+		}
+		seen[w.Name] = true
 		if w.ShortSeconds <= 0 || w.LongSeconds <= w.ShortSeconds {
 			return nil, fmt.Errorf("telemetry: window %q needs 0 < short < long", w.Name)
 		}

@@ -45,6 +45,8 @@ func TestValidateSLOConfig(t *testing.T) {
 		{"target out of range", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "kind": "availability", "metric": "m", "target": 1.5}]}`},
 		{"latency without threshold", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "kind": "latency_p99", "metric": "m", "target": 0.9}]}`},
 		{"duplicate objective", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "kind": "availability", "metric": "m", "target": 0.9}, {"name": "a", "kind": "availability", "metric": "m", "target": 0.9}]}`},
+		{"duplicate window", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "kind": "availability", "metric": "m", "target": 0.9}], "windows": [{"name": "w", "short_seconds": 60, "long_seconds": 600, "burn": 2}, {"name": "w", "short_seconds": 30, "long_seconds": 300, "burn": 4}]}`},
+		{"trailing data", validConfig() + " {}"},
 		{"bad window", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "kind": "availability", "metric": "m", "target": 0.9}], "windows": [{"name": "w", "short_seconds": 60, "long_seconds": 30, "burn": 2}]}`},
 	}
 	for _, c := range bad {

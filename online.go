@@ -11,18 +11,6 @@ import (
 	"srda/internal/sparse"
 )
 
-// IncrementalSRDA maintains an SRDA model under a sample stream with
-// exact batch equivalence: O(n²) per added sample, O(c·n²) per model
-// refresh, no pass over past data.
-type IncrementalSRDA = core.Incremental
-
-// NewIncrementalSRDA starts an empty incremental trainer for
-// numFeatures-dimensional samples in numClasses classes with ridge
-// penalty alpha (> 0).
-func NewIncrementalSRDA(numFeatures, numClasses int, alpha float64) (*IncrementalSRDA, error) {
-	return core.NewIncremental(numFeatures, numClasses, alpha)
-}
-
 // DiskCSR is a CSR matrix stored on disk and streamed during products —
 // the paper's "reasonable disk I/O" mode for data exceeding memory.
 type DiskCSR = sparse.DiskCSR

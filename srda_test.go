@@ -265,19 +265,19 @@ func TestPublicKFoldAlpha(t *testing.T) {
 	}
 }
 
-func TestPublicIncrementalSRDA(t *testing.T) {
+func TestPublicSuffStatsMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x, y := blobs(rng, 60, 9, 3, 6)
-	inc, err := srda.NewIncrementalSRDA(9, 3, 1)
+	stats, err := srda.NewSuffStats(9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 60; i++ {
-		if err := inc.Add(x.RowView(i), y[i]); err != nil {
+		if err := stats.Absorb(x.RowView(i), y[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	streamed, err := inc.Model()
+	streamed, err := srda.FitStats(stats, srda.Options{Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +285,14 @@ func TestPublicIncrementalSRDA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < streamed.W.Rows; i++ {
-		for j := 0; j < streamed.W.Cols; j++ {
-			if math.Abs(streamed.W.At(i, j)-batch.W.At(i, j)) > 1e-7 {
-				t.Fatal("incremental and batch models differ")
-			}
+	for i, v := range streamed.W.Data {
+		if math.Float64bits(v) != math.Float64bits(batch.W.Data[i]) {
+			t.Fatalf("streamed W[%d] = %v, batch %v", i, v, batch.W.Data[i])
+		}
+	}
+	for j, v := range streamed.B {
+		if math.Float64bits(v) != math.Float64bits(batch.B[j]) {
+			t.Fatalf("streamed B[%d] = %v, batch %v", j, v, batch.B[j])
 		}
 	}
 }
