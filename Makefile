@@ -2,17 +2,21 @@
 
 GO ?= go
 
-.PHONY: all check build test vet lint lint-budget bench-gate race cover bench fuzz repro repro-paper report-smoke bench-record trace-smoke shard-smoke online-smoke slo-smoke examples clean
+.PHONY: all check build fmt test vet lint lint-budget bench-gate race cover bench fuzz repro repro-paper report-smoke bench-record trace-smoke shard-smoke online-smoke slo-smoke examples clean
 
 all: check
 
-# The default gate: compile, static checks (vet + the project's own
-# determinism-contract analyzers), unit tests, and the race detector
-# (internal/serve is concurrent; run it racy by default).
-check: build vet lint test race
+# The default gate: compile, formatting, static checks (vet + the
+# project's own determinism-contract analyzers), unit tests, and the race
+# detector (internal/serve is concurrent; run it racy by default).
+check: build fmt vet lint test race
 
 build:
 	$(GO) build ./...
+
+# Every Go file, lint corpora included, must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

@@ -97,7 +97,10 @@ func TestTraceSmoke(t *testing.T) {
 			t.Fatalf("%s: empty traceEvents", src)
 		}
 		// Count spans per trace and check request→batch→kernel nesting.
-		type span = struct{ name string; parent uint64 }
+		type span = struct {
+			name   string
+			parent uint64
+		}
 		byTrace := map[uint64]map[uint64]span{}
 		for _, ev := range tr.TraceEvents {
 			if ev.Ph != "X" {

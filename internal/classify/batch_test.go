@@ -1,14 +1,16 @@
 package classify
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"srda/internal/mat"
 )
 
-// TestPredictBatchMatchesPredict pins the GEMM-lowered batch path to the
-// per-row reference on random embeddings, including the d=1 (c=2) case.
+// TestPredictBatchMatchesPredict pins the GEMM-lowered batch path, and
+// Predict on it, to a direct per-row squared-distance argmin on random
+// embeddings, including the d=1 (c=2) case.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, shape := range []struct{ c, d int }{{2, 1}, {4, 3}, {10, 9}} {
@@ -26,11 +28,25 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := nc.Predict(emb)
-		got := nc.PredictBatch(emb)
+		want := make([]int, emb.Rows)
 		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("c=%d d=%d: batch[%d]=%d, loop=%d", shape.c, shape.d, i, got[i], want[i])
+			bestD := math.Inf(1)
+			for k := 0; k < shape.c; k++ {
+				var d float64
+				for j, v := range emb.RowView(i) {
+					diff := v - nc.Centroids.At(k, j)
+					d += diff * diff
+				}
+				if d < bestD {
+					want[i], bestD = k, d
+				}
+			}
+		}
+		for name, got := range map[string][]int{"PredictBatch": nc.PredictBatch(emb), "Predict": nc.Predict(emb)} {
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("c=%d d=%d: %s[%d]=%d, oracle %d", shape.c, shape.d, name, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -42,20 +42,16 @@ func FitNearestCentroid(emb *mat.Dense, labels []int, numClasses int) (*NearestC
 	return &NearestCentroid{Centroids: cent}, nil
 }
 
-// Predict assigns each embedded row to the class with the closest centroid.
-func (nc *NearestCentroid) Predict(emb *mat.Dense) []int {
-	out := make([]int, emb.Rows)
-	for i := 0; i < emb.Rows; i++ {
-		out[i] = nc.PredictVec(emb.RowView(i))
-	}
-	return out
-}
+// Predict assigns each embedded row to the class with the closest
+// centroid; it is PredictBatch.
+func (nc *NearestCentroid) Predict(emb *mat.Dense) []int { return nc.PredictBatch(emb) }
 
 // PredictBatch classifies every embedded row at once by lowering the
 // per-row centroid-distance loops into a single GEMM: with G = emb·Cᵀ,
 // argmin_k ||e_i − c_k||² = argmin_k (||c_k||² − 2·G[i][k]), so the whole
 // batch costs one m×c matrix product plus an O(m·c) argmin sweep.  The
-// result matches Predict exactly up to floating-point tie-breaking.
+// result matches PredictVec on each row up to floating-point
+// tie-breaking.
 func (nc *NearestCentroid) PredictBatch(emb *mat.Dense) []int {
 	if emb.Cols != nc.Centroids.Cols {
 		panic(fmt.Sprintf("classify: PredictBatch dim mismatch: embedding has %d, centroids %d", emb.Cols, nc.Centroids.Cols))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -38,12 +40,62 @@ func toCSR(x *mat.Dense) *sparse.CSR {
 	return b.Build()
 }
 
+// embedOracle computes xW + b with mat.Mul, apart from the projection
+// kernels under test.
+func embedOracle(m *Model, x *mat.Dense) *mat.Dense {
+	out := mat.Mul(x, m.W)
+	for i := 0; i < out.Rows; i++ {
+		row := out.RowView(i)
+		for j := range row {
+			row[j] += m.B[j]
+		}
+	}
+	return out
+}
+
+// nearestOracle assigns each embedded row to the centroid at the least
+// squared distance, summed directly per row.
+func nearestOracle(emb, cent *mat.Dense) []int {
+	out := make([]int, emb.Rows)
+	for i := range out {
+		best, bestD := -1, math.Inf(1)
+		for k := 0; k < cent.Rows; k++ {
+			var d float64
+			for j, v := range emb.RowView(i) {
+				diff := v - cent.At(k, j)
+				d += diff * diff
+			}
+			if d < bestD {
+				best, bestD = k, d
+			}
+		}
+		out[i] = best
+	}
+	return out
+}
+
+func sameClasses(t *testing.T, name string, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d predictions, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %d, oracle %d", name, i, got[i], want[i])
+		}
+	}
+}
+
 func TestProjectBatchMatchesTransformDense(t *testing.T) {
 	model, batch := fitBlobModel(t, 150, 40, 5, 21)
-	want := model.TransformDense(batch)
-	got := model.ProjectBatch(batch, nil)
-	if !mat.Equalish(want, got, 1e-12) {
-		t.Fatalf("ProjectBatch diverges from TransformDense by %g", mat.MaxAbsDiff(want, got))
+	want := embedOracle(model, batch)
+	for name, got := range map[string]*mat.Dense{
+		"ProjectBatch":   model.ProjectBatch(batch, nil),
+		"TransformDense": model.TransformDense(batch),
+	} {
+		if !mat.Equalish(want, got, 1e-12) {
+			t.Fatalf("%s diverges from xW + b by %g", name, mat.MaxAbsDiff(want, got))
+		}
 	}
 	// Reusing a destination buffer must not change the result.
 	dst := mat.NewDense(batch.Rows, model.Dim())
@@ -62,10 +114,14 @@ func TestProjectBatchMatchesTransformDense(t *testing.T) {
 func TestProjectBatchCSRMatchesTransformSparse(t *testing.T) {
 	model, batch := fitBlobModel(t, 150, 40, 5, 22)
 	sp := toCSR(batch)
-	want := model.TransformSparse(sp)
-	got := model.ProjectBatchCSR(sp, nil)
-	if !mat.Equalish(want, got, 1e-12) {
-		t.Fatalf("ProjectBatchCSR diverges from TransformSparse by %g", mat.MaxAbsDiff(want, got))
+	want := embedOracle(model, batch)
+	for name, got := range map[string]*mat.Dense{
+		"ProjectBatchCSR": model.ProjectBatchCSR(sp, nil),
+		"TransformSparse": model.TransformSparse(sp),
+	} {
+		if !mat.Equalish(want, got, 1e-12) {
+			t.Fatalf("%s diverges from xW + b by %g", name, mat.MaxAbsDiff(want, got))
+		}
 	}
 	dst := mat.NewDense(sp.Rows, model.Dim())
 	for i := range dst.Data {
@@ -80,13 +136,9 @@ func TestProjectBatchCSRMatchesTransformSparse(t *testing.T) {
 func TestPredictBatchMatchesPredictDense(t *testing.T) {
 	for _, c := range []int{2, 5} { // c=2 exercises the 1-dimensional embedding
 		model, batch := fitBlobModel(t, 120, 30, c, int64(30+c))
-		want := model.PredictDense(batch)
-		got := model.PredictBatch(batch)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("c=%d: PredictBatch[%d]=%d, PredictDense=%d", c, i, got[i], want[i])
-			}
-		}
+		want := nearestOracle(embedOracle(model, batch), model.Centroids)
+		sameClasses(t, fmt.Sprintf("c=%d PredictBatch", c), model.PredictBatch(batch), want)
+		sameClasses(t, fmt.Sprintf("c=%d PredictDense", c), model.PredictDense(batch), want)
 	}
 }
 
@@ -94,13 +146,9 @@ func TestPredictBatchCSRMatchesPredictSparse(t *testing.T) {
 	for _, c := range []int{2, 6} {
 		model, batch := fitBlobModel(t, 120, 30, c, int64(40+c))
 		sp := toCSR(batch)
-		want := model.PredictSparse(sp)
-		got := model.PredictBatchCSR(sp)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("c=%d: PredictBatchCSR[%d]=%d, PredictSparse=%d", c, i, got[i], want[i])
-			}
-		}
+		want := nearestOracle(embedOracle(model, batch), model.Centroids)
+		sameClasses(t, fmt.Sprintf("c=%d PredictBatchCSR", c), model.PredictBatchCSR(sp), want)
+		sameClasses(t, fmt.Sprintf("c=%d PredictSparse", c), model.PredictSparse(sp), want)
 	}
 }
 

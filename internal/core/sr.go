@@ -62,14 +62,7 @@ func FitSRDense(x *mat.Dense, g *graph.Graph, opt SROptions) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Model{
-		W:          rm.W,
-		B:          rm.B,
-		NumClasses: opt.Dim + 1,
-		Alpha:      opt.Alpha,
-		Iters:      rm.Iters,
-		Strategy:   rm.Strategy,
-	}, nil
+	return fromRegress(rm, opt.Dim+1, opt.Alpha, opt.Workers), nil
 }
 
 // FitSROperator is the matrix-free counterpart of FitSRDense (LSQR only).
@@ -91,14 +84,7 @@ func FitSROperator(op solver.Operator, g *graph.Graph, opt SROptions) (*Model, e
 	if err != nil {
 		return nil, err
 	}
-	return &Model{
-		W:          rm.W,
-		B:          rm.B,
-		NumClasses: opt.Dim + 1,
-		Alpha:      opt.Alpha,
-		Iters:      rm.Iters,
-		Strategy:   rm.Strategy,
-	}, nil
+	return fromRegress(rm, opt.Dim+1, opt.Alpha, opt.Workers), nil
 }
 
 // srResponses runs the spectral step: eigenvectors of the normalized

@@ -7,6 +7,8 @@ import (
 
 	"srda/internal/graph"
 	"srda/internal/mat"
+	"srda/internal/regress"
+	"srda/internal/solver"
 )
 
 func TestSRWithClassGraphMatchesSRDAGeometry(t *testing.T) {
@@ -37,6 +39,34 @@ func TestSRWithClassGraphMatchesSRDAGeometry(t *testing.T) {
 		d2 := rowDist(e2, i, p)
 		if math.Abs(d1-d2) > 1e-4*(1+d1) {
 			t.Fatalf("distance mismatch (%d,%d): %v vs %v", i, p, d1, d2)
+		}
+	}
+}
+
+// TestFitSRCarriesWorkersAndStats: both SR entry points return a model
+// that projects at the fit's Workers and carries the solver telemetry.
+func TestFitSRCarriesWorkersAndStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	x, labels := gaussianBlobs(rng, 60, 10, 3, 6)
+	g, err := graph.ClassGraph(labels, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := SROptions{Dim: 2, Alpha: 0.5, Seed: 3, Workers: 1}
+	dense, err := FitSRDense(x, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := FitSROperator(solver.DenseOp{A: x}, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Model{"FitSRDense": dense, "FitSROperator": op} {
+		if m.Workers != opt.Workers {
+			t.Errorf("%s: model Workers %d, fit %d", name, m.Workers, opt.Workers)
+		}
+		if m.Stats.Strategy == regress.Auto || m.Stats.Strategy != m.Strategy {
+			t.Errorf("%s: Stats.Strategy %v, model Strategy %v", name, m.Stats.Strategy, m.Strategy)
 		}
 	}
 }

@@ -64,7 +64,7 @@ type Model struct {
 	Strategy regress.Strategy
 	// Centroids optionally holds the embedded class means of the training
 	// data (c×(c−1)), set by SetCentroids; with them the model is a
-	// self-contained nearest-centroid classifier (see Predict).
+	// self-contained nearest-centroid classifier (see PredictBatch).
 	Centroids *mat.Dense
 
 	// Workers bounds the worker-pool sharding of the batch projection
@@ -113,35 +113,14 @@ func (m *Model) InvalidateCache() { m.wt.Store(nil) }
 // SetCentroids computes and stores the embedded class means from a
 // training embedding, turning the model into a standalone classifier.
 func (m *Model) SetCentroids(emb *mat.Dense, labels []int) error {
-	if emb.Rows != len(labels) {
-		return fmt.Errorf("core: %d embedded rows but %d labels", emb.Rows, len(labels))
-	}
 	if emb.Cols != m.Dim() {
 		return fmt.Errorf("core: embedding has %d dims, model %d", emb.Cols, m.Dim())
 	}
-	cent := mat.NewDense(m.NumClasses, m.Dim())
-	counts := make([]float64, m.NumClasses)
-	for i, y := range labels {
-		if y < 0 || y >= m.NumClasses {
-			return fmt.Errorf("core: label %d out of range", y)
-		}
-		counts[y]++
-		row := emb.RowView(i)
-		crow := cent.RowView(y)
-		for j := range row {
-			crow[j] += row[j]
-		}
+	nc, err := classify.FitNearestCentroid(emb, labels, m.NumClasses)
+	if err != nil {
+		return err
 	}
-	for k := 0; k < m.NumClasses; k++ {
-		if counts[k] == 0 { //srdalint:ignore floatcmp counts hold exact integer increments; zero means an empty class
-			return fmt.Errorf("core: class %d has no samples", k)
-		}
-		crow := cent.RowView(k)
-		for j := range crow {
-			crow[j] /= counts[k]
-		}
-	}
-	m.Centroids = cent
+	m.Centroids = nc.Centroids
 	return nil
 }
 
@@ -151,41 +130,23 @@ func (m *Model) PredictVec(x []float64) int {
 	if m.Centroids == nil {
 		panic("core: PredictVec requires SetCentroids")
 	}
-	emb := m.TransformVec(x, nil)
-	return m.nearest(emb)
+	nc := classify.NearestCentroid{Centroids: m.Centroids}
+	return nc.PredictVec(m.TransformVec(x, nil))
 }
 
-// PredictDense classifies each row of x by nearest stored centroid.
-func (m *Model) PredictDense(x *mat.Dense) []int {
-	if m.Centroids == nil {
-		panic("core: PredictDense requires SetCentroids")
-	}
-	emb := m.TransformDense(x)
-	out := make([]int, emb.Rows)
-	for i := range out {
-		out[i] = m.nearest(emb.RowView(i))
-	}
-	return out
-}
+// PredictDense classifies each row of x by nearest stored centroid; it
+// is PredictBatch.
+func (m *Model) PredictDense(x *mat.Dense) []int { return m.PredictBatch(x) }
 
-// PredictSparse classifies each CSR row by nearest stored centroid.
-func (m *Model) PredictSparse(x *sparse.CSR) []int {
-	if m.Centroids == nil {
-		panic("core: PredictSparse requires SetCentroids")
-	}
-	emb := m.TransformSparse(x)
-	out := make([]int, emb.Rows)
-	for i := range out {
-		out[i] = m.nearest(emb.RowView(i))
-	}
-	return out
-}
+// PredictSparse classifies each CSR row by nearest stored centroid; it
+// is PredictBatchCSR.
+func (m *Model) PredictSparse(x *sparse.CSR) []int { return m.PredictBatchCSR(x) }
 
 // PredictBatch classifies every row of x in one shot: the projection is a
 // single GEMM (ProjectBatch) and the nearest-centroid assignment is a
 // second GEMM against the centroid matrix, so per-sample dispatch overhead
-// is fully amortized.  It matches PredictDense up to floating-point
-// tie-breaking and is the path the serving layer's micro-batcher runs.
+// is fully amortized.  It is the path the serving layer's micro-batcher
+// runs.
 func (m *Model) PredictBatch(x *mat.Dense) []int {
 	return m.PredictBatchCtx(context.Background(), x)
 }
@@ -228,22 +189,6 @@ func (m *Model) PredictBatchCSRCtx(ctx context.Context, x *sparse.CSR) []int {
 func (m *Model) classifyBatch(emb *mat.Dense) []int {
 	nc := classify.NearestCentroid{Centroids: m.Centroids}
 	return nc.PredictBatch(emb)
-}
-
-func (m *Model) nearest(v []float64) int {
-	best, bestD := -1, math.Inf(1)
-	for k := 0; k < m.Centroids.Rows; k++ {
-		crow := m.Centroids.RowView(k)
-		var d float64
-		for j := range v {
-			diff := v[j] - crow[j]
-			d += diff * diff
-		}
-		if d < bestD {
-			best, bestD = k, d
-		}
-	}
-	return best
 }
 
 // FitDense trains SRDA on a dense m×n design matrix with labels in
@@ -295,7 +240,7 @@ func FitDense(x *mat.Dense, labels []int, numClasses int, opt Options) (*Model, 
 	if err != nil {
 		return nil, err
 	}
-	return fromRegress(rm, numClasses, opt), nil
+	return fromRegress(rm, numClasses, opt.Alpha, opt.Workers), nil
 }
 
 // FitSparse trains SRDA on a CSR design matrix using the linear-time LSQR
@@ -329,18 +274,20 @@ func FitOperator(op solver.Operator, labels []int, numClasses int, opt Options) 
 	if err != nil {
 		return nil, err
 	}
-	return fromRegress(rm, numClasses, opt), nil
+	return fromRegress(rm, numClasses, opt.Alpha, opt.Workers), nil
 }
 
-func fromRegress(rm *regress.Model, numClasses int, opt Options) *Model {
+// fromRegress wraps a regression fit as a Model; every fit that goes
+// through the regress layer builds its model here.
+func fromRegress(rm *regress.Model, numClasses int, alpha float64, workers int) *Model {
 	return &Model{
 		W:          rm.W,
 		B:          rm.B,
 		NumClasses: numClasses,
-		Alpha:      opt.Alpha,
+		Alpha:      alpha,
 		Iters:      rm.Iters,
 		Strategy:   rm.Strategy,
-		Workers:    opt.Workers,
+		Workers:    workers,
 		Stats:      rm.Stats,
 	}
 }
@@ -348,56 +295,22 @@ func fromRegress(rm *regress.Model, numClasses int, opt Options) *Model {
 // Dim returns the embedding dimensionality c−1.
 func (m *Model) Dim() int { return m.W.Cols }
 
-// TransformDense embeds the rows of x into the discriminant subspace.
-func (m *Model) TransformDense(x *mat.Dense) *mat.Dense {
-	if x.Cols != m.W.Rows {
-		panic(fmt.Sprintf("core: TransformDense feature mismatch: data has %d, model %d", x.Cols, m.W.Rows))
-	}
-	out := mat.ParMul(m.Workers, x, m.W)
-	m.addBias(out)
-	return out
-}
+// TransformDense embeds the rows of x into the discriminant subspace; it
+// is ProjectBatch into a fresh matrix.
+func (m *Model) TransformDense(x *mat.Dense) *mat.Dense { return m.ProjectBatch(x, nil) }
 
-// TransformSparse embeds CSR rows without densifying them.  Output rows
-// are independent, so they are sharded across the worker pool with the
-// usual bitwise-identity guarantee.
-func (m *Model) TransformSparse(x *sparse.CSR) *mat.Dense {
-	if x.Cols != m.W.Rows {
-		panic(fmt.Sprintf("core: TransformSparse feature mismatch: data has %d, model %d", x.Cols, m.W.Rows))
-	}
-	out := mat.NewDense(x.Rows, m.Dim())
-	m.shardRows(x, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := out.RowView(i)
-			cols, vals := x.Row(i)
-			for t, j := range cols {
-				wrow := m.W.RowView(j)
-				v := vals[t]
-				for d := range row {
-					row[d] += v * wrow[d]
-				}
-			}
-			for d := range row {
-				row[d] += m.B[d]
-			}
-		}
-	})
-	return out
-}
+// TransformSparse embeds CSR rows without densifying them; it is
+// ProjectBatchCSR into a fresh matrix.
+func (m *Model) TransformSparse(x *sparse.CSR) *mat.Dense { return m.ProjectBatchCSR(x, nil) }
 
 // projMinWork is the nnz·(c−1) volume below which the sparse projection
 // paths skip the worker pool, matching the kernel thresholds elsewhere.
 const projMinWork = 1 << 14
 
 // shardRows runs fn over the row range of x, parallel when the volume
-// justifies it.
-func (m *Model) shardRows(x *sparse.CSR, fn func(lo, hi int)) {
-	m.shardRowsCtx(context.Background(), x, fn)
-}
-
-// shardRowsCtx is shardRows threading a tracing context into the pool,
-// so a traced request records the "pool.do" dispatch span.
-func (m *Model) shardRowsCtx(ctx context.Context, x *sparse.CSR, fn func(lo, hi int)) {
+// justifies it; ctx carries tracing into the pool, so a traced request
+// records the "pool.do" dispatch span.
+func (m *Model) shardRows(ctx context.Context, x *sparse.CSR, fn func(lo, hi int)) {
 	if m.Workers == 1 || x.Rows < 2 || x.NNZ()*m.Dim() < projMinWork {
 		fn(0, x.Rows)
 		return
@@ -452,7 +365,7 @@ func (m *Model) ProjectBatchCSRCtx(ctx context.Context, x *sparse.CSR, dst *mat.
 	}
 	dst = m.batchDst(x.Rows, dst)
 	spCtx, sp := obs.StartSpan(ctx, "core.project_csr")
-	m.shardRowsCtx(spCtx, x, func(lo, hi int) {
+	m.shardRows(spCtx, x, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := dst.RowView(i)
 			copy(row, m.B)

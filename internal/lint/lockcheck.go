@@ -169,19 +169,19 @@ var lockRelease = map[string]string{"Unlock": "Lock", "RUnlock": "RLock"}
 type blockingKey struct{ pkg, name string }
 
 var blockingStdlib = map[blockingKey]string{
-	{"time", "Sleep"}:                 "time.Sleep",
-	{"sync", "Wait"}:                  "sync Wait",
-	{"net/http", "Get"}:               "outbound HTTP call",
-	{"net/http", "Post"}:              "outbound HTTP call",
-	{"net/http", "PostForm"}:          "outbound HTTP call",
-	{"net/http", "Head"}:              "outbound HTTP call",
-	{"net/http", "Do"}:                "outbound HTTP call",
-	{"net", "Dial"}:                   "network dial",
-	{"net", "DialTimeout"}:            "network dial",
-	{"os/exec", "Run"}:                "subprocess wait",
-	{"os/exec", "Wait"}:               "subprocess wait",
-	{"os/exec", "Output"}:             "subprocess wait",
-	{"os/exec", "CombinedOutput"}:     "subprocess wait",
+	{"time", "Sleep"}:             "time.Sleep",
+	{"sync", "Wait"}:              "sync Wait",
+	{"net/http", "Get"}:           "outbound HTTP call",
+	{"net/http", "Post"}:          "outbound HTTP call",
+	{"net/http", "PostForm"}:      "outbound HTTP call",
+	{"net/http", "Head"}:          "outbound HTTP call",
+	{"net/http", "Do"}:            "outbound HTTP call",
+	{"net", "Dial"}:               "network dial",
+	{"net", "DialTimeout"}:        "network dial",
+	{"os/exec", "Run"}:            "subprocess wait",
+	{"os/exec", "Wait"}:           "subprocess wait",
+	{"os/exec", "Output"}:         "subprocess wait",
+	{"os/exec", "CombinedOutput"}: "subprocess wait",
 }
 
 // heldState tracks which lock expressions are currently held, keyed by

@@ -18,17 +18,6 @@ import (
 // multiply-adds are not worth a pool handoff.
 const parMinFlops = 1 << 15
 
-// ParMul computes C = A*B like Mul, with rows of C sharded across the
-// worker pool (workers <= 0 means GOMAXPROCS, 1 forces sequential).
-func ParMul(workers int, a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: ParMul dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := NewDense(a.Rows, b.Cols)
-	blas.ParGemm(workers, a.Rows, b.Cols, a.Cols, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
-	return c
-}
-
 // ParMulTA computes C = Aᵀ*B like MulTA, sharded across the worker pool.
 func ParMulTA(workers int, a, b *Dense) *Dense {
 	if a.Rows != b.Rows {
@@ -36,16 +25,6 @@ func ParMulTA(workers int, a, b *Dense) *Dense {
 	}
 	c := NewDense(a.Cols, b.Cols)
 	blas.ParGemmTA(workers, a.Cols, b.Cols, a.Rows, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
-	return c
-}
-
-// ParMulTB computes C = A*Bᵀ like MulTB, sharded across the worker pool.
-func ParMulTB(workers int, a, b *Dense) *Dense {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: ParMulTB dimension mismatch %dx%d *ᵀ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := NewDense(a.Rows, b.Rows)
-	blas.ParGemmTB(workers, a.Rows, b.Rows, a.Cols, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
 	return c
 }
 

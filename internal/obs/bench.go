@@ -9,7 +9,6 @@ package obs
 // positive iteration counts, finite non-negative timings.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -67,10 +66,8 @@ func ReadBenchFile(path string) (*BenchReport, error) {
 
 // ValidateBench parses data as a BenchReport and checks the schema.
 func ValidateBench(data []byte) (*BenchReport, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var b BenchReport
-	if err := dec.Decode(&b); err != nil {
+	if err := DecodeStrict(data, &b); err != nil {
 		return nil, fmt.Errorf("obs: bench report is not valid JSON for the schema: %w", err)
 	}
 	if err := ValidateBenchStruct(&b); err != nil {

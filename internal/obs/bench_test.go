@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"strings"
@@ -72,14 +73,26 @@ func TestBenchValidateRejectsUnknownFields(t *testing.T) {
 	if _, err := ValidateBench([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	valid, err := json.Marshal(validBench())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateBench(append(valid, " \n"...)); err != nil {
+		t.Fatalf("valid report with trailing white space rejected: %v", err)
+	}
+	for _, tail := range []string{" trailing garbage", `{"more":1}`} {
+		if _, err := ValidateBench(append(valid, tail...)); err == nil {
+			t.Errorf("bench report followed by %q accepted", tail)
+		}
+	}
 }
 
 func TestDiffBench(t *testing.T) {
 	old := validBench()
 	cur := validBench()
-	cur.Results[0].NsPerOp = old.Results[0].NsPerOp * 1.25     // regression
-	cur.Results[1].NsPerOp = old.Results[1].NsPerOp * 0.5      // improvement
-	cur.Results[2].NsPerOp = old.Results[2].NsPerOp * 1.05     // within tolerance
+	cur.Results[0].NsPerOp = old.Results[0].NsPerOp * 1.25 // regression
+	cur.Results[1].NsPerOp = old.Results[1].NsPerOp * 0.5  // improvement
+	cur.Results[2].NsPerOp = old.Results[2].NsPerOp * 1.05 // within tolerance
 	cur.Results = append(cur.Results, BenchResult{Name: "Axpy/1e6", Iters: 3, NsPerOp: 1e3})
 	old.Results = append(old.Results, BenchResult{Name: "Gone/1", Iters: 3, NsPerOp: 1e3})
 

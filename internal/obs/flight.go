@@ -492,10 +492,8 @@ func prefixAttrs(prefix string, attrs []slog.Attr) []slog.Attr {
 // schema; it is the contract the trace-smoke CI step holds bundle files
 // to.
 func ValidateFlightBundle(data []byte) (*FlightBundle, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var b FlightBundle
-	if err := dec.Decode(&b); err != nil {
+	if err := DecodeStrict(data, &b); err != nil {
 		return nil, fmt.Errorf("obs: flight bundle is not valid JSON for the schema: %w", err)
 	}
 	if b.Schema != FlightSchema {

@@ -204,10 +204,16 @@ func TestFlightTriggerWithoutTrace(t *testing.T) {
 }
 
 // TestValidateFlightBundleRejects: unknown fields, bad schema, unknown
-// trigger.
+// trigger, data after the document.
 func TestValidateFlightBundleRejects(t *testing.T) {
 	base := `"process":"p","trigger":"p99_breach","time":"2026-01-01T00:00:00Z","trace_id":"t0000000000000001","spans":[],"logs":[],"metrics":{},"exemplars":[],"health":[]`
+	valid := `{"schema":"srda-flight/v1",` + base + `}`
+	if _, err := ValidateFlightBundle([]byte(valid + "\n")); err != nil {
+		t.Fatalf("valid bundle rejected: %v", err)
+	}
 	for _, tc := range []struct{ name, data string }{
+		{"trailing garbage", valid + " trailing garbage"},
+		{"second document", valid + `{"more":1}`},
 		{"unknown field", `{"schema":"srda-flight/v1",` + base + `,"bogus":1}`},
 		{"bad schema", `{"schema":"srda-flight/v9",` + base + `}`},
 		{"unknown trigger", strings.Replace(`{"schema":"srda-flight/v1",`+base+`}`, "p99_breach", "gremlins", 1)},

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 )
@@ -82,16 +84,30 @@ func (r *Report) WriteFile(path string) error {
 // ValidateReport parses data as a Report and checks the schema; it is the
 // contract the CI smoke step (and cmd/srdareport) holds report files to.
 func ValidateReport(data []byte) (*Report, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var r Report
-	if err := dec.Decode(&r); err != nil {
+	if err := DecodeStrict(data, &r); err != nil {
 		return nil, fmt.Errorf("obs: report is not valid JSON for the schema: %w", err)
 	}
 	if err := ValidateReportStruct(&r); err != nil {
 		return nil, err
 	}
 	return &r, nil
+}
+
+// DecodeStrict decodes data into v as exactly one JSON document: a field
+// v does not declare, or anything but white space after the document, is
+// an error.  ValidateReport, ValidateBench, ValidateFlightBundle and the
+// SLO config validator decode through it.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON document")
+	}
+	return nil
 }
 
 // ValidateReportStruct checks an in-memory report against the schema.

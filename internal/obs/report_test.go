@@ -82,6 +82,18 @@ func TestValidateReportRejectsUnknownFields(t *testing.T) {
 	if _, err := ValidateReport([]byte(`not json`)); err == nil {
 		t.Fatal("non-JSON accepted")
 	}
+	valid, err := json.Marshal(validReport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateReport(append(valid, " \n"...)); err != nil {
+		t.Fatalf("valid report with trailing white space rejected: %v", err)
+	}
+	for _, tail := range []string{" trailing garbage", `{"more":1}`} {
+		if _, err := ValidateReport(append(valid, tail...)); err == nil {
+			t.Errorf("report followed by %q accepted", tail)
+		}
+	}
 }
 
 func TestWriteFileRefusesInvalidReport(t *testing.T) {

@@ -43,32 +43,3 @@ func TestFitStampsCondEstimate(t *testing.T) {
 		t.Errorf("LSQR path stamped CondEstimate %v", m.Stats.CondEstimate)
 	}
 }
-
-// TestRecordResidualTrajectories: under RecordResiduals the LSQR path
-// keeps one monotone-ish curve per response with Iters points each.
-func TestRecordResidualTrajectories(t *testing.T) {
-	x, y := randomProblem(2, 30, 6, 3)
-	m, err := FitDense(x, y, Options{Alpha: 0.1, Strategy: IterLSQR, LSQRIter: 12, RecordResiduals: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Stats.ResidualCurves) != 3 {
-		t.Fatalf("got %d curves, want 3", len(m.Stats.ResidualCurves))
-	}
-	for j, curve := range m.Stats.ResidualCurves {
-		if len(curve) != m.Stats.IterCounts[j] {
-			t.Errorf("response %d: curve has %d points, iters %d", j, len(curve), m.Stats.IterCounts[j])
-		}
-		if len(curve) > 0 && curve[len(curve)-1] > curve[0] {
-			t.Errorf("response %d: residuals grew from %v to %v", j, curve[0], curve[len(curve)-1])
-		}
-	}
-	// Off by default: no curves retained.
-	m2, err := FitDense(x, y, Options{Alpha: 0.1, Strategy: IterLSQR, LSQRIter: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Stats.ResidualCurves != nil {
-		t.Error("curves retained without RecordResiduals")
-	}
-}

@@ -87,10 +87,6 @@ type Options struct {
 	// timing lives in the caller's tracer, keeping this package inside
 	// the noclock contract.  nil disables tracing at zero cost.
 	Span *obs.ReqSpan
-	// RecordResiduals, for the LSQR path, keeps each response's full
-	// per-iteration residual-norm trajectory in Stats.ResidualCurves
-	// (observability only; costs one float per iteration per response).
-	RecordResiduals bool
 }
 
 // Stats reports how a fit was solved.  Unlike the model weights it is
@@ -109,9 +105,6 @@ type Stats struct {
 	// Residuals[j] is response j's final damped residual-norm estimate
 	// ‖[A; √α·I] x − [y_j; 0]‖; nil for direct solves.
 	Residuals []float64
-	// ResidualCurves[j] is response j's per-iteration residual trajectory;
-	// only populated by the LSQR path under Options.RecordResiduals.
-	ResidualCurves [][]float64
 	// CondEstimate is the diagonal-ratio condition estimate of the factored
 	// normal-equations matrix (decomp.Cholesky.CondEstimate); zero for the
 	// LSQR path, which never forms the Gram matrix.
@@ -178,7 +171,7 @@ func FitOperator(op solver.Operator, y *mat.Dense, opt Options) (*Model, error) 
 		work = solver.AugmentedOp{Inner: op}
 	}
 	k := y.Cols
-	params := solver.LSQRParams{Damp: math.Sqrt(opt.Alpha), MaxIter: opt.LSQRIter, RecordResiduals: opt.RecordResiduals}
+	params := solver.LSQRParams{Damp: math.Sqrt(opt.Alpha), MaxIter: opt.LSQRIter}
 
 	// The responses are independent ridge systems over one read-only
 	// operator, solved in lockstep in one column group per worker: each
@@ -201,7 +194,7 @@ func FitOperator(op solver.Operator, y *mat.Dense, opt Options) (*Model, error) 
 		total += c
 	}
 	model.Iters = total
-	model.Stats = Stats{Strategy: IterLSQR, Iters: total, IterCounts: res.Iters, Residuals: res.ResNorms, ResidualCurves: res.Residuals}
+	model.Stats = Stats{Strategy: IterLSQR, Iters: total, IterCounts: res.Iters, Residuals: res.ResNorms}
 	return model, nil
 }
 
@@ -295,37 +288,4 @@ func splitIntercept(w *mat.Dense, intercept bool, strat Strategy) *Model {
 		model.B[j] = w.At(n, j)
 	}
 	return model
-}
-
-// PredictDense computes X·W + 1·bᵀ for a dense X.
-func (m *Model) PredictDense(x *mat.Dense) *mat.Dense {
-	out := mat.Mul(x, m.W)
-	m.addBias(out)
-	return out
-}
-
-// PredictOperator computes the predictions through an operator, one
-// response at a time (no densification).
-func (m *Model) PredictOperator(op solver.Operator, rows int) *mat.Dense {
-	k := m.W.Cols
-	out := mat.NewDense(rows, k)
-	col := make([]float64, m.W.Rows)
-	dst := make([]float64, rows)
-	for j := 0; j < k; j++ {
-		m.W.ColCopy(j, col)
-		op.Apply(col, dst)
-		for i := 0; i < rows; i++ {
-			out.Set(i, j, dst[i]+m.B[j])
-		}
-	}
-	return out
-}
-
-func (m *Model) addBias(out *mat.Dense) {
-	for i := 0; i < out.Rows; i++ {
-		row := out.RowView(i)
-		for j := range row {
-			row[j] += m.B[j]
-		}
-	}
 }

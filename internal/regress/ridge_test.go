@@ -205,22 +205,6 @@ func TestShrinkageMonotoneInAlpha(t *testing.T) {
 	}
 }
 
-func TestPredictDenseAndOperatorAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x := randDense(rng, 20, 6)
-	y := randDense(rng, 20, 2)
-	model, err := FitDense(x, y, Options{Alpha: 0.2, Intercept: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xt := randDense(rng, 7, 6)
-	p1 := model.PredictDense(xt)
-	p2 := model.PredictOperator(solver.DenseOp{A: xt}, 7)
-	if d := mat.MaxAbsDiff(p1, p2); d > 1e-10 {
-		t.Fatalf("predictions differ by %v", d)
-	}
-}
-
 func TestErrorsOnBadInput(t *testing.T) {
 	x := mat.NewDense(4, 2)
 	y := mat.NewDense(5, 1)

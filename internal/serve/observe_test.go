@@ -170,4 +170,3 @@ func TestObserveUnregisteredWithoutTrainer(t *testing.T) {
 		t.Fatalf("trainer metrics leaked into trainerless exposition:\n%s", text)
 	}
 }
-

@@ -20,12 +20,6 @@ type LSQRParams struct {
 	// ATol and BTol are the Paige–Saunders stopping tolerances on the
 	// estimated relative residual quantities.  Defaults: 1e-8.
 	ATol, BTol float64
-	// RecordResiduals asks for the per-iteration damped residual-norm
-	// estimates in LSQRResult.Residuals, one entry per iteration performed.
-	// The estimates are byproducts of quantities the iteration already
-	// maintains, so recording costs one append per iteration and never
-	// perturbs the solve.
-	RecordResiduals bool
 }
 
 // Defaults fills in zero fields.
@@ -48,10 +42,6 @@ type LSQRResult struct {
 	Iters   int       // iterations performed
 	ResNorm float64   // estimate of ‖[A; damp·I] x − [b; 0]‖
 	Reason  string    // human-readable stopping reason
-	// Residuals is the per-iteration ResNorm trajectory, populated only
-	// when LSQRParams.RecordResiduals is set; Residuals[k] is the estimate
-	// after iteration k+1, so len(Residuals) == Iters.
-	Residuals []float64
 }
 
 // LSQR solves the (damped) least-squares problem
@@ -62,11 +52,7 @@ type LSQRResult struct {
 // (ACM TOMS 1982).  It is the one-column case of LockstepLSQR.
 func LSQR(op Operator, b []float64, params LSQRParams) LSQRResult {
 	r := LockstepLSQR(Blocked(op), 1, b, params)
-	out := LSQRResult{X: r.X, Iters: r.Iters[0], ResNorm: r.ResNorms[0], Reason: r.Reasons[0]}
-	if r.Residuals != nil {
-		out.Residuals = r.Residuals[0]
-	}
-	return out
+	return LSQRResult{X: r.X, Iters: r.Iters[0], ResNorm: r.ResNorms[0], Reason: r.Reasons[0]}
 }
 
 // LockstepResult reports how each column of a lockstep solve terminated;
@@ -80,10 +66,6 @@ type LockstepResult struct {
 	ResNorms []float64
 	// Reasons[j] is column j's human-readable stopping reason.
 	Reasons []string
-	// Residuals[j] is column j's per-iteration ResNorm trajectory, only
-	// under LSQRParams.RecordResiduals (nil for a column that stopped
-	// before its first iteration).
-	Residuals [][]float64
 }
 
 // lsqrCol is one right-hand side's Paige–Saunders scalar state.
@@ -239,15 +221,6 @@ func LockstepLSQR(op BlockOperator, k int, b []float64, params LSQRParams) Locks
 	}
 	scaleCols(v, cols)
 	copy(w, v)
-	if p.RecordResiduals {
-		res.Residuals = make([][]float64, k)
-		curves := make([]float64, k*p.MaxIter)
-		for j := range cols {
-			if !done[j] {
-				res.Residuals[j] = curves[j*p.MaxIter : j*p.MaxIter : (j+1)*p.MaxIter]
-			}
-		}
-	}
 
 	for iter := 1; iter <= p.MaxIter && live > 0; iter++ {
 		for j := range cols {
@@ -323,9 +296,6 @@ func LockstepLSQR(op BlockOperator, k int, b []float64, params LSQRParams) Locks
 			if done[j] {
 				continue
 			}
-			if res.Residuals != nil {
-				res.Residuals[j] = append(res.Residuals[j], c.resNorm) //srdalint:ignore hotalloc appends within the MaxIter capacity reserved above; never reallocates
-			}
 			// ‖Āᵀr̄‖ estimate for the damped system.
 			arNorm := c.alpha * math.Abs(c.tau)
 			var reason string
@@ -379,9 +349,6 @@ func ParLockstepLSQR(workers int, op Operator, k int, b []float64, params LSQRPa
 		ResNorms: make([]float64, k),
 		Reasons:  make([]string, k),
 	}
-	if params.RecordResiduals {
-		res.Residuals = make([][]float64, k)
-	}
 	op = sequential(op)
 	pool.Do(groups, k, func(lo, hi int) {
 		w := hi - lo
@@ -396,9 +363,6 @@ func ParLockstepLSQR(workers int, op Operator, k int, b []float64, params LSQRPa
 		copy(res.Iters[lo:hi], r.Iters)
 		copy(res.ResNorms[lo:hi], r.ResNorms)
 		copy(res.Reasons[lo:hi], r.Reasons)
-		if r.Residuals != nil {
-			copy(res.Residuals[lo:hi], r.Residuals)
-		}
 	})
 	return res
 }

@@ -185,31 +185,6 @@ func TestAugmentedOpEquivalentToExplicitOnes(t *testing.T) {
 	}
 }
 
-func TestCenteredOpEquivalentToExplicitCentering(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m, n := 25, 7
-	a := randDense(rng, m, n)
-	centered := a.Clone()
-	mu := centered.CenterRows()
-	op := CenteredOp{Inner: DenseOp{A: a}, Mu: mu}
-	x := randVec(rng, n)
-	got := op.Apply(x, nil)
-	want := centered.MulVec(x, nil)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-10 {
-			t.Fatalf("Apply mismatch at %d", i)
-		}
-	}
-	y := randVec(rng, m)
-	gt := op.ApplyT(y, nil)
-	wt := centered.MulTVec(y, nil)
-	for i := range gt {
-		if math.Abs(gt[i]-wt[i]) > 1e-10 {
-			t.Fatalf("ApplyT mismatch at %d", i)
-		}
-	}
-}
-
 func TestCGNEMatchesRidgeDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	m, n := 60, 14
@@ -319,60 +294,16 @@ func TestOperatorDims(t *testing.T) {
 	if m, n := (SparseOp{A: sparse.FromDense(a, 0)}).Dims(); m != 3 || n != 5 {
 		t.Fatalf("SparseOp dims %d %d", m, n)
 	}
-	if m, n := (CenteredOp{Inner: DenseOp{A: a}, Mu: make([]float64, 5)}).Dims(); m != 3 || n != 5 {
-		t.Fatalf("CenteredOp dims %d %d", m, n)
-	}
-}
-
-// TestLSQRRecordResiduals checks the recorded trajectory: one entry per
-// iteration, final entry equal to the reported ResNorm, no perturbation of
-// the solution, and no recording when the flag is off.
-func TestLSQRRecordResiduals(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m, n := 60, 12
-	a := randDense(rng, m, n)
-	b := randVec(rng, m)
-	plain := LSQR(DenseOp{A: a}, b, LSQRParams{MaxIter: 50, Damp: 0.3})
-	rec := LSQR(DenseOp{A: a}, b, LSQRParams{MaxIter: 50, Damp: 0.3, RecordResiduals: true})
-	if plain.Residuals != nil {
-		t.Fatal("residuals recorded without the flag")
-	}
-	if len(rec.Residuals) != rec.Iters {
-		t.Fatalf("recorded %d residuals for %d iterations", len(rec.Residuals), rec.Iters)
-	}
-	if rec.Iters == 0 {
-		t.Fatal("solve took no iterations")
-	}
-	if got := rec.Residuals[len(rec.Residuals)-1]; got != rec.ResNorm {
-		t.Fatalf("last recorded residual %v != ResNorm %v", got, rec.ResNorm)
-	}
-	// Recording must not change the arithmetic.
-	if plain.Iters != rec.Iters || plain.ResNorm != rec.ResNorm {
-		t.Fatalf("recording perturbed the solve: iters %d vs %d, resnorm %v vs %v",
-			plain.Iters, rec.Iters, plain.ResNorm, rec.ResNorm)
-	}
-	for i := range plain.X {
-		if plain.X[i] != rec.X[i] {
-			t.Fatalf("recording perturbed x[%d]: %v vs %v", i, plain.X[i], rec.X[i])
-		}
-	}
-	// The damped residual estimate is monotonically non-increasing for LSQR.
-	for i := 1; i < len(rec.Residuals); i++ {
-		if rec.Residuals[i] > rec.Residuals[i-1]+1e-12 {
-			t.Fatalf("residual increased at iteration %d: %v -> %v",
-				i+1, rec.Residuals[i-1], rec.Residuals[i])
-		}
-	}
 }
 
 // TestLockstepEqualsSingleColumnSolvesBitwise checks the lockstep solver
 // column by column against LSQR on that column alone: the solution bits,
-// iteration count, residual, stopping reason and residual trajectory must
-// all agree, for block operators (SparseOp, AugmentedOp over it) and for
-// operators that go through the per-column adapter, at several worker
-// counts.  The right-hand sides include an all-zero column, a column with
-// Aᵀb = 0, columns that converge at different iterations, and columns that
-// reach the iteration cap.  ParLockstepLSQR, which solves contiguous
+// iteration count, residual and stopping reason must all agree, for
+// block operators (SparseOp, AugmentedOp over it) and for operators that
+// go through the per-column adapter, at several worker counts.  The
+// right-hand sides include an all-zero column, a column with Aᵀb = 0,
+// columns that converge at different iterations, and columns that reach
+// the iteration cap.  ParLockstepLSQR, which solves contiguous
 // column groups on separate workers, must agree the same way.
 func TestLockstepEqualsSingleColumnSolvesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
@@ -407,9 +338,9 @@ func TestLockstepEqualsSingleColumnSolvesBitwise(t *testing.T) {
 		{"augmented-sparse", func(w int) Operator { return AugmentedOp{Inner: SparseOp{A: s, Workers: w}} }},
 		{"dense", func(w int) Operator { return DenseOp{A: d, Workers: w} }},
 		{"augmented-dense", func(w int) Operator { return AugmentedOp{Inner: DenseOp{A: d, Workers: w}} }},
-		{"centered", func(w int) Operator { return CenteredOp{Inner: SparseOp{A: s, Workers: w}, Mu: s.ColMeans()} }},
+		{"per-column", func(w int) Operator { return plainOp{SparseOp{A: s, Workers: w}} }},
 	}
-	p := LSQRParams{Damp: 0.2, MaxIter: 32, RecordResiduals: true}
+	p := LSQRParams{Damp: 0.2, MaxIter: 32}
 	for _, tc := range ops {
 		rows, cols := tc.op(1).Dims()
 		want := make([]LSQRResult, k)
@@ -448,19 +379,15 @@ func TestLockstepEqualsSingleColumnSolvesBitwise(t *testing.T) {
 							t.Fatalf("%s workers=%d column %d: x[%d] = %v, single solve %v", name, workers, j, i, got.X[i*k+j], w.X[i])
 						}
 					}
-					if len(got.Residuals[j]) != len(w.Residuals) {
-						t.Fatalf("%s workers=%d column %d: %d residuals, single solve %d", name, workers, j, len(got.Residuals[j]), len(w.Residuals))
-					}
-					for i, r := range w.Residuals {
-						if math.Float64bits(got.Residuals[j][i]) != math.Float64bits(r) {
-							t.Fatalf("%s workers=%d column %d: residual %d = %v, single solve %v", name, workers, j, i, got.Residuals[j][i], r)
-						}
-					}
 				}
 			}
 		}
 	}
 }
+
+// plainOp hides the block methods of the operator it wraps, so solves on
+// it go through Blocked's per-column adapter.
+type plainOp struct{ Operator }
 
 func TestLockstepNoColumns(t *testing.T) {
 	op := DenseOp{A: mat.NewDense(4, 3)}

@@ -61,8 +61,6 @@ func sequential(op Operator) Operator {
 	switch o := op.(type) {
 	case AugmentedOp:
 		return AugmentedOp{Inner: sequential(o.Inner)}
-	case CenteredOp:
-		return CenteredOp{Inner: sequential(o.Inner), Mu: o.Mu}
 	case SparseOp:
 		o.Workers = 1
 		return o
@@ -227,45 +225,6 @@ func (o AugmentedOp) ApplyTBlock(k int, x, dst []float64) {
 			s[j] += v
 		}
 	}
-}
-
-// CenteredOp wraps an operator as A - 1·μᵀ, i.e. the operator whose rows
-// are the centered rows of A, without densifying A.  Used to run LDA-style
-// computations on sparse data for comparison purposes.
-type CenteredOp struct {
-	Inner Operator
-	Mu    []float64 // column means, length n
-}
-
-// Dims implements Operator.
-func (o CenteredOp) Dims() (int, int) { return o.Inner.Dims() }
-
-// Apply implements Operator.
-func (o CenteredOp) Apply(x, dst []float64) []float64 {
-	m, _ := o.Inner.Dims()
-	dst = o.Inner.Apply(x, dst)
-	var mux float64
-	for j, v := range o.Mu {
-		mux += v * x[j]
-	}
-	for i := 0; i < m; i++ {
-		dst[i] -= mux
-	}
-	return dst
-}
-
-// ApplyT implements Operator.
-func (o CenteredOp) ApplyT(x, dst []float64) []float64 {
-	_, n := o.Inner.Dims()
-	dst = o.Inner.ApplyT(x, dst)
-	var sx float64
-	for _, v := range x {
-		sx += v
-	}
-	for j := 0; j < n; j++ {
-		dst[j] -= sx * o.Mu[j]
-	}
-	return dst
 }
 
 // DiskOp adapts an out-of-core *sparse.DiskCSR to the Operator interface.

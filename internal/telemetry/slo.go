@@ -12,7 +12,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -90,14 +89,9 @@ func DefaultBurnWindows() []BurnWindow {
 // a wrong schema string, or out-of-range values are errors, and
 // defaults (windows, code label, pending-for) are filled in.
 func ValidateSLOConfig(data []byte) (*SLOConfig, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var cfg SLOConfig
-	if err := dec.Decode(&cfg); err != nil {
+	if err := obs.DecodeStrict(data, &cfg); err != nil {
 		return nil, fmt.Errorf("telemetry: SLO config is not valid JSON for the schema: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("telemetry: SLO config has data after the JSON document")
 	}
 	if cfg.Schema != SLOSchema {
 		return nil, fmt.Errorf("telemetry: SLO config schema %q, want %q", cfg.Schema, SLOSchema)

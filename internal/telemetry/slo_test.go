@@ -47,6 +47,8 @@ func TestValidateSLOConfig(t *testing.T) {
 		{"duplicate objective", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "kind": "availability", "metric": "m", "target": 0.9}, {"name": "a", "kind": "availability", "metric": "m", "target": 0.9}]}`},
 		{"duplicate window", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "kind": "availability", "metric": "m", "target": 0.9}], "windows": [{"name": "w", "short_seconds": 60, "long_seconds": 600, "burn": 2}, {"name": "w", "short_seconds": 30, "long_seconds": 300, "burn": 4}]}`},
 		{"trailing data", validConfig() + " {}"},
+		{"trailing garbage", validConfig() + " trailing garbage"},
+		{"second document", validConfig() + `{"more":1}`},
 		{"bad window", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "kind": "availability", "metric": "m", "target": 0.9}], "windows": [{"name": "w", "short_seconds": 60, "long_seconds": 30, "burn": 2}]}`},
 	}
 	for _, c := range bad {

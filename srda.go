@@ -102,11 +102,12 @@ func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 type SolverStats = regress.Stats
 
 // Model is a trained SRDA transformer mapping samples to the
-// (c−1)-dimensional discriminant subspace.  Beyond the per-sample
-// Predict*/Transform* methods it exposes the batched serving path —
-// ProjectBatch / ProjectBatchCSR / PredictBatch / PredictBatchCSR — which
-// lowers per-row matrix-vector loops into single GEMM calls; srdaserve's
-// micro-batcher and the BenchmarkPredictBatch trajectory ride on it.
+// (c−1)-dimensional discriminant subspace.  Its matrix methods run the
+// batched kernels — ProjectBatch / ProjectBatchCSR / PredictBatch /
+// PredictBatchCSR, which lower per-row matrix-vector loops into single
+// GEMM calls; TransformDense, TransformSparse, PredictDense and
+// PredictSparse call them.  srdaserve's micro-batcher and the
+// BenchmarkPredictBatch trajectory ride on the same kernels.
 type Model = core.Model
 
 func (o Options) toCore() core.Options {
