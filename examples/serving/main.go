@@ -110,11 +110,17 @@ func main() {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// 5. Graceful shutdown: stop accepting, drain in-flight work.
+	// 5. Graceful shutdown: stop accepting, drain in-flight work.  The
+	// client first closes its idle keep-alive connections: Shutdown
+	// waits up to 5 s for a connection that never sent a request.  The
+	// drain gets its own deadline, so a slow Shutdown cannot spend it.
+	client.HTTPClient.CloseIdleConnections()
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer scancel()
 	_ = hs.Shutdown(sctx) // best effort: srv.Close below reports drain failures
-	if err := srv.Close(sctx); err != nil {
+	dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer dcancel()
+	if err := srv.Close(dctx); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("server drained cleanly")

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"srda/internal/classify"
 	"srda/internal/decomp"
 	"srda/internal/mat"
 	"srda/internal/sparse"
@@ -58,33 +60,15 @@ func (m *Model) WhitenWithin(emb *mat.Dense, labels []int) error {
 // collapse, where every metric classifies identically.  Shared by the
 // linear (Model.WhitenWithin) and kernel SRDA paths.
 func WhiteningTransform(emb *mat.Dense, labels []int, numClasses int) (*mat.Dense, error) {
-	if emb.Rows != len(labels) {
-		return nil, fmt.Errorf("core: %d embedded rows but %d labels", emb.Rows, len(labels))
+	nc, err := classify.FitNearestCentroid(emb, labels, numClasses)
+	if err != nil {
+		return nil, err
 	}
+	if collapsed(emb, labels, numClasses) {
+		return nil, nil
+	}
+	means := nc.Centroids
 	d := emb.Cols
-	c := numClasses
-	counts := make([]float64, c)
-	means := mat.NewDense(c, d)
-	for i, y := range labels {
-		if y < 0 || y >= c {
-			return nil, fmt.Errorf("core: label %d out of range", y)
-		}
-		counts[y]++
-		row := emb.RowView(i)
-		mrow := means.RowView(y)
-		for j := range row {
-			mrow[j] += row[j]
-		}
-	}
-	for k := 0; k < c; k++ {
-		if counts[k] == 0 { //srdalint:ignore floatcmp counts hold exact integer increments; zero means an empty class
-			return nil, fmt.Errorf("core: class %d has no samples", k)
-		}
-		mrow := means.RowView(k)
-		for j := range mrow {
-			mrow[j] /= counts[k]
-		}
-	}
 	// Within-class scatter of the embedding.
 	sw := mat.NewDense(d, d)
 	diff := make([]float64, d)
@@ -104,7 +88,7 @@ func WhiteningTransform(emb *mat.Dense, labels []int, numClasses int) (*mat.Dens
 			}
 		}
 	}
-	denom := float64(emb.Rows - c)
+	denom := float64(emb.Rows - numClasses)
 	if denom < 1 {
 		denom = 1
 	}
@@ -113,8 +97,7 @@ func WhiteningTransform(emb *mat.Dense, labels []int, numClasses int) (*mat.Dens
 		trace += sw.At(j, j)
 	}
 	if trace == 0 { //srdalint:ignore floatcmp exact zero trace is the collapsed-embedding degenerate case
-		// Exact collapse: embedding already separates classes perfectly on
-		// the training data; any whitening is a no-op for classification.
+		// Every difference from a class mean underflowed: as collapsed.
 		return nil, nil
 	}
 	// Shrink the scatter estimate toward a scaled identity.  With few
@@ -137,6 +120,23 @@ func WhiteningTransform(emb *mat.Dense, labels []int, numClasses int) (*mat.Dens
 		return nil, fmt.Errorf("core: whitening scatter not positive definite: %w", err)
 	}
 	return upperInverse(ch.R), nil
+}
+
+// collapsed reports exact class collapse: every row equals the first row
+// of its class, so the embedding already separates the classes on the
+// training data and any whitening is a no-op for classification.  It
+// compares rows, not rows with their class mean: a mean rounded in
+// floating point need not equal the identical rows it averages.
+func collapsed(emb *mat.Dense, labels []int, numClasses int) bool {
+	first := make([]int, numClasses) // 1 + the index of each class's first row
+	for i, y := range labels {
+		if first[y] == 0 {
+			first[y] = i + 1
+		} else if !slices.Equal(emb.RowView(i), emb.RowView(first[y]-1)) {
+			return false
+		}
+	}
+	return true
 }
 
 // upperInverse inverts an upper-triangular matrix by back substitution.

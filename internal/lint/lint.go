@@ -7,7 +7,7 @@
 // bitwise-identical to their sequential versions, and every source of
 // nondeterminism (goroutines, clocks, unseeded randomness) is confined to
 // the few packages allowed to own it.  doc/PERFORMANCE.md states that
-// contract in prose; this package states it as twelve analyzers that run
+// contract in prose; this package states it as thirteen analyzers that run
 // over the whole module on every `make check`:
 //
 //   - goroutine-discipline: no raw go statements outside internal/pool,
@@ -48,6 +48,9 @@
 //     only by obs.InjectTrace; an ad-hoc Header.Set/Add with that key
 //     detaches the downstream subtree from the request's trace.
 //     internal/obs, as the propagation implementation, is exempt.
+//   - bodylimit: HTTP request and response bodies are read only through
+//     serve.ReadRequestBody and serve.ReadReply; a raw io.ReadAll or an
+//     encoding/* decoder on a Body field buffers whatever the peer sends.
 //
 // Several rules are interprocedural.  internal/lint/graph builds a
 // module-wide call graph (direct calls, method calls with interface
@@ -132,6 +135,7 @@ var Analyzers = []*Analyzer{
 	LockCheck,
 	CtxFlow,
 	TraceHeader,
+	BodyLimit,
 }
 
 // AnalyzerByName returns the analyzer with the given name, or nil.

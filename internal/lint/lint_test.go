@@ -103,7 +103,7 @@ func TestCorpus(t *testing.T) {
 		"goroutine", "floatcmp", "seededrand", "partwin",
 		"hotalloc", "noclock", "errdrop", "rawlog",
 		"maprange", "lockcheck", "ctxflow", "graphhot",
-		"traceheader",
+		"traceheader", "bodylimit",
 	} {
 		t.Run(name, func(t *testing.T) {
 			mod := loadCorpus(t, name)
@@ -172,8 +172,8 @@ func TestAnalyzerRegistry(t *testing.T) {
 	if AnalyzerByName("nosuch") != nil {
 		t.Error("AnalyzerByName accepts unknown names")
 	}
-	if len(Analyzers) != 12 {
-		t.Errorf("suite has %d analyzers, expected 12", len(Analyzers))
+	if len(Analyzers) != 13 {
+		t.Errorf("suite has %d analyzers, expected 13", len(Analyzers))
 	}
 }
 

@@ -133,7 +133,7 @@ func (s *Server) batcher() {
 }
 
 func (s *Server) worker() {
-	defer s.wg.Done()
+	defer s.dispatcherDone()
 	for batch := range s.workCh {
 		s.runBatch(batch)
 	}

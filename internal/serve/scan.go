@@ -5,9 +5,16 @@ package serve
 // encoding/json decode into []Sample followed by a copy.  It accepts and
 // rejects exactly the bodies json.NewDecoder(r).Decode accepts and
 // rejects for PredictRequest and ObserveRequest, and it leaves the same
-// values: every number token goes through strconv.ParseFloat (or
-// ParseInt for labels and sparse keys) as in encoding/json.  The
-// differential fuzz targets in scan_test.go hold it to that.
+// values.  Each number is walked once: number checks JSON's grammar and
+// folds the digits, eight bytes per step, into a decimal mantissa and
+// exponent, which value converts exactly (Clinger's fast path, else
+// Eisel–Lemire), so every float is bitwise the one strconv.ParseFloat
+// gives encoding/json.  strconv.ParseFloat stays the fallback for the
+// tokens value declines (more than 19 significant digits, an exponent
+// outside pow10Tab, a halfway case, overflow, subnormals), and
+// strconv.ParseInt parses labels and sparse keys as in encoding/json.
+// The differential fuzz targets in scan_test.go and
+// TestFloatMatchesStrconv hold it to that.
 //
 // The encoding/json semantics it reproduces, beyond the grammar:
 //   - keys match struct fields case-insensitively (Unicode simple
@@ -23,8 +30,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -211,48 +221,126 @@ func (s *jsonScanner) decodeStr(raw []byte, plain bool) ([]byte, error) {
 	return []byte(v), nil
 }
 
+// decimal is a number token's value as number reads it:
+// ±mant × 10^exp10 when long is false.
+type decimal struct {
+	mant  uint64
+	exp10 int
+	neg   bool
+	long  bool // more than 19 significant digits: mant may have wrapped
+}
+
 // number consumes a number token in JSON's grammar
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, which is narrower
-// than what strconv accepts.
-func (s *jsonScanner) number() ([]byte, error) {
+// than what strconv accepts, and returns its decimal value.  The token
+// is s.b from the starting pos to the new one.
+func (s *jsonScanner) number() (decimal, error) {
+	var d decimal
 	b, i := s.b, s.pos
 	if i < len(b) && b[i] == '-' {
+		d.neg = true
 		i++
 	}
+	nd := 0 // significant digits folded into mant
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i++; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		}
+		start := i
+		d.mant, i = digits(b, i, 0)
+		nd = i - start
 	default:
 		s.pos = i
-		return nil, s.syntaxErr("in numeric literal")
+		return d, s.syntaxErr("in numeric literal")
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
+		frac := i
+		d.mant, i = digits(b, i, d.mant)
+		if i == frac {
 			s.pos = i
-			return nil, s.syntaxErr("after decimal point in numeric literal")
+			return d, s.syntaxErr("after decimal point in numeric literal")
 		}
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		d.exp10 = frac - i
+		if nd == 0 && i-frac > 19 { // 0.000ddd: the zeros fold to nothing
+			for frac < i && b[frac] == '0' {
+				frac++
+			}
 		}
+		nd += i - frac
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		eneg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
 			i++
 		}
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			s.pos = i
-			return nil, s.syntaxErr("in exponent of numeric literal")
-		}
+		start, e := i, 0
 		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 1<<20 { // far outside pow10Tab either way
+				e = e*10 + int(b[i]-'0')
+			}
 		}
+		if i == start {
+			s.pos = i
+			return d, s.syntaxErr("in exponent of numeric literal")
+		}
+		if eneg {
+			e = -e
+		}
+		d.exp10 += e
 	}
-	tok := b[s.pos:i]
+	d.long = nd > 19
 	s.pos = i
-	return tok, nil
+	return d, nil
+}
+
+// digits folds the run of ASCII digits at b[i:] into m, eight bytes at
+// a time while eight remain, and returns m and the end of the run.  Past
+// 19 digits m wraps; number marks such values long.
+func digits(b []byte, i int, m uint64) (uint64, int) {
+	for i+8 <= len(b) {
+		v := binary.LittleEndian.Uint64(b[i:])
+		x := nonDigits(v)
+		if x == 0 {
+			m = m*100000000 + eightDigitsValue(v)
+			i += 8
+			continue
+		}
+		// The run ends inside v: fold its first n bytes, shifted to the
+		// top and padded below with '0's (all '0's when n is 0, as a
+		// shift by 64 leaves nothing).
+		n := bits.TrailingZeros64(x) / 8
+		v = v<<(64-8*n) | 0x3030303030303030>>(8*n)
+		return m*pow10u[n&7] + eightDigitsValue(v), i + n
+	}
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	return m, i
+}
+
+// pow10u holds 10^n for the partial words digits folds.
+var pow10u = [8]uint64{1, 10, 100, 1000, 10000, 100000, 1000000, 10000000}
+
+// nonDigits is nonzero in the byte of v (loaded little-endian) where the
+// first non-digit sits and zero in every byte before it: a digit's high
+// nibble is 3, and still 3 after adding 6.  Bytes past the first
+// non-digit may be blurred by a carry.
+func nonDigits(v uint64) uint64 {
+	return ((v & 0xF0F0F0F0F0F0F0F0) | ((v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0)>>4) ^ 0x3333333333333333
+}
+
+// eightDigitsValue is the value of eight ASCII digits loaded
+// little-endian (the first digit in the low byte): adjacent digits pair
+// into bytes, pairs into 16-bit lanes, and one multiply per half joins
+// the lanes.
+func eightDigitsValue(v uint64) uint64 {
+	const mask = 0x000000FF000000FF
+	v -= 0x3030303030303030
+	v = v*10 + v>>8
+	return ((v&mask)*(100+1000000<<32) + (v>>16&mask)*(1+10000<<32)) >> 32
 }
 
 // tokString views a token as a string without copying; strconv does not
@@ -262,12 +350,19 @@ func tokString(tok []byte) string {
 }
 
 // float parses a number token as encoding/json does for a float64 field:
-// out-of-range values are a decode error, not ±Inf.
+// out-of-range values are a decode error, not ±Inf.  The value is
+// bitwise strconv.ParseFloat's; strconv itself parses only the tokens
+// value cannot convert.
 func (s *jsonScanner) float() (float64, error) {
-	tok, err := s.number()
+	start := s.pos
+	d, err := s.number()
 	if err != nil {
 		return 0, err
 	}
+	if v, ok := d.value(); ok {
+		return v, nil
+	}
+	tok := s.b[start:s.pos]
 	v, err := strconv.ParseFloat(tokString(tok), 64)
 	if err != nil {
 		return 0, s.typeErr("number " + string(tok) + " into a float64")
@@ -275,12 +370,103 @@ func (s *jsonScanner) float() (float64, error) {
 	return v, nil
 }
 
+// pow10f holds the powers of ten float64 represents exactly.
+var pow10f = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// value converts d to the nearest float64, ties to even, and reports
+// whether it could.  Clinger's fast path takes a mantissa and a power of
+// ten that are both exact in float64, so one IEEE multiply or divide
+// rounds correctly; everything else within pow10Tab goes to
+// Eisel–Lemire.  It declines long mantissas, results that overflow or
+// fall below the normal range, and the rare products too close to a
+// halfway point to round from 128 bits.
+func (d decimal) value() (float64, bool) {
+	if d.long {
+		return 0, false
+	}
+	if d.mant < 1<<53 && -22 <= d.exp10 && d.exp10 <= 22 {
+		f := float64(d.mant)
+		if d.exp10 < 0 {
+			f /= pow10f[-d.exp10]
+		} else {
+			f *= pow10f[d.exp10]
+		}
+		if d.neg {
+			f = -f
+		}
+		return f, true
+	}
+	return eiselLemire(d.mant, d.exp10, d.neg)
+}
+
+// eiselLemire is the Eisel–Lemire conversion (Lemire, "Number Parsing at
+// a Gigabyte per Second", arXiv:2101.11408), following strconv's
+// eiselLemire64: multiply the normalized mantissa by a 128-bit
+// truncation of 10^exp10, and take the rounded 53-bit result when the
+// discarded bits prove the truncation could not change it.
+func eiselLemire(man uint64, exp10 int, neg bool) (float64, bool) {
+	if man == 0 {
+		if neg {
+			return math.Copysign(0, -1), true
+		}
+		return 0, true
+	}
+	if exp10 < pow10Min || exp10 > pow10Max {
+		return 0, false
+	}
+	pow := &pow10Tab[exp10-pow10Min]
+	// Normalize the mantissa; 217706/2^16 approximates log2(10).
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	exp2 := uint64(217706*exp10>>16+64+1023) - uint64(clz)
+	hi, lo := bits.Mul64(man, pow[0])
+	// When the low 9 bits of hi are all ones, a carry from the truncated
+	// part of 10^exp10 could reach the result: widen to 192 bits.
+	if hi&0x1FF == 0x1FF && lo+man < man {
+		yHi, yLo := bits.Mul64(man, pow[1])
+		mHi, mLo := hi, lo+yHi
+		if mLo < lo {
+			mHi++
+		}
+		if mHi&0x1FF == 0x1FF && mLo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		hi, lo = mHi, mLo
+	}
+	// Keep 54 bits, then round to 53; an exact halfway case is left to
+	// strconv, which can see every digit.
+	msb := hi >> 63
+	mant := hi >> (msb + 9)
+	exp2 -= 1 ^ msb
+	if lo == 0 && hi&0x1FF == 0 && mant&3 == 1 {
+		return 0, false
+	}
+	mant += mant & 1
+	mant >>= 1
+	if mant>>53 > 0 {
+		mant >>= 1
+		exp2++
+	}
+	// exp2 of 0 (or wrapped below it) is subnormal; 0x7FF and up is
+	// infinite.
+	if exp2-1 >= 0x7FF-1 {
+		return 0, false
+	}
+	fb := exp2<<52 | mant&(1<<52-1)
+	if neg {
+		fb |= 1 << 63
+	}
+	return math.Float64frombits(fb), true
+}
+
 // int parses a number token as encoding/json does for an int field.
 func (s *jsonScanner) int() (int, error) {
-	tok, err := s.number()
-	if err != nil {
+	start := s.pos
+	if _, err := s.number(); err != nil {
 		return 0, err
 	}
+	tok := s.b[start:s.pos]
 	v, err := strconv.ParseInt(tokString(tok), 10, strconv.IntSize)
 	if err != nil {
 		return 0, s.typeErr("number " + string(tok) + " into an int")
@@ -291,6 +477,9 @@ func (s *jsonScanner) int() (int, error) {
 // skip consumes one value of any type, checking its syntax.
 func (s *jsonScanner) skip() error {
 	switch c := s.ws(); {
+	case c == '-' || '0' <= c && c <= '9':
+		_, err := s.number()
+		return err
 	case c == '{':
 		if err := s.enter(); err != nil {
 			return err
@@ -334,7 +523,7 @@ func (s *jsonScanner) skip() error {
 	case c == 'n':
 		return s.literal("null")
 	default:
-		_, err := s.number()
+		_, err := s.number() // no value starts with c: the grammar error
 		return err
 	}
 }

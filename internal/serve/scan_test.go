@@ -14,8 +14,9 @@ import (
 // called before the scanner: json.NewDecoder(...).Decode, which ignores
 // text after the first value.  Each checked-in corpus entry under
 // testdata/fuzz is one trap: key case, duplicate keys, nulls, number
-// forms strconv takes but JSON does not, sparse key forms, trailing text
-// and the empty body.
+// forms strconv takes but JSON does not, the edges of the number
+// scanner's fast paths (num_*), sparse key forms, trailing text and the
+// empty body.
 
 // FuzzScanPredict: the same accept/reject decision as encoding/json,
 // the same model and embed flag, and per sample the same dense bits and
@@ -147,44 +148,68 @@ func TestScanSampleCap(t *testing.T) {
 }
 
 // BenchmarkScanPredict times the scanner against encoding/json's decode
-// on a 64×784 dense body with full-precision values.
+// on 64×784 dense bodies.  The first body holds full-precision uniform
+// values; the _mnist one mixes them as serve-bulk bodies do (about 40%
+// "0", 17% "1", the rest full precision), and observe scans that body
+// with labels.
 func BenchmarkScanPredict(b *testing.B) {
+	uniform := func(rng *rand.Rand) float64 { return rng.Float64() }
+	mnist := func(rng *rand.Rand) float64 {
+		switch u := rng.Float64(); {
+		case u < 0.40:
+			return 0
+		case u < 0.57:
+			return 1
+		}
+		return rng.Float64()
+	}
+	body := benchBody(b, uniform, false)
+	mnistBody := benchBody(b, mnist, false)
+	observeBody := benchBody(b, mnist, true)
+	run := func(name string, body []byte, f func([]byte) error) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if err := f(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	scan := func(body []byte) error { _, err := scanPredict(body, 1024); return err }
+	peek := func(body []byte) error { _, _, err := PeekPredict(body); return err }
+	run("scanner", body, scan)
+	run("peek", body, peek)
+	run("encoding_json", body, func(body []byte) error {
+		var r PredictRequest
+		return json.NewDecoder(bytes.NewReader(body)).Decode(&r)
+	})
+	run("scanner_mnist", mnistBody, scan)
+	run("peek_mnist", mnistBody, peek)
+	run("observe", observeBody, func(body []byte) error { _, err := scanObserve(body, 1024); return err })
+}
+
+// benchBody marshals 64 dense samples of 784 values drawn by value, as
+// a predict body or, with labels, an observe body.
+func benchBody(b *testing.B, value func(*rand.Rand) float64, labels bool) []byte {
 	rng := rand.New(rand.NewSource(1))
-	req := PredictRequest{Samples: make([]Sample, 64)}
-	for i := range req.Samples {
+	samples := make([]Sample, 64)
+	obs := ObserveRequest{Samples: make([]LabeledSample, len(samples))}
+	for i := range samples {
 		x := make([]float64, 784)
 		for j := range x {
-			x[j] = rng.Float64()
+			x[j] = value(rng)
 		}
-		req.Samples[i] = DenseSample(x)
+		samples[i] = DenseSample(x)
+		obs.Samples[i] = LabeledSample{Sample: samples[i], Label: i % 10}
+	}
+	var req any = PredictRequest{Samples: samples}
+	if labels {
+		req = obs
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("scanner", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			if _, err := scanPredict(body, 1024); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("peek", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := PeekPredict(body); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("encoding_json", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			var r PredictRequest
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	return body
 }

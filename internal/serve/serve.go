@@ -139,7 +139,8 @@ type Server struct {
 	workCh  chan []*pending
 	stop    chan struct{}
 	stopped atomic.Bool
-	wg      sync.WaitGroup
+	live    atomic.Int32  // dispatcher goroutines still running
+	drained chan struct{} // closed by the last dispatcher to exit
 	watchWG sync.WaitGroup
 	metrics *metrics
 	mux     *http.ServeMux
@@ -164,15 +165,22 @@ func New(m *core.Model, opts Options) (*Server, error) {
 
 // startDispatch starts the batcher and the worker pool.
 func (s *Server) startDispatch() {
-	s.wg.Add(1)
+	s.live.Store(int32(1 + s.opts.Workers))
 	go func() {
-		defer s.wg.Done()
+		defer s.dispatcherDone()
 		s.batcher()
 	}()
 	for i := 0; i < s.opts.Workers; i++ {
-		s.wg.Add(1)
 		//srdalint:ignore ctxflow bounded fan-out: exactly opts.Workers dispatch goroutines, joined on drain
 		go s.worker()
+	}
+}
+
+// dispatcherDone marks one dispatcher goroutine exited; the last one
+// closes drained.
+func (s *Server) dispatcherDone() {
+	if s.live.Add(-1) == 0 {
+		close(s.drained)
 	}
 }
 
@@ -196,15 +204,16 @@ func newServer(m *core.Model, opts Options) (*Server, error) {
 		}
 	}
 	s := &Server{
-		opts:   opts,
-		reg:    reg,
-		queue:  make(chan *pending, opts.QueueDepth), // admission keeps at most QueueDepth requests queued
-		workCh: make(chan []*pending),
-		stop:   make(chan struct{}),
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-		tracer: opts.Tracer,
-		logger: opts.Logger,
+		opts:    opts,
+		reg:     reg,
+		queue:   make(chan *pending, opts.QueueDepth), // admission keeps at most QueueDepth requests queued
+		workCh:  make(chan []*pending),
+		stop:    make(chan struct{}),
+		drained: make(chan struct{}),
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		tracer:  opts.Tracer,
+		logger:  opts.Logger,
 	}
 	if s.tracer == nil {
 		s.tracer = obs.NewTracer(opts.TraceCapacity)
@@ -295,22 +304,23 @@ func (s *Server) Swap(m *core.Model) (uint64, error) {
 // Close stops the dispatcher, draining already-queued requests first.  Call
 // it after the HTTP listener has stopped accepting requests (e.g. after
 // http.Server.Shutdown) so no handler is still enqueueing; handlers caught
-// mid-wait are released with a 503.  The context bounds the drain.
+// mid-wait are released with a 503.  The context bounds the drain; a
+// drain that has finished returns nil even if the context has expired.
 func (s *Server) Close(ctx context.Context) error {
 	if !s.stopped.CompareAndSwap(false, true) {
 		return nil
 	}
 	close(s.stop)
 	s.watchWG.Wait()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-s.drained:
 		return nil
 	case <-ctx.Done():
+	}
+	select {
+	case <-s.drained:
+		return nil
+	default:
 		return fmt.Errorf("serve: drain incomplete: %w", ctx.Err())
 	}
 }

@@ -566,3 +566,35 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		t.Fatal("predict after Close succeeded")
 	}
 }
+
+// drainedCtx is a cancelled context whose Done channel Close obtains
+// only once every dispatcher has exited, so Close meets a finished drain
+// and an expired context at the same time.
+type drainedCtx struct {
+	context.Context
+	s *Server
+}
+
+func (c drainedCtx) Done() <-chan struct{} {
+	<-c.s.drained
+	return c.Context.Done()
+}
+
+// TestCloseAfterDrainReturnsNil: a drain that has finished is not
+// reported incomplete because the context has expired as well.  Each
+// run's Close sees both at once; a random pick between them fails a run
+// in two.
+func TestCloseAfterDrainReturnsNil(t *testing.T) {
+	model, _ := trainBlobs(t, 10, 3, 12)
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	for run := 0; run < 10; run++ {
+		s, err := New(model, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(drainedCtx{expired, s}); err != nil {
+			t.Fatalf("run %d: Close after every dispatcher exited: %v", run, err)
+		}
+	}
+}
