@@ -125,7 +125,7 @@ trace-smoke:
 # registry race tests run fresh alongside it; `make race` covers the
 # full packages racy.
 shard-smoke:
-	$(GO) test -run 'TestShardSmoke' -count=1 -v ./cmd/srdaserve
+	$(GO) test -run 'TestShardSmoke|TestTeardownOnError' -count=1 -v ./cmd/srdaserve
 	$(GO) test -run 'TestColocatedRoutingQuotasAndDrain|TestConcurrentPublishEvictPredict' -count=1 -race -v ./internal/router ./internal/registry
 
 # Train-while-serving acceptance smoke (see doc/ONLINE.md): a worker

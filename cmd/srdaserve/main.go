@@ -18,7 +18,12 @@
 //
 // -role=all runs the whole tier in one process: -replicas N co-located
 // workers sharing a single model registry, with the router's listener on
-// -addr.  See doc/SHARDING.md for the topology.
+// -addr.  See doc/SHARDING.md for the topology.  The three roles are one
+// assembly: a role decides only how many workers run in the process (1,
+// -replicas, or none for router) and whether a router fronts them (the
+// in-process workers for all, the -replicas URLs for router).  One
+// teardown stops whatever was started, on shutdown and on a failed start
+// alike.
 //
 // Endpoints: POST /v1/predict (single or multi-sample, dense or sparse
 // {index: value} payloads, optional "model" tenant selector), GET
@@ -41,15 +46,17 @@
 // -holdout-frac diverts a validation slice; a refit that regresses on it
 // beyond 5 % accuracy is rolled back automatically.  See doc/ONLINE.md.
 //
-// -debug-addr starts a second, operator-only listener exposing
-// /debug/pprof/ (net/http/pprof), /debug/vars (expvar), /debug/traces
-// (the request tracer's ring as Chrome trace-event JSON, openable in
-// Perfetto), /debug/exemplars (outlier metric observations with the
-// trace ids that produced them), and /metrics (the server's Prometheus
-// registry plus the process-wide one with the worker-pool gauges).
-// Keep it bound to localhost; it is never meant to face prediction
+// -debug-addr starts a second, operator-only listener in any role,
+// exposing /debug/pprof/ (net/http/pprof), /debug/vars (expvar),
+// /debug/traces (the request tracer's ring as Chrome trace-event JSON,
+// openable in Perfetto), /debug/exemplars (outlier metric observations
+// with the trace ids that produced them), and /metrics: the process-wide
+// registry with the worker-pool gauges, then the process's export list —
+// the router's srdaroute_*, worker 0's srdaserve_*, the model registry's
+// srdareg_* and the trainer's srdaonline_* series, whichever the role
+// runs.  Keep it bound to localhost; it is never meant to face prediction
 // traffic.  On shutdown -trace-out and -metrics-out flush the trace
-// ring and a final metrics snapshot to files; per-process trace files
+// ring and the same full exposition to files; per-process trace files
 // from several roles merge into one timeline with `srdareport
 // tracemerge`.  -flight-dir arms the always-on flight recorder to dump
 // anomaly bundles (spans, logs, metric snapshots, exemplars, numeric
@@ -201,21 +208,294 @@ func main() {
 // -drain-timeout.
 const readHeaderTimeout = 2 * time.Second
 
-// run dispatches on -role and blocks until a shutdown signal arrives,
-// then drains.  When ready is non-nil the bound listener address is sent
-// on it once the process is accepting (used by tests and for -addr :0);
-// debugReady does the same for the -debug-addr listener.
-func run(cfg config, logger *obs.Logger, ready, debugReady chan<- net.Addr, shutdown <-chan os.Signal) error {
+// run builds the role's tier and blocks until a shutdown signal arrives,
+// then drains.  Every role goes through the same assembly (tier.build)
+// and the same deferred teardown, which undoes whatever was started on
+// every return path, errors included.  When ready is non-nil the bound
+// listener address is sent on it once the process is accepting (used by
+// tests and for -addr :0); debugReady does the same for the -debug-addr
+// listener.
+func run(cfg config, logger *obs.Logger, ready, debugReady chan<- net.Addr, shutdown <-chan os.Signal) (err error) {
+	rl, err := parseRole(cfg)
+	if err != nil {
+		return err
+	}
+	kit, logger := newObsKit(cfg, rl.name, logger)
+	t := &tier{cfg: cfg, kit: kit, logger: logger}
+	defer func() {
+		if err = errors.Join(err, t.teardown()); err == nil {
+			logger.Info("drained, bye")
+		}
+	}()
+	handler, err := t.build(rl)
+	if err != nil {
+		return err
+	}
+	if cfg.debugAddr != "" {
+		addr, _, err := t.listen(cfg.debugAddr, debugMux(kit, t.exports))
+		if err != nil {
+			return fmt.Errorf("debug listener: %w", err)
+		}
+		logger.Info("debug listener up", "addr", addr.String(),
+			"endpoints", "/debug/pprof/ /debug/vars /debug/traces /debug/exemplars /metrics")
+		if debugReady != nil {
+			debugReady <- addr
+		}
+	}
+	addr, failed, err := t.listen(cfg.addr, handler)
+	if err != nil {
+		return err
+	}
+	logger.Info("serving", "role", rl.name, "addr", addr.String())
+	if ready != nil {
+		ready <- addr
+	}
+	select {
+	case sig := <-shutdown:
+		logger.Info("draining", "signal", sig.String(), "timeout", cfg.drainTimeout.String())
+		return nil
+	case err := <-failed:
+		return fmt.Errorf("listener failed: %w", err)
+	}
+}
+
+// role is what -role and -replicas decide, and all they decide: how
+// many workers run in this process (1 for worker, -replicas for all, 0
+// for router) and whether a router fronts them — the in-process workers
+// for all, the -replicas URLs over HTTP for router.
+type role struct {
+	name     string
+	workers  int
+	routed   bool
+	replicas []string
+}
+
+func parseRole(cfg config) (role, error) {
 	switch cfg.role {
 	case "", "worker":
-		return runWorker(cfg, logger, ready, debugReady, shutdown)
+		return role{name: "worker", workers: 1}, nil
 	case "router":
-		return runRouter(cfg, logger, ready, shutdown)
+		var urls []string
+		for _, u := range strings.Split(cfg.replicas, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				urls = append(urls, u)
+			}
+		}
+		if len(urls) == 0 {
+			return role{}, fmt.Errorf("-role=router needs -replicas with at least one worker URL")
+		}
+		return role{name: "router", routed: true, replicas: urls}, nil
 	case "all":
-		return runAll(cfg, logger, ready, debugReady, shutdown)
-	default:
-		return fmt.Errorf("unknown -role %q (worker, router, or all)", cfg.role)
+		n := 2
+		if cfg.replicas != "" {
+			var err error
+			if n, err = strconv.Atoi(cfg.replicas); err != nil || n < 1 {
+				return role{}, fmt.Errorf("-role=all needs -replicas as a worker count, got %q", cfg.replicas)
+			}
+		}
+		return role{name: "all", workers: n, routed: true}, nil
 	}
+	return role{}, fmt.Errorf("unknown -role %q (worker, router, or all)", cfg.role)
+}
+
+// tier is one process's pieces, whatever its role.  Each piece records
+// how to stop it the moment it starts, so one teardown serves every role
+// and every return path.
+type tier struct {
+	cfg    config
+	kit    *obsKit
+	logger *obs.Logger
+	// exports are the registries the process exposes, in exposition
+	// order: router, serve (worker 0), registry, online — whichever the
+	// role runs.  The routed /metrics, the debug /metrics, -metrics-out
+	// and the flight recorder all read this one list.
+	exports []*obs.Registry
+	stops   []func(context.Context) error // in start order
+}
+
+// onStop records how to undo the piece just started.
+func (t *tier) onStop(stop func(context.Context) error) { t.stops = append(t.stops, stop) }
+
+// stopFunc adapts a stop function that neither needs the drain budget
+// nor fails.
+func stopFunc(stop func()) func(context.Context) error {
+	return func(context.Context) error { stop(); return nil }
+}
+
+// build assembles the role's pieces in order — registry, trainer and
+// workers, then router and telemetry plane — fixes the export list, and
+// returns the handler for -addr.
+func (t *tier) build(rl role) (http.Handler, error) {
+	cfg, kit, logger := t.cfg, t.kit, t.logger
+	var (
+		workers []*serve.Server
+		reg     *registry.Registry
+		trainer serve.Trainer
+		err     error
+	)
+	if rl.workers > 0 {
+		if reg, err = buildRegistry(cfg, logger); err != nil {
+			return nil, err
+		}
+		if trainer, err = buildTrainer(cfg, reg, kit, logger); err != nil {
+			return nil, err
+		}
+		for i := 0; i < rl.workers; i++ {
+			// Every worker shares the kit's tracer, so a request's route →
+			// forward → request → batch → kernel spans land in one ring and
+			// export as one timeline regardless of which replica served it.
+			opts := serve.Options{
+				MaxBatch:   cfg.maxBatch,
+				Workers:    cfg.workers,
+				QueueDepth: cfg.queueDepth,
+				Registry:   reg,
+				Tracer:     kit.tracer,
+				Logger:     logger,
+				Flight:     kit.flight,
+				Exemplars:  kit.exemplars,
+			}
+			if i == 0 {
+				// One trainer for the whole process: it publishes into the
+				// shared registry, so every worker serves its refits; worker 0
+				// hosts the /v1/observe ingestion endpoint.
+				opts.Trainer = trainer
+			}
+			s, err := serve.New(nil, opts)
+			if err != nil {
+				return nil, err
+			}
+			t.onStop(s.Close)
+			workers = append(workers, s)
+		}
+		// Reloads land in the shared registry, so wiring them through any
+		// one worker updates every worker at once.
+		t.onStop(stopFunc(watchAndReload(cfg, workers[0], logger)))
+	}
+
+	var r *router.Router
+	var backends []router.Backend
+	var targets []telemetry.Target
+	if rl.routed {
+		for i, s := range workers {
+			name := fmt.Sprintf("worker-%d", i)
+			backends = append(backends, &router.LocalBackend{ReplicaName: name, Server: s})
+			targets = append(targets, telemetry.RegistryTarget(name, s.LatencySketches, s.Registry()))
+		}
+		for _, u := range rl.replicas {
+			client := serve.NewClient(u)
+			backends = append(backends, &router.HTTPBackend{ReplicaName: u, Client: client})
+			targets = append(targets, telemetry.ClientTarget(u, client, client))
+		}
+		r, err = router.New(backends, router.Options{
+			VNodes:         cfg.vnodes,
+			Seed:           cfg.ringSeed,
+			QuotaRPS:       cfg.quotaRPS,
+			QuotaBurst:     cfg.quotaBurst,
+			ShedP99:        cfg.shedP99.Seconds(),
+			ShedQueue:      cfg.shedQueue,
+			HealthInterval: cfg.healthEvery,
+			Logger:         logger,
+			Tracer:         kit.tracer,
+			Flight:         kit.flight,
+			Exemplars:      kit.exemplars,
+		})
+		if err != nil {
+			return nil, err
+		}
+		t.onStop(stopFunc(r.Close))
+		t.export("router", r.Registry())
+	}
+	if len(workers) > 0 {
+		t.export("serve", workers[0].Registry())
+		t.export("registry", reg.Metrics())
+		if trainer != nil {
+			t.export("online", trainer.Metrics())
+		}
+	}
+	if r == nil {
+		return workers[0].Handler(), nil
+	}
+
+	// The router federates itself too, so srdaroute_* series (request
+	// codes per replica, sheds, quota denials) land in the cluster store
+	// where availability SLOs can read them.
+	targets = append(targets, telemetry.RegistryTarget("router", nil, r.Registry()))
+	fed, engine, stopTelemetry, err := telemetryPlane(cfg, targets, r.Registry(), kit, logger)
+	if err != nil {
+		return nil, err
+	}
+	t.onStop(stopFunc(stopTelemetry))
+	r.CheckHealth(context.Background()) // seed overload snapshots before traffic
+	logger.Info("router up", "role", rl.name, "workers", len(workers),
+		"replicas", len(backends), "ring", strings.Join(r.Ring(), ","))
+	mux := http.NewServeMux()
+	mux.Handle("/", r.Handler())
+	mux.HandleFunc("/metrics", exposition(t.exports...))
+	mux.HandleFunc("/cluster/metrics", fed.MetricsHandler())
+	mux.HandleFunc("/cluster/snapshot", fed.SnapshotHandler())
+	if engine != nil {
+		mux.HandleFunc("/debug/alerts", engine.Handler())
+	}
+	if len(workers) > 0 {
+		// The registry listing and training samples go to worker 0, which
+		// shares the registry and hosts the trainer (without -online it
+		// answers /v1/observe with 404, as the router would).
+		mux.Handle("/v1/models", workers[0].Handler())
+		mux.Handle("/v1/observe", workers[0].Handler())
+	}
+	return mux, nil
+}
+
+// export appends reg to the export list and attaches it to the flight
+// recorder under name.
+func (t *tier) export(name string, reg *obs.Registry) {
+	t.exports = append(t.exports, reg)
+	t.kit.flight.AttachRegistry(name, reg)
+}
+
+// listen binds addr and serves h there until teardown, which shuts the
+// listener down within the drain budget and waits for Serve to return.
+// The returned channel carries Serve's error should it fail before then.
+func (t *tier) listen(addr string, h http.Handler) (net.Addr, <-chan error, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	failed := make(chan error, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			t.logger.Error("listener failed", "addr", ln.Addr().String(), "err", err.Error())
+			failed <- err
+		}
+	}()
+	t.onStop(func(ctx context.Context) error {
+		if err := hs.Shutdown(ctx); err != nil {
+			t.logger.Warn("listener shutdown incomplete", "addr", ln.Addr().String(), "err", err.Error())
+		}
+		<-done
+		return nil
+	})
+	return ln.Addr(), failed, nil
+}
+
+// teardown stops whatever build and listen started, newest first — the
+// listeners, the telemetry plane, the router, reload, the workers — on
+// one -drain-timeout budget, then flushes -trace-out and -metrics-out.
+// A drain that times out still flushes: a truncated trace of a wedged
+// server is exactly what the operator needs, and the drain error still
+// decides the exit status.
+func (t *tier) teardown() error {
+	ctx, cancel := context.WithTimeout(context.Background(), t.cfg.drainTimeout)
+	defer cancel()
+	var errs []error
+	for i := len(t.stops) - 1; i >= 0; i-- {
+		errs = append(errs, t.stops[i](ctx))
+	}
+	flushArtifacts(t.cfg, t.kit.tracer, t.logger, t.exports)
+	return errors.Join(errs...)
 }
 
 // buildRegistry assembles the model store from -models-dir,
@@ -262,10 +542,11 @@ type obsKit struct {
 	exemplars *obs.ExemplarStore
 }
 
-// newObsKit assembles the kit for one role.  The returned logger tees
-// every record (including ones below the sink's level) into the flight
-// ring, so bundles carry debug context a quiet production sink dropped.
-func newObsKit(cfg config, role string, logger *obs.Logger) (*obsKit, *obs.Logger) {
+// newObsKit assembles the kit for one process, named after its role.
+// The returned logger tees every record (including ones below the
+// sink's level) into the flight ring, so bundles carry debug context a
+// quiet production sink dropped.
+func newObsKit(cfg config, process string, logger *obs.Logger) (*obsKit, *obs.Logger) {
 	if cfg.flightDir != "" {
 		if err := os.MkdirAll(cfg.flightDir, 0o755); err != nil {
 			logger.Error("creating -flight-dir", "dir", cfg.flightDir, "err", err)
@@ -275,13 +556,13 @@ func newObsKit(cfg config, role string, logger *obs.Logger) (*obsKit, *obs.Logge
 		tracer: obs.NewTracer(cfg.traceCap),
 		flight: obs.NewFlightRecorder(obs.FlightOptions{
 			Dir:     cfg.flightDir,
-			Process: role,
+			Process: process,
 			P99SLO:  cfg.flightP99.Seconds(),
 			Logger:  logger,
 		}),
 		exemplars: obs.NewExemplarStore(0, cfg.flightP99.Seconds()),
 	}
-	kit.tracer.SetProcess(role)
+	kit.tracer.SetProcess(process)
 	kit.flight.AttachTracer(kit.tracer)
 	kit.flight.AttachExemplars(kit.exemplars)
 	kit.flight.AttachRegistry("process", obs.Default())
@@ -362,131 +643,6 @@ func watchAndReload(cfg config, s *serve.Server, logger *obs.Logger) func() {
 	}
 }
 
-// serveUntilShutdown runs handler on cfg.addr until a shutdown signal,
-// then drains the listener within -drain-timeout and returns the drain
-// context for the caller's own cleanup.
-func serveUntilShutdown(cfg config, handler http.Handler, logger *obs.Logger, ready chan<- net.Addr, shutdown <-chan os.Signal) (context.Context, context.CancelFunc, error) {
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	hs := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	logger.Info("serving", "role", cfg.role, "addr", ln.Addr().String())
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	select {
-	case sig := <-shutdown:
-		logger.Info("draining", "signal", sig.String(), "timeout", cfg.drainTimeout.String())
-	case err := <-serveErr:
-		return nil, nil, fmt.Errorf("listener failed: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	if err := hs.Shutdown(ctx); err != nil {
-		logger.Warn("listener shutdown incomplete", "err", err.Error())
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		cancel()
-		return nil, nil, err
-	}
-	return ctx, cancel, nil
-}
-
-// runWorker is the single-replica serving path: one serve.Server over a
-// registry built from -model / -models-dir.
-func runWorker(cfg config, logger *obs.Logger, ready, debugReady chan<- net.Addr, shutdown <-chan os.Signal) error {
-	kit, logger := newObsKit(cfg, "worker", logger)
-	reg, err := buildRegistry(cfg, logger)
-	if err != nil {
-		return err
-	}
-	trainer, err := buildTrainer(cfg, reg, kit, logger)
-	if err != nil {
-		return err
-	}
-	s, err := serve.New(nil, serve.Options{
-		MaxBatch:   cfg.maxBatch,
-		Workers:    cfg.workers,
-		QueueDepth: cfg.queueDepth,
-		Registry:   reg,
-		Tracer:     kit.tracer,
-		Logger:     logger,
-		Trainer:    trainer,
-		Flight:     kit.flight,
-		Exemplars:  kit.exemplars,
-	})
-	if err != nil {
-		return err
-	}
-	kit.flight.AttachRegistry("serve", s.Registry())
-	kit.flight.AttachRegistry("registry", reg.Metrics())
-	if trainer != nil {
-		kit.flight.AttachRegistry("online", trainer.Metrics())
-	}
-	stopReload := watchAndReload(cfg, s, logger)
-
-	var debugSrv *http.Server
-	if cfg.debugAddr != "" {
-		dln, err := net.Listen("tcp", cfg.debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		debugSrv = &http.Server{Handler: debugMux(s, kit), ReadHeaderTimeout: readHeaderTimeout}
-		go func() {
-			if err := debugSrv.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug listener failed", "err", err.Error())
-			}
-		}()
-		logger.Info("debug listener up", "addr", dln.Addr().String(),
-			"endpoints", "/debug/pprof/ /debug/vars /debug/traces /debug/exemplars /metrics")
-		if debugReady != nil {
-			debugReady <- dln.Addr()
-		}
-	}
-
-	ctx, cancel, err := serveUntilShutdown(cfg, s.Handler(), logger, ready, shutdown)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	stopReload()
-	if debugSrv != nil {
-		if err := debugSrv.Shutdown(ctx); err != nil {
-			logger.Warn("debug shutdown incomplete", "err", err.Error())
-		}
-	}
-	// Flush observability artifacts even when the drain times out: a
-	// truncated trace of a wedged server is exactly what the operator
-	// needs, and the drain error still decides the exit status.
-	closeErr := s.Close(ctx)
-	flushArtifacts(cfg, kit.tracer, logger, s.Registry())
-	if closeErr != nil {
-		return closeErr
-	}
-	logger.Info("drained, bye")
-	return nil
-}
-
-// routerOptions maps the router flag set onto router.Options, wiring in
-// the process observability kit.
-func routerOptions(cfg config, kit *obsKit, logger *obs.Logger) router.Options {
-	return router.Options{
-		VNodes:         cfg.vnodes,
-		Seed:           cfg.ringSeed,
-		QuotaRPS:       cfg.quotaRPS,
-		QuotaBurst:     cfg.quotaBurst,
-		ShedP99:        cfg.shedP99.Seconds(),
-		ShedQueue:      cfg.shedQueue,
-		HealthInterval: cfg.healthEvery,
-		Logger:         logger,
-		Tracer:         kit.tracer,
-		Flight:         kit.flight,
-		Exemplars:      kit.exemplars,
-	}
-}
-
 // telemetryPlane assembles the router-side cluster telemetry: a
 // federator scraping every replica (plus the router's own registry)
 // into the time-series store, an optional SLO burn-rate engine from
@@ -550,228 +706,10 @@ func telemetryPlane(cfg config, targets []telemetry.Target, sloReg *obs.Registry
 	}, nil
 }
 
-// mountClusterEndpoints adds the federation surface to a listener mux:
-// the deterministic cluster exposition, the JSON snapshot srdareport
-// top renders, and (when -slo-config armed an engine) the alert table.
-func mountClusterEndpoints(mux *http.ServeMux, fed *telemetry.Federator, engine *telemetry.SLOEngine) {
-	mux.HandleFunc("/cluster/metrics", fed.MetricsHandler())
-	mux.HandleFunc("/cluster/snapshot", fed.SnapshotHandler())
-	if engine != nil {
-		mux.HandleFunc("/debug/alerts", engine.Handler())
-	}
-}
-
-// runRouter fronts remote workers listed in -replicas over HTTP.
-func runRouter(cfg config, logger *obs.Logger, ready chan<- net.Addr, shutdown <-chan os.Signal) error {
-	kit, logger := newObsKit(cfg, "router", logger)
-	var backends []router.Backend
-	var targets []telemetry.Target
-	for _, u := range strings.Split(cfg.replicas, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			continue
-		}
-		client := serve.NewClient(u)
-		backends = append(backends, &router.HTTPBackend{ReplicaName: u, Client: client})
-		targets = append(targets, telemetry.ClientTarget(u, client, client))
-	}
-	if len(backends) == 0 {
-		return fmt.Errorf("-role=router needs -replicas with at least one worker URL")
-	}
-	r, err := router.New(backends, routerOptions(cfg, kit, logger))
-	if err != nil {
-		return err
-	}
-	kit.flight.AttachRegistry("router", r.Registry())
-	// The router federates itself too, so srdaroute_* series (request
-	// codes per replica, sheds, quota denials) land in the cluster store
-	// where availability SLOs can read them.
-	targets = append(targets, telemetry.RegistryTarget("router", nil, r.Registry()))
-	fed, engine, stopTelemetry, err := telemetryPlane(cfg, targets, r.Registry(), kit, logger)
-	if err != nil {
-		r.Close()
-		return err
-	}
-	r.CheckHealth(context.Background()) // seed overload snapshots before traffic
-	logger.Info("router up", "replicas", len(backends), "ring", strings.Join(r.Ring(), ","))
-	mux := http.NewServeMux()
-	mux.Handle("/", r.Handler())
-	mountClusterEndpoints(mux, fed, engine)
-	_, cancel, err := serveUntilShutdown(cfg, mux, logger, ready, shutdown)
-	if err != nil {
-		stopTelemetry()
-		r.Close()
-		return err
-	}
-	defer cancel()
-	stopTelemetry()
-	r.Close()
-	flushArtifacts(cfg, kit.tracer, logger, r.Registry())
-	logger.Info("drained, bye")
-	return nil
-}
-
-// runAll runs the co-located tier: -replicas N workers sharing one model
-// registry, a router in front, all in this process with in-memory
-// transport between them.
-func runAll(cfg config, logger *obs.Logger, ready, debugReady chan<- net.Addr, shutdown <-chan os.Signal) error {
-	n := 2
-	if cfg.replicas != "" {
-		var err error
-		if n, err = strconv.Atoi(cfg.replicas); err != nil || n < 1 {
-			return fmt.Errorf("-role=all needs -replicas as a worker count, got %q", cfg.replicas)
-		}
-	}
-	kit, logger := newObsKit(cfg, "all", logger)
-	reg, err := buildRegistry(cfg, logger)
-	if err != nil {
-		return err
-	}
-	trainer, err := buildTrainer(cfg, reg, kit, logger)
-	if err != nil {
-		return err
-	}
-	workers := make([]*serve.Server, n)
-	backends := make([]router.Backend, n)
-	for i := range workers {
-		// Every worker shares the kit's tracer, so a request's route →
-		// forward → request → batch → kernel spans land in one ring and
-		// export as one timeline regardless of which replica served it.
-		opts := serve.Options{
-			MaxBatch:   cfg.maxBatch,
-			Workers:    cfg.workers,
-			QueueDepth: cfg.queueDepth,
-			Registry:   reg,
-			Tracer:     kit.tracer,
-			Logger:     logger,
-			Flight:     kit.flight,
-			Exemplars:  kit.exemplars,
-		}
-		if i == 0 {
-			// One trainer for the whole tier: it publishes into the shared
-			// registry, so every replica serves its refits; worker 0 hosts
-			// the /v1/observe ingestion endpoint.
-			opts.Trainer = trainer
-		}
-		s, err := serve.New(nil, opts)
-		if err != nil {
-			return err
-		}
-		workers[i] = s
-		backends[i] = &router.LocalBackend{ReplicaName: fmt.Sprintf("worker-%d", i), Server: s}
-	}
-	r, err := router.New(backends, routerOptions(cfg, kit, logger))
-	if err != nil {
-		return err
-	}
-	// Federation targets for the co-located tier: every worker's registry
-	// and latency sketches in-process (no HTTP round trip), plus the
-	// router's own series for availability SLOs.
-	targets := make([]telemetry.Target, 0, n+1)
-	for i, s := range workers {
-		targets = append(targets, telemetry.RegistryTarget(
-			fmt.Sprintf("worker-%d", i), s.LatencySketches, s.Registry()))
-	}
-	targets = append(targets, telemetry.RegistryTarget("router", nil, r.Registry()))
-	fed, engine, stopTelemetry, err := telemetryPlane(cfg, targets, r.Registry(), kit, logger)
-	if err != nil {
-		r.Close()
-		return err
-	}
-	kit.flight.AttachRegistry("router", r.Registry())
-	kit.flight.AttachRegistry("serve", workers[0].Registry())
-	kit.flight.AttachRegistry("registry", reg.Metrics())
-	if trainer != nil {
-		kit.flight.AttachRegistry("online", trainer.Metrics())
-	}
-	r.CheckHealth(context.Background())
-	logger.Info("co-located tier up", "workers", n, "ring", strings.Join(r.Ring(), ","))
-	// Reloads land in the shared registry, so wiring them through any one
-	// worker updates every replica at once.
-	stopReload := watchAndReload(cfg, workers[0], logger)
-
-	var debugSrv *http.Server
-	if cfg.debugAddr != "" {
-		dln, err := net.Listen("tcp", cfg.debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		debugSrv = &http.Server{Handler: debugMux(workers[0], kit), ReadHeaderTimeout: readHeaderTimeout}
-		go func() {
-			if err := debugSrv.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug listener failed", "err", err.Error())
-			}
-		}()
-		if debugReady != nil {
-			debugReady <- dln.Addr()
-		}
-	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/", r.Handler())
-	mountClusterEndpoints(mux, fed, engine)
-	// The registry listing comes from the workers' shared store; expose it
-	// on the router listener too so operators see the tier's tenants.
-	mux.HandleFunc("/v1/models", func(w http.ResponseWriter, req *http.Request) {
-		workers[0].Handler().ServeHTTP(w, req)
-	})
-	if trainer != nil {
-		// Training samples go to worker 0, the trainer's host; its refits
-		// publish into the shared registry every replica serves from.
-		mux.HandleFunc("/v1/observe", func(w http.ResponseWriter, req *http.Request) {
-			workers[0].Handler().ServeHTTP(w, req)
-		})
-	}
-	// One scrape endpoint for the whole co-located tier: the router's
-	// srdaroute_* set followed by worker-0's srdaserve_*, the shared
-	// registry's srdareg_*, and (with -online) the trainer's srdaonline_*
-	// instruments.
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", obs.PromContentType)
-		r.Registry().WritePrometheus(w)
-		workers[0].Registry().WritePrometheus(w)
-		reg.Metrics().WritePrometheus(w)
-		if trainer != nil {
-			trainer.Metrics().WritePrometheus(w)
-		}
-	})
-	ctx, cancel, err := serveUntilShutdown(cfg, mux, logger, ready, shutdown)
-	if err != nil {
-		stopTelemetry()
-		r.Close()
-		return err
-	}
-	defer cancel()
-	stopReload()
-	stopTelemetry()
-	r.Close()
-	if debugSrv != nil {
-		if err := debugSrv.Shutdown(ctx); err != nil {
-			logger.Warn("debug shutdown incomplete", "err", err.Error())
-		}
-	}
-	var closeErr error
-	for _, s := range workers {
-		if err := s.Close(ctx); err != nil && closeErr == nil {
-			closeErr = err
-		}
-	}
-	flushArtifacts(cfg, kit.tracer, logger, r.Registry(), workers[0].Registry())
-	if closeErr != nil {
-		return closeErr
-	}
-	logger.Info("drained, bye")
-	return nil
-}
-
 // flushArtifacts writes the trace ring (-trace-out) and a final metrics
 // snapshot (-metrics-out, the process-wide registry followed by the
-// role's own) at shutdown.
-func flushArtifacts(cfg config, tracer *obs.Tracer, logger *obs.Logger, regs ...*obs.Registry) {
+// export list, as the debug /metrics serves it) at shutdown.
+func flushArtifacts(cfg config, tracer *obs.Tracer, logger *obs.Logger, exports []*obs.Registry) {
 	if cfg.traceOut != "" {
 		var buf bytes.Buffer
 		if err := tracer.WriteChromeTrace(&buf); err != nil {
@@ -786,7 +724,7 @@ func flushArtifacts(cfg config, tracer *obs.Tracer, logger *obs.Logger, regs ...
 	if cfg.metricsOut != "" {
 		var buf bytes.Buffer
 		obs.Default().WritePrometheus(&buf)
-		for _, reg := range regs {
+		for _, reg := range exports {
 			reg.WritePrometheus(&buf)
 		}
 		if err := os.WriteFile(cfg.metricsOut, buf.Bytes(), 0o644); err != nil {
@@ -797,12 +735,26 @@ func flushArtifacts(cfg config, tracer *obs.Tracer, logger *obs.Logger, regs ...
 	}
 }
 
+// exposition serves regs as one Prometheus text exposition, in order.
+func exposition(regs ...*obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if req.Method != http.MethodGet {
+			http.Error(w, "GET required", http.StatusMethodNotAllowed)
+			return
+		}
+		w.Header().Set("Content-Type", obs.PromContentType)
+		for _, reg := range regs {
+			reg.WritePrometheus(w)
+		}
+	}
+}
+
 // debugMux assembles the operator-only endpoint set: Go's pprof and expvar
 // handlers (registered explicitly on a private mux, so nothing leaks onto
-// http.DefaultServeMux or the prediction listener) plus the combined
-// Prometheus exposition — the process-wide registry first (worker-pool
-// instruments), then the server's own.
-func debugMux(s *serve.Server, kit *obsKit) *http.ServeMux {
+// http.DefaultServeMux or the prediction listener), the kit's trace ring
+// and exemplars, and the full Prometheus exposition — the process-wide
+// registry first (worker-pool instruments), then the export list.
+func debugMux(kit *obsKit, exports []*obs.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/exemplars", kit.exemplars.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -811,16 +763,12 @@ func debugMux(s *serve.Server, kit *obsKit) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.PromContentType)
-		obs.Default().WritePrometheus(w)
-		s.Registry().WritePrometheus(w)
-	})
+	mux.HandleFunc("/metrics", exposition(append([]*obs.Registry{obs.Default()}, exports...)...))
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		// The ring snapshot is taken inside; a failed write means the
 		// client hung up.
-		_ = s.Tracer().WriteChromeTrace(w)
+		_ = kit.tracer.WriteChromeTrace(w)
 	})
 	return mux
 }

@@ -193,6 +193,59 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestTeardownOnError: a start that fails after the -debug-addr listener
+// is up (here because -addr is already bound) must, in every role,
+// return an error and leave nothing it started behind — the debug port
+// above all, which must be free to bind again once run returns.
+func TestTeardownOnError(t *testing.T) {
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "m.bin")
+	trainAndSave(t, modelPath, 38)
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = busy.Close() }() // test listener; nothing to flush
+	// A replica URL whose port refuses connections: the router's health
+	// check and first scrape fail fast instead of waiting on a peer.
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := "http://" + gone.Addr().String()
+	if err := gone.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []config{
+		{role: "worker", modelPath: modelPath},
+		{role: "router", replicas: replica},
+		{role: "all", replicas: "2", modelPath: modelPath},
+	} {
+		t.Run(cfg.role, func(t *testing.T) {
+			cfg.addr = busy.Addr().String()
+			cfg.debugAddr = "127.0.0.1:0"
+			cfg.drainTimeout = 5 * time.Second
+			debugReady := make(chan net.Addr, 1)
+			if err := run(cfg, nil, nil, debugReady, nil); err == nil {
+				t.Fatal("run with -addr already bound returned nil")
+			}
+			var debugAddr net.Addr
+			select {
+			case debugAddr = <-debugReady:
+			default:
+				t.Fatal("the debug listener never started")
+			}
+			ln, err := net.Listen("tcp", debugAddr.String())
+			if err != nil {
+				t.Fatalf("debug address still bound after run returned: %v", err)
+			}
+			if err := ln.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestServeDebugListener checks the -debug-addr acceptance criterion: the
 // operator listener must answer /debug/pprof/, /debug/vars, and a combined
 // /metrics carrying both the process-wide pool instruments and the
@@ -246,7 +299,7 @@ func TestServeDebugListener(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("debug /metrics = %d", code)
 	}
-	for _, want := range []string{"srdapool_spans_dispatched_total", "srdapool_workers", "srdaserve_requests_total", "srdaserve_queue_depth"} {
+	for _, want := range []string{"srdapool_spans_dispatched_total", "srdapool_workers", "srdaserve_requests_total", "srdaserve_queue_depth", "srdareg_models"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("debug /metrics missing %q", want)
 		}
@@ -427,9 +480,10 @@ func TestRouterFederationEndToEnd(t *testing.T) {
 
 	workerBase, _, stopWorker := startServer(t, config{modelPath: modelPath})
 	defer stopWorker()
-	routerBase, _, stopRouter := startServer(t, config{
+	routerBase, debugBase, stopRouter := startServer(t, config{
 		role:           "router",
 		replicas:       workerBase,
+		debugAddr:      "127.0.0.1:0",
 		telemetryEvery: 25 * time.Millisecond,
 	})
 	defer stopRouter()
@@ -469,6 +523,18 @@ func TestRouterFederationEndToEnd(t *testing.T) {
 	}
 	if worker == nil || !worker.Up {
 		t.Fatalf("worker replica missing or down in snapshot: %+v", snap.Replicas)
+	}
+
+	// -debug-addr works in the router role too: pprof, the router's trace
+	// ring, and a /metrics carrying the router's own series.
+	for path, want := range map[string]string{
+		"/debug/pprof/": "goroutine",
+		"/debug/traces": "traceEvents",
+		"/metrics":      "srdaroute_requests_total",
+	} {
+		if code, _, body := httpGet(t, ctx, debugBase+path); code != http.StatusOK || !strings.Contains(body, want) {
+			t.Errorf("router debug %s = %d, missing %q", path, code, want)
+		}
 	}
 }
 

@@ -172,7 +172,7 @@ func TestTraceSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics-out not written: %v", err)
 	}
-	for _, want := range []string{"srdapool_workers", "srdaserve_samples_total", "srdaserve_request_latency_p99"} {
+	for _, want := range []string{"srdapool_workers", "srdaserve_samples_total", "srdaserve_request_latency_p99", "srdareg_"} {
 		if !strings.Contains(string(metricsBytes), want) {
 			t.Errorf("metrics snapshot missing %q", want)
 		}

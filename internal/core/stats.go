@@ -157,8 +157,8 @@ func (s *SuffStats) absorbAug(label int) {
 	s.seen++
 }
 
-// Clone deep-copies the statistics; the online trainer hands clones to
-// asynchronous refits so absorption can continue concurrently.
+// Clone deep-copies the statistics, so a caller can fit or keep a
+// snapshot while absorption continues on the original.
 func (s *SuffStats) Clone() *SuffStats {
 	return &SuffStats{
 		n:         s.n,

@@ -221,7 +221,7 @@ func TestAbsorbSparseMatchesDense(t *testing.T) {
 }
 
 // TestSuffStatsCloneIsolated: mutating a clone must not leak into the
-// original (the async-refit isolation guarantee).
+// original.
 func TestSuffStatsCloneIsolated(t *testing.T) {
 	const n, c = 5, 2
 	s, err := NewSuffStats(n, c)

@@ -12,12 +12,13 @@ import "go/ast"
 //
 // Allowed: internal/pool (the mechanism), the serving tier —
 // internal/serve (owns the connection/dispatch lifecycle),
-// internal/router (health sweeps), internal/registry — and main
-// packages (cmd/ and examples/ own their process lifecycle).  Test
-// files are not checked.
+// internal/router (health sweeps), internal/registry,
+// internal/telemetry (the federation poller) — and main packages (cmd/
+// and examples/ own their process lifecycle).  Test files are not
+// checked.
 var GoroutineDiscipline = &Analyzer{
 	Name: "goroutine-discipline",
-	Doc:  "raw go statements are confined to internal/pool, the serving tier (serve, router, registry, online), and main packages",
+	Doc:  "raw go statements are confined to internal/pool, the serving tier (serve, router, registry, telemetry), and main packages",
 	Run:  runGoroutineDiscipline,
 }
 

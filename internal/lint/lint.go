@@ -212,14 +212,14 @@ var numericDirs = []string{
 // goroutines directly: the worker pool itself and the serving tier —
 // workers (internal/serve, dispatch lifecycle), the router
 // (internal/router, health sweeps and the background check loop), the
-// registry they share (internal/registry), the streaming trainer
-// (internal/online, whose Async mode hands refits to a background
-// goroutine), and the telemetry plane (internal/telemetry, whose
-// StartPoller drains a caller-owned tick channel).
+// registry they share (internal/registry), and the telemetry plane
+// (internal/telemetry, whose StartPoller drains a caller-owned tick
+// channel).  The streaming trainer (internal/online) is not one: every
+// refit runs inside the call that triggered it.
 var goroutineOwners = []string{
 	"internal/pool", "internal/serve",
 	"internal/router", "internal/registry",
-	"internal/online", "internal/telemetry",
+	"internal/telemetry",
 }
 
 // underAny reports whether rel equals one of dirs or lies beneath one.

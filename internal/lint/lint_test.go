@@ -205,11 +205,14 @@ func TestLoadCorpusShape(t *testing.T) {
 	}
 	for _, owner := range []string{
 		"internal/pool", "internal/serve", "internal/router", "internal/registry",
-		"internal/online", "internal/telemetry",
+		"internal/telemetry",
 	} {
 		if !underAny(owner, goroutineOwners) {
 			t.Errorf("%s not recognized as a goroutine owner", owner)
 		}
+	}
+	if underAny("internal/online", goroutineOwners) {
+		t.Error("internal/online recognized as a goroutine owner")
 	}
 	if !underAny("internal/telemetry", noClockExtraDirs) {
 		t.Error("internal/telemetry not under the noclock ban")

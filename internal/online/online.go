@@ -124,11 +124,6 @@ type Config struct {
 	// Validate, when non-nil, vets each candidate after the built-in
 	// holdout check; an error rolls the publish back.
 	Validate func(*core.Model) error
-	// Async runs refits on their own goroutine over a clone of the
-	// statistics, so Observe never blocks on the O(n³) solve.  At most
-	// one async refit is in flight; triggers that fire while one runs
-	// are absorbed by the next.  Close waits for the last one.
-	Async bool
 	// Logger receives refit/publish/rollback outcomes.  Nil disables.
 	Logger *obs.Logger
 	// Flight, when non-nil, is the process flight recorder: every refit
@@ -161,9 +156,6 @@ type StreamTrainer struct {
 	drift      *driftWindow
 	model      *core.Model // last successfully fitted candidate
 	version    uint64      // last published registry version (0 = none)
-
-	refitting atomic.Bool // an async refit is in flight
-	wg        sync.WaitGroup
 
 	seen      atomic.Int64 // mirrors total for lock-free reads
 	driftBits atomic.Uint64
@@ -262,9 +254,8 @@ func (t *StreamTrainer) DriftScore() float64 {
 }
 
 // Observe absorbs one dense labeled sample and refits when a trigger
-// fires.  In sync mode the refit (publish, validation, rollback) happens
-// before Observe returns; in async mode it is handed to a background
-// goroutine and Observe returns immediately.
+// fires; the refit (publish, validation, rollback) happens before
+// Observe returns.
 func (t *StreamTrainer) Observe(x []float64, label int) error {
 	return t.ObserveCtx(context.Background(), x, label)
 }
@@ -368,32 +359,11 @@ func (t *StreamTrainer) observe(ctx context.Context, absorb func(*core.SuffStats
 		}
 		t.updateDriftLocked()
 	}
-	trigger := t.triggerLocked()
-	if trigger == "" {
-		t.mu.Unlock()
-		return nil
-	}
-	if !t.cfg.Async {
-		defer t.mu.Unlock()
+	defer t.mu.Unlock()
+	if trigger := t.triggerLocked(); trigger != "" {
 		_, _, err := t.refitLocked(ctx, trigger)
 		return err
 	}
-	// Async: clone under the lock, solve off it.  One in flight at most.
-	if !t.refitting.CompareAndSwap(false, true) {
-		t.mu.Unlock()
-		return nil
-	}
-	snap := t.stats.Clone()
-	t.noteRefitStartedLocked()
-	t.wg.Add(1)
-	t.mu.Unlock()
-	go func() {
-		defer t.wg.Done()
-		defer t.refitting.Store(false)
-		if _, _, err := t.refitFrom(ctx, snap, trigger, false); err != nil {
-			t.cfg.Logger.Warn("async refit failed", "err", err.Error())
-		}
-	}()
 	return nil
 }
 
@@ -448,43 +418,30 @@ func (t *StreamTrainer) triggerLocked() string {
 // Refit forces a refit now (any pending trigger state is consumed) and
 // returns the fitted candidate and, when a registry is configured, the
 // version it ended up published at — the rolled-back-to version when
-// validation failed.  Always synchronous, even for Async trainers.
+// validation failed.
 func (t *StreamTrainer) Refit() (*core.Model, uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.refitLocked(context.Background(), "manual")
 }
 
-// noteRefitStartedLocked resets the trigger bookkeeping; called when a
-// refit is committed to (sync) or handed off (async).
-func (t *StreamTrainer) noteRefitStartedLocked() {
+// refitLocked resets the trigger bookkeeping, then fits the statistics,
+// publishes, validates, and rolls back on regression.  t.mu is held for
+// the whole refit, so the solve blocks concurrent Observes.  When ctx
+// carries a request span (an /v1/observe call tripped the trigger), the
+// refit runs under a "refit" child, with core's
+// "responses"/"cholesky"/"xty"/"solve" stages nested beneath it, so the
+// distributed trace shows the solve.
+func (t *StreamTrainer) refitLocked(ctx context.Context, trigger string) (*core.Model, uint64, error) {
 	t.sinceRefit = 0
 	if t.cfg.Clock != nil {
 		t.lastRefit = t.cfg.Clock()
 	}
-}
-
-// refitLocked runs a synchronous refit with t.mu held for its whole
-// duration — the solve blocks concurrent Observes, which is the sync
-// mode's contract (Async trades that latency for a stats clone).
-func (t *StreamTrainer) refitLocked(ctx context.Context, trigger string) (*core.Model, uint64, error) {
-	t.noteRefitStartedLocked()
-	return t.refitFrom(ctx, t.stats, trigger, true)
-}
-
-// refitFrom fits stats, publishes, validates, and rolls back on
-// regression.  locked reports whether the caller already holds t.mu (the
-// sync path); the async path passes a private clone and locked=false, so
-// result write-backs retake the lock themselves.  When ctx carries a
-// request span (an /v1/observe call tripped the trigger), the refit runs
-// under a "refit" child, with core's "responses"/"cholesky"/"xty"/"solve"
-// stages nested beneath it, so the distributed trace shows the solve.
-func (t *StreamTrainer) refitFrom(ctx context.Context, stats *core.SuffStats, trigger string, locked bool) (*core.Model, uint64, error) {
 	_, rsp := obs.StartSpan(ctx, "refit")
 	defer rsp.End()
 	trace := rsp.TraceID()
 	t.mx.refits.Inc()
-	candidate, err := core.FitStats(stats, core.Options{
+	candidate, err := core.FitStats(t.stats, core.Options{
 		Alpha:   t.cfg.Alpha,
 		Workers: t.cfg.Workers,
 		Span:    rsp,
@@ -500,17 +457,22 @@ func (t *StreamTrainer) refitFrom(ctx context.Context, stats *core.SuffStats, tr
 		return nil, 0, fmt.Errorf("online: refit (trigger=%s): %w", trigger, err)
 	}
 	t.condBits.Store(math.Float64bits(candidate.Stats.CondEstimate))
-	t.finishRefit(stats, candidate, locked)
+	t.model = candidate
+	t.hasRefit = true
+	if t.drift != nil {
+		t.drift.setReference(t.stats)
+		t.updateDriftLocked()
+	}
 	if t.cfg.Registry == nil {
 		t.cfg.Logger.Info("refit done (standalone)", "trigger", trigger,
-			"samples", stats.Seen())
+			"samples", t.stats.Seen())
 		t.cfg.Flight.RecordHealth(obs.HealthRecord{
 			Time: t.now(), Model: t.cfg.ModelName, Trigger: trigger,
 			CondEstimate: candidate.Stats.CondEstimate,
 		})
 		return candidate, 0, nil
 	}
-	version, err := t.publishAndValidate(ctx, candidate, trigger, locked)
+	version, err := t.publishAndValidateLocked(ctx, candidate, trigger)
 	return candidate, version, err
 }
 
@@ -524,25 +486,12 @@ func (t *StreamTrainer) now() time.Time {
 	return time.Time{}
 }
 
-// finishRefit records the candidate and re-anchors drift references.
-func (t *StreamTrainer) finishRefit(stats *core.SuffStats, candidate *core.Model, locked bool) {
-	if !locked {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
-	t.model = candidate
-	t.hasRefit = true
-	if t.drift != nil {
-		t.drift.setReference(stats)
-		t.updateDriftLocked()
-	}
-}
-
-// publishAndValidate pushes the candidate into the registry, scores it
-// on the holdout against the previous live model, and rolls back on
-// regression or a Validate-hook error.  Every outcome lands in the
-// flight recorder's health ring; a rollback fires its trigger.
-func (t *StreamTrainer) publishAndValidate(ctx context.Context, candidate *core.Model, trigger string, locked bool) (uint64, error) {
+// publishAndValidateLocked pushes the candidate into the registry,
+// scores it on the holdout against the previous live model, and rolls
+// back on regression or a Validate-hook error.  Every outcome lands in
+// the flight recorder's health ring; a rollback fires its trigger.
+// Caller holds t.mu.
+func (t *StreamTrainer) publishAndValidateLocked(ctx context.Context, candidate *core.Model, trigger string) (uint64, error) {
 	trace := obs.SpanFromContext(ctx).TraceID()
 	reg, name := t.cfg.Registry, t.cfg.ModelName
 	prev, hadPrev := reg.Get(name)
@@ -557,7 +506,7 @@ func (t *StreamTrainer) publishAndValidate(ctx context.Context, candidate *core.
 		return 0, fmt.Errorf("online: publishing refit: %w", err)
 	}
 	t.mx.publishes.Inc()
-	t.setVersion(snap.Version, locked)
+	t.version = snap.Version
 	t.cfg.Logger.Info("refit published", "trigger", trigger,
 		"model", name, "version", snap.Version)
 
@@ -567,7 +516,7 @@ func (t *StreamTrainer) publishAndValidate(ctx context.Context, candidate *core.
 	}
 	reason := ""
 	if hadPrev {
-		candAcc, prevAcc, scored := t.holdoutAccuracy(candidate, prev.Model, locked)
+		candAcc, prevAcc, scored := t.holdoutAccuracyLocked(candidate, prev.Model)
 		if scored > 0 {
 			health.HoldoutAccuracy, health.PrevAccuracy = candAcc, prevAcc
 			health.HoldoutDelta = candAcc - prevAcc
@@ -595,7 +544,7 @@ func (t *StreamTrainer) publishAndValidate(ctx context.Context, candidate *core.
 		return snap.Version, fmt.Errorf("online: rollback after failed validation (%s): %w", reason, err)
 	}
 	t.mx.rollbacks.Inc()
-	t.setVersion(rb.Version, locked)
+	t.version = rb.Version
 	t.cfg.Logger.Warn("refit rolled back", "trigger", trigger, "model", name,
 		"bad_version", snap.Version, "restored_as", rb.Version, "reason", reason)
 	t.cfg.Flight.RecordHealth(health)
@@ -603,25 +552,11 @@ func (t *StreamTrainer) publishAndValidate(ctx context.Context, candidate *core.
 	return rb.Version, fmt.Errorf("online: refit v%d rolled back: %s", snap.Version, reason)
 }
 
-func (t *StreamTrainer) setVersion(v uint64, locked bool) {
-	if !locked {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
-	t.version = v
-}
-
-// holdoutAccuracy scores both models on the retained holdout, returning
-// the two accuracies and how many samples were scored.
-func (t *StreamTrainer) holdoutAccuracy(candidate, prev *core.Model, locked bool) (candAcc, prevAcc float64, scored int) {
-	var hold []holdoutSample
-	if locked {
-		hold = t.holdout
-	} else {
-		t.mu.Lock()
-		hold = append([]holdoutSample(nil), t.holdout...)
-		t.mu.Unlock()
-	}
+// holdoutAccuracyLocked scores both models on the retained holdout,
+// returning the two accuracies and how many samples were scored; caller
+// holds t.mu.
+func (t *StreamTrainer) holdoutAccuracyLocked(candidate, prev *core.Model) (candAcc, prevAcc float64, scored int) {
+	hold := t.holdout
 	if len(hold) == 0 || prev == nil || prev.Centroids == nil {
 		return 0, 0, 0
 	}
@@ -648,7 +583,7 @@ func (t *StreamTrainer) updateDriftLocked() {
 	t.driftBits.Store(math.Float64bits(score))
 }
 
-// Close waits for any in-flight async refit to finish.  The trainer
-// remains usable afterwards; Close exists so shutdown can rendezvous
-// with the background goroutine.
-func (t *StreamTrainer) Close() { t.wg.Wait() }
+// Close is a no-op: every refit finishes inside the Observe or Refit
+// call that started it, so there is nothing to wait for.  It stays so
+// callers that release a trainer on shutdown need not change.
+func (t *StreamTrainer) Close() {}

@@ -347,30 +347,6 @@ func TestDriftTrigger(t *testing.T) {
 	}
 }
 
-// TestAsyncRefit: Async mode publishes from a background goroutine and
-// Close rendezvouses with it.
-func TestAsyncRefit(t *testing.T) {
-	reg := registry.New(registry.Options{})
-	tr, err := NewStreamTrainer(Config{
-		NumFeatures: 5, NumClasses: 2, Alpha: 1,
-		Policy:   RefitPolicy{MinSamples: 10},
-		Registry: reg,
-		Async:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(28))
-	streamBlobs(t, tr, rng, 5, 2, 10)
-	tr.Close()
-	if got := tr.Version(); got != 1 {
-		t.Fatalf("version after async refit = %d, want 1", got)
-	}
-	if snap, ok := reg.Get("default"); !ok || snap.Version != 1 {
-		t.Fatal("async refit did not publish")
-	}
-}
-
 // TestStandaloneRefit: without a registry the trainer still fits and
 // reports version 0.
 func TestStandaloneRefit(t *testing.T) {

@@ -16,10 +16,9 @@ import (
 // online package can (in its tests) drive serve without an import
 // cycle.
 //
-// Refit latency leaks into Observe by design: a synchronous trainer
-// refits inside the Observe call that trips a trigger, so the HTTP
-// request that delivered the triggering sample waits for the new model
-// to publish.  Configure the trainer Async to decouple them.
+// Refit latency leaks into Observe by design: the trainer refits inside
+// the Observe call that trips a trigger, so the HTTP request that
+// delivered the triggering sample waits for the new model to publish.
 type Trainer interface {
 	// Observe absorbs one dense labeled sample.
 	Observe(x []float64, label int) error
