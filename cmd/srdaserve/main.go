@@ -648,9 +648,9 @@ func watchAndReload(cfg config, s *serve.Server, logger *obs.Logger) func() {
 // into the time-series store, an optional SLO burn-rate engine from
 // -slo-config, and the poll loop.  This command owns the ticker —
 // internal/telemetry is under the noclock contract and only ever sees
-// explicit times, so the goroutine here forwards ticker fires into the
-// caller-owned channel StartPoller drains.  The returned stop function
-// halts the loop and waits for the poller to exit.
+// explicit times, so StartPoller takes the ticker's channel and a stop
+// channel from here.  The returned stop function halts the loop and
+// waits for the poller to exit.
 func telemetryPlane(cfg config, targets []telemetry.Target, sloReg *obs.Registry, kit *obsKit, logger *obs.Logger) (*telemetry.Federator, *telemetry.SLOEngine, func(), error) {
 	fed := telemetry.NewFederator(targets, telemetry.FederatorOptions{
 		PointsPerSeries: cfg.telemetryPoints,
@@ -683,19 +683,7 @@ func telemetryPlane(cfg config, targets []telemetry.Target, sloReg *obs.Registry
 	fed.Scrape(context.Background(), time.Now())
 	ticker := time.NewTicker(every)
 	stop := make(chan struct{})
-	ticks := make(chan time.Time, 1)
-	go func() {
-		defer close(ticks)
-		for {
-			select {
-			case t := <-ticker.C:
-				ticks <- t
-			case <-stop:
-				return
-			}
-		}
-	}()
-	done := telemetry.StartPoller(ticks, func(now time.Time) {
+	done := telemetry.StartPoller(ticker.C, stop, func(now time.Time) {
 		fed.Scrape(context.Background(), now)
 	})
 	logger.Info("telemetry plane up", "targets", len(targets), "every", every.String(), "slo", cfg.sloConfigPath != "")

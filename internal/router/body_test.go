@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -96,7 +98,7 @@ func TestBodyRelayMatchesTypedPath(t *testing.T) {
 	if n := calls.Load(); n != int64(len(bodies)) {
 		t.Errorf("typed decorator saw %d forwards, want %d", n, len(bodies))
 	}
-	// Malformed JSON never reaches a backend.
+	// A truncated body never reaches a backend.
 	if rec := routeOne(bare, `{"samples":[`); rec.Code != http.StatusBadRequest {
 		t.Errorf("malformed body: %d %q, want 400", rec.Code, rec.Body.String())
 	}
@@ -207,4 +209,106 @@ func BenchmarkRouterPredictHTTP(b *testing.B) {
 			}
 		})
 	}
+}
+
+// forwarded sums the router's request counter over the statuses a
+// forward can end in, per replica.
+func forwarded(r *Router, replicas []string) []int64 {
+	n := make([]int64, len(replicas))
+	for i, name := range replicas {
+		for _, code := range []int{200, 400, 404, 429, 500, 502, 503} {
+			n[i] += r.mx.requests.Value(name, strconv.Itoa(code))
+		}
+	}
+	return n
+}
+
+// TestWhereBadBodiesAreRefused: a body malformed at its top level gets
+// the router's own 400 before admission, so it calls no backend and
+// spends no quota token.  A body whose only syntax error sits inside a
+// sample is admitted, spends a token, is forwarded once, and gets the
+// worker's own 400 relayed byte for byte.
+func TestWhereBadBodiesAreRefused(t *testing.T) {
+	now := time.Unix(3000, 0)
+	replicas := []string{"worker-0", "worker-1"}
+	r, _, workers := colocated(t, 2, Options{QuotaRPS: 1, QuotaBurst: 2, Clock: func() time.Time { return now }})
+	const good = `{"model":"tenant-0","samples":[{"dense":[0,0,0,0,0,0,0,0]}]}`
+	for _, body := range []string{
+		`[{"dense":[0,0,0,0,0,0,0,0]}]`,                    // not an object
+		`{"model":"tenant-0,"samples":[{"dense":[0]}]}`,    // the string runs to the end
+		`{model:"tenant-0","samples":[{"dense":[0]}]}`,     // bad key
+		`{"model" "tenant-0","samples":[{"dense":[0]}]}`,   // no colon
+		`{"model":0,"samples":[{"dense":[0]}]}`,            // "model" not a string
+		`{"model":"tenant-0","samples":[{"dense":[0,0,0,0`, // truncated
+	} {
+		before := forwarded(r, replicas)
+		rec := routeOne(r, body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad JSON") {
+			t.Errorf("%s: %d %q, want the router's 400", body, rec.Code, rec.Body.String())
+		}
+		if after := forwarded(r, replicas); !slices.Equal(after, before) {
+			t.Errorf("%s: forwards per replica went from %v to %v", body, before, after)
+		}
+	}
+	// tenant-0 still holds both tokens: the bad sample spends the first.
+	const bad = `{"model":"tenant-0","samples":[{"dense":[0,0,0,,0,0,0,0]}]}`
+	owner := slices.Index(replicas, r.RouteFor("tenant-0"))
+	_, want := workers[owner].PredictBody(context.Background(), nil, []byte(bad))
+	before := forwarded(r, replicas)
+	rec := routeOne(r, bad)
+	if rec.Code != http.StatusBadRequest || rec.Body.String() != string(want) {
+		t.Errorf("error inside a sample: %d %q, want the worker's 400 %q", rec.Code, rec.Body.String(), want)
+	}
+	after := forwarded(r, replicas)
+	for i := range replicas {
+		if d := after[i] - before[i]; i == owner && d != 1 || i != owner && d != 0 {
+			t.Errorf("error inside a sample: %s counted %d forwards", replicas[i], d)
+		}
+	}
+	if n := r.mx.backendErrors.Value(replicas[owner]); n != 1 {
+		t.Errorf("backend errors on %s = %d, want 1", replicas[owner], n)
+	}
+	if rec := routeOne(r, good); rec.Code != http.StatusOK {
+		t.Errorf("second token: %d %q", rec.Code, rec.Body.String())
+	}
+	if rec := routeOne(r, good); rec.Code != http.StatusTooManyRequests {
+		t.Errorf("third request on a burst of 2: %d %q, want 429", rec.Code, rec.Body.String())
+	}
+}
+
+// FuzzRoutePredict holds the whole tier to encoding/json, since the
+// router's peek checks only a body's top level.  Through
+// Router.Handler() over two co-located workers, every body encoding/json
+// rejects for PredictRequest gets a 400, and every body it accepts is
+// answered by the replica RouteFor names for the model it decodes, as
+// the router's per-replica request counter shows.
+func FuzzRoutePredict(f *testing.F) {
+	f.Add([]byte(`{"samples":[{"dense":[0,0,0,0,0,0,0,8]}],"model":"tenant-1"}`))
+	replicas := []string{"worker-0", "worker-1"}
+	r, _, _ := colocated(f, 2, Options{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var ref serve.PredictRequest
+		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&ref)
+		before := forwarded(r, replicas)
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(b)))
+		if refErr != nil {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%q: encoding/json rejects it (%v), the tier answered %d %q", b, refErr, rec.Code, rec.Body.String())
+			}
+			return
+		}
+		tenant := ref.Model
+		if tenant == "" {
+			tenant = serve.DefaultModelName
+		}
+		owner := r.RouteFor(tenant)
+		after := forwarded(r, replicas)
+		for i, name := range replicas {
+			if d := after[i] - before[i]; name == owner && d != 1 || name != owner && d != 0 {
+				t.Fatalf("%q: model %q belongs on %s, %s counted %d forwards (reply %d %q)",
+					b, ref.Model, owner, name, d, rec.Code, rec.Body.String())
+			}
+		}
+	})
 }

@@ -619,8 +619,11 @@ func checkClasses(reply []byte, samples int) error {
 }
 
 // handlePredict reads the capped body once and peeks at its model.  A
-// byte backend gets the body unchanged and its reply is relayed as is;
-// a typed-only backend gets the decoded request.
+// body malformed at its top level gets the router's own 400; one
+// malformed only inside a value is admitted and forwarded, and the
+// worker's scan refuses it.  A byte backend gets the body unchanged and
+// its reply is relayed as is; a typed-only backend gets the decoded
+// request.
 func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST required")

@@ -19,7 +19,7 @@ import (
 )
 
 // trainBlobs fits a centroided model on well-separated Gaussian blobs.
-func trainBlobs(t *testing.T, n, c int, seed int64) *core.Model {
+func trainBlobs(t testing.TB, n, c int, seed int64) *core.Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m := 40 * c
@@ -132,7 +132,7 @@ func TestQuotaBuckets(t *testing.T) {
 // one shared registry, nWorkers in-process serve.Servers over it, and a
 // router in front.  Tenants tenant-0..tenant-2 are published with
 // distinct models.
-func colocated(t *testing.T, nWorkers int, opts Options) (*Router, *registry.Registry, []*serve.Server) {
+func colocated(t testing.TB, nWorkers int, opts Options) (*Router, *registry.Registry, []*serve.Server) {
 	t.Helper()
 	reg := registry.New(registry.Options{})
 	for i := 0; i < 3; i++ {

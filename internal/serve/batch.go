@@ -36,6 +36,9 @@ type pending struct {
 	// span is the request's root span; the batch opens a "batch" child
 	// under it.  Nil when tracing is off.
 	span *obs.ReqSpan
+	// scanner owns the arena dense views for a scanned body (nil for a
+	// typed request); submit returns it to the pool.
+	scanner *bodyScanner
 
 	classes    []int
 	embeddings [][]float64 // nil unless the request asked for embeddings

@@ -20,7 +20,9 @@ import (
 // the Observe call that trips a trigger, so the HTTP request that
 // delivered the triggering sample waits for the new model to publish.
 type Trainer interface {
-	// Observe absorbs one dense labeled sample.
+	// Observe absorbs one dense labeled sample.  No method may keep x,
+	// cols or vals past its return: they view the worker's pooled body
+	// buffers.
 	Observe(x []float64, label int) error
 	// ObserveSparse absorbs one CSR-form labeled sample.
 	ObserveSparse(cols []int, vals []float64, label int) error
@@ -73,11 +75,12 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "request body: %v", err)
 	}
-	req, err := scanObserve(body, s.opts.MaxRequestSamples)
+	sc, err := scanObserve(body, s.opts.MaxRequestSamples)
+	defer sc.release() // the trainer keeps no sample slice past its call
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "%v", err)
 	}
-	samples := req.recs[:req.live]
+	samples := sc.out.recs[:sc.out.live]
 	if len(samples) == 0 {
 		return writeErr(w, http.StatusBadRequest, "no samples")
 	}

@@ -16,6 +16,11 @@ package serve
 // The differential fuzz targets in scan_test.go and
 // TestFloatMatchesStrconv hold it to that.
 //
+// PeekPredict, at the end of the file, is the router's read of a predict
+// body.  It walks only the top level with this grammar and skips every
+// object or array value by its brackets, eight bytes per step, so the
+// body scanner on the worker stays the one validator of what lies inside.
+//
 // The encoding/json semantics it reproduces, beyond the grammar:
 //   - keys match struct fields case-insensitively (Unicode simple
 //     folding); unknown keys are skipped;
@@ -38,6 +43,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
@@ -48,7 +54,7 @@ import (
 const maxNestingDepth = 10000
 
 // maxArenaHint caps the values an arena is first sized for; a larger
-// body grows it by append.
+// body grows it by append, and an arena grown past it is not pooled.
 const maxArenaHint = 1 << 17
 
 // rawSample is one sample as a body or a typed request left it.  Sparse
@@ -594,7 +600,9 @@ func foldRune(r rune) rune {
 
 // bodyScanner decodes predict and observe bodies.  Dense values and
 // sparse entries land in shared arenas; each sample's slices view its
-// own run of them.
+// own run of them.  Scanners and their arenas are pooled: a body reuses
+// the buffers an answered one left rather than allocating and zeroing
+// its own.
 type bodyScanner struct {
 	jsonScanner
 	observe    bool // ObserveRequest: labels, and no model/embed/shorthand
@@ -608,45 +616,90 @@ type bodyScanner struct {
 	out   scannedBody
 }
 
-// scanPredict decodes a POST /v1/predict body.
-func scanPredict(body []byte, maxSamples int) (*scannedBody, error) {
-	s := &bodyScanner{jsonScanner: jsonScanner{b: body}, maxSamples: maxSamples}
-	return s.scan()
+var scanners = sync.Pool{New: func() any { return new(bodyScanner) }}
+
+// scanPredict decodes a POST /v1/predict body into a pooled scanner's
+// out.  The scanner comes back on error too; release it once nothing
+// reads the values, which view its arenas.
+func scanPredict(body []byte, maxSamples int) (*bodyScanner, error) {
+	s := getScanner(body, maxSamples, false)
+	return s, s.scan()
 }
 
-// scanObserve decodes a POST /v1/observe body.
-func scanObserve(body []byte, maxSamples int) (*scannedBody, error) {
-	s := &bodyScanner{jsonScanner: jsonScanner{b: body}, maxSamples: maxSamples, observe: true}
-	return s.scan()
+// scanObserve decodes a POST /v1/observe body, as scanPredict does.
+func scanObserve(body []byte, maxSamples int) (*bodyScanner, error) {
+	s := getScanner(body, maxSamples, true)
+	return s, s.scan()
 }
 
-func (s *bodyScanner) scan() (*scannedBody, error) {
+// getScanner takes a scanner from the pool and readies it for body; its
+// arenas keep their capacity.
+func getScanner(body []byte, maxSamples int, observe bool) *bodyScanner {
+	s := scanners.Get().(*bodyScanner)
+	*s = bodyScanner{
+		jsonScanner: jsonScanner{b: body},
+		observe:     observe,
+		maxSamples:  maxSamples,
+		dense:       s.dense[:0],
+		cols:        s.cols[:0],
+		vals:        s.vals[:0],
+		nulls:       s.nulls[:0],
+		out:         scannedBody{recs: s.out.recs[:0]},
+	}
+	return s
+}
+
+// release returns s to the pool; nil is a no-op.  Every value the scan
+// left views s's arenas, so the caller must be done with them: for a
+// predict body, its batch has answered.
+func (s *bodyScanner) release() {
+	if s == nil {
+		return
+	}
+	clear(s.out.recs[:cap(s.out.recs)])
+	if cap(s.dense) > maxArenaHint || cap(s.cols) > maxArenaHint {
+		s.dense, s.cols, s.vals = nil, nil, nil
+	}
+	s.b = nil
+	scanners.Put(s)
+}
+
+// arena returns a, or a fresh slice of capacity hint when a is empty and
+// smaller.
+func arena[T any](a []T, hint int) []T {
+	if len(a) == 0 && cap(a) < hint {
+		return make([]T, 0, hint)
+	}
+	return a
+}
+
+func (s *bodyScanner) scan() error {
 	switch s.ws() {
 	case '{':
 	case 'n':
-		return &s.out, s.literal("null")
+		return s.literal("null")
 	case 0:
-		return nil, &RequestError{Msg: "bad JSON: empty body"}
+		return &RequestError{Msg: "bad JSON: empty body"}
 	default:
 		if err := s.skip(); err != nil {
-			return nil, err
+			return err
 		}
-		return nil, &RequestError{Msg: "bad JSON: the body is not a JSON object"}
+		return &RequestError{Msg: "bad JSON: the body is not a JSON object"}
 	}
 	// Every number but the last in an array is followed by a comma, so
 	// the comma count bounds the values of any one kind; the cap keeps
 	// commas in skipped values from sizing a large arena.
 	s.arenaHint = min(bytes.Count(s.b, []byte{','})+1, maxArenaHint)
 	if err := s.enter(); err != nil {
-		return nil, err
+		return err
 	}
 	if s.empty('}') {
-		return &s.out, nil
+		return nil
 	}
 	for {
 		key, err := s.key()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch {
 		case fieldIs(key, "samples"):
@@ -665,13 +718,10 @@ func (s *bodyScanner) scan() (*scannedBody, error) {
 			}
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if more, err := s.next('}'); !more {
-			if err != nil {
-				return nil, err
-			}
-			return &s.out, nil
+			return err
 		}
 	}
 }
@@ -841,9 +891,7 @@ func (s *bodyScanner) denseArray(rec *rawSample) error {
 	if err := s.enter(); err != nil {
 		return err
 	}
-	if s.dense == nil {
-		s.dense = make([]float64, 0, s.arenaHint)
-	}
+	s.dense = arena(s.dense, s.arenaHint)
 	start := len(s.dense)
 	s.nulls = s.nulls[:0]
 	if !s.empty(']') {
@@ -926,10 +974,8 @@ func (s *bodyScanner) sparseObject(rec *rawSample) error {
 	if err := s.enter(); err != nil {
 		return err
 	}
-	if s.cols == nil {
-		s.cols = make([]int, 0, s.arenaHint)
-		s.vals = make([]float64, 0, s.arenaHint)
-	}
+	s.cols = arena(s.cols, s.arenaHint)
+	s.vals = arena(s.vals, s.arenaHint)
 	start := len(s.cols)
 	if !s.empty('}') {
 		for {
@@ -1019,11 +1065,17 @@ func (b byCol) Swap(i, j int) {
 	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
 }
 
-// PeekPredict checks the syntax of a predict body and returns the
-// top-level "model" and the number of samples a 200 reply must answer,
-// without decoding any sample.  The router calls it to pick the tenant
-// and forwards the body unchanged; the model it returns is the one
-// encoding/json would decode, and every body it rejects encoding/json
+// PeekPredict returns the top-level "model" of a predict body and the
+// number of samples a 200 reply must answer, without decoding any
+// sample.  The router calls it to pick the tenant and forwards the body
+// unchanged.  It walks the top level with the full grammar: keys,
+// colons and commas, the "model" string, and each "samples" element in
+// turn.  Every object or array value, each sample included, it skips by
+// its brackets alone (skipFast), so a body malformed only inside such a
+// value passes here and the worker's scan refuses it.  Every key is
+// walked, so a duplicate "model" resolves as in encoding/json (the last
+// wins).  Whenever encoding/json decodes a body, PeekPredict accepts it
+// with the same model and count; every body it rejects encoding/json
 // rejects too.
 func PeekPredict(body []byte) (model string, samples int, err error) {
 	s := &jsonScanner{b: body}
@@ -1056,7 +1108,7 @@ func PeekPredict(body []byte) (model string, samples int, err error) {
 		case fieldIs(key, "samples"):
 			samples, err = s.countArray()
 		default:
-			err = s.skip()
+			err = s.skipFast()
 		}
 		if err != nil {
 			return "", 0, err
@@ -1110,7 +1162,7 @@ func (s *jsonScanner) countArray() (int, error) {
 		return 0, nil
 	}
 	for n := 1; ; n++ {
-		if err := s.skip(); err != nil {
+		if err := s.skipFast(); err != nil {
 			return 0, err
 		}
 		if more, err := s.next(']'); !more {
@@ -1118,3 +1170,69 @@ func (s *jsonScanner) countArray() (int, error) {
 		}
 	}
 }
+
+// skipFast consumes one value.  An object or array it skips by its
+// brackets, the first stage of simdjson (Langdale & Lemire, "Parsing
+// Gigabytes of JSON per Second", arXiv:1902.08318): it finds the next
+// '"', '[', ']', '{' or '}' eight bytes per step, hands each string to
+// str, so escapes and control bytes are judged exactly, and counts the
+// brackets down to zero.  Numbers, literals, commas and colons between
+// them are never looked at, and a ']' may close a '{'.  On valid JSON it
+// ends where skip ends; it rejects only a bad string or a body that ends
+// first.  Any other value goes through skip's grammar.
+func (s *jsonScanner) skipFast() error {
+	if c := s.ws(); c != '{' && c != '[' {
+		return s.skip()
+	}
+	b, i, open := s.b, s.pos, 0
+	for {
+		for i+8 <= len(b) {
+			if m := structural(binary.LittleEndian.Uint64(b[i:])); m != 0 {
+				i += bits.TrailingZeros64(m) / 8
+				break
+			}
+			i += 8
+		}
+		for i < len(b) && !isStructural[b[i]] {
+			i++
+		}
+		if i == len(b) {
+			s.pos = i
+			return s.syntaxErr("")
+		}
+		switch b[i] {
+		case '"':
+			s.pos = i
+			if _, _, err := s.str(); err != nil {
+				return err
+			}
+			i = s.pos
+		case '[', '{':
+			open++
+			i++
+		default:
+			open--
+			i++
+			if open == 0 {
+				s.pos = i
+				return nil
+			}
+		}
+	}
+}
+
+// structural is nonzero in the byte of v (loaded little-endian) where
+// the first '"', '[', ']', '{' or '}' sits and zero in every byte before
+// it.  Clearing bit 5 folds '{' onto '[' and '}' onto ']'; each target
+// shows as a zero byte of v^target, found by the borrow of subtracting
+// one from every byte (bytes past the first zero may be blurred by it).
+func structural(v uint64) uint64 {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	f := v &^ (0x20 * ones)
+	q, o, c := v^('"'*ones), f^('['*ones), f^(']'*ones)
+	return ((q-ones)&^q | (o-ones)&^o | (c-ones)&^c) & highs
+}
+
+// isStructural marks the bytes structural finds, for the tail shorter
+// than a word.
+var isStructural = [256]bool{'"': true, '[': true, ']': true, '{': true, '}': true}

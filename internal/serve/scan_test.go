@@ -2,11 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"math/rand"
+	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // The differential targets hold the body scanner and PeekPredict to
@@ -26,13 +33,15 @@ func FuzzScanPredict(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var ref PredictRequest
 		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&ref)
-		got, err := scanPredict(b, math.MaxInt)
+		sc, err := scanPredict(b, math.MaxInt)
+		defer sc.release()
 		if (refErr == nil) != (err == nil) {
 			t.Fatalf("%q: encoding/json err=%v, scanner err=%v", b, refErr, err)
 		}
 		if err != nil {
 			return
 		}
+		got := &sc.out
 		if got.model != ref.Model || got.embed != ref.Embed {
 			t.Fatalf("%q: model/embed %q/%v, encoding/json %q/%v", b, got.model, got.embed, ref.Model, ref.Embed)
 		}
@@ -53,13 +62,15 @@ func FuzzScanObserve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var ref ObserveRequest
 		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&ref)
-		got, err := scanObserve(b, math.MaxInt)
+		sc, err := scanObserve(b, math.MaxInt)
+		defer sc.release()
 		if (refErr == nil) != (err == nil) {
 			t.Fatalf("%q: encoding/json err=%v, scanner err=%v", b, refErr, err)
 		}
 		if err != nil {
 			return
 		}
+		got := &sc.out
 		if got.live != len(ref.Samples) {
 			t.Fatalf("%q: %d samples, encoding/json %d", b, got.live, len(ref.Samples))
 		}
@@ -176,7 +187,7 @@ func BenchmarkScanPredict(b *testing.B) {
 			}
 		})
 	}
-	scan := func(body []byte) error { _, err := scanPredict(body, 1024); return err }
+	scan := func(body []byte) error { sc, err := scanPredict(body, 1024); sc.release(); return err }
 	peek := func(body []byte) error { _, _, err := PeekPredict(body); return err }
 	run("scanner", body, scan)
 	run("peek", body, peek)
@@ -186,7 +197,7 @@ func BenchmarkScanPredict(b *testing.B) {
 	})
 	run("scanner_mnist", mnistBody, scan)
 	run("peek_mnist", mnistBody, peek)
-	run("observe", observeBody, func(body []byte) error { _, err := scanObserve(body, 1024); return err })
+	run("observe", observeBody, func(body []byte) error { sc, err := scanObserve(body, 1024); sc.release(); return err })
 }
 
 // benchBody marshals 64 dense samples of 784 values drawn by value, as
@@ -212,4 +223,99 @@ func benchBody(b *testing.B, value func(*rand.Rand) float64, labels bool) []byte
 		b.Fatal(err)
 	}
 	return body
+}
+
+// TestStructural holds the eight-byte structural test to a bytewise
+// search: the lowest flagged byte of every word is its first '"', '[',
+// ']', '{' or '}', and a word without one is not flagged.  The bytes are
+// drawn from the targets, their bit-5 twins and neighbours, zero, and
+// random bytes.
+func TestStructural(t *testing.T) {
+	alphabet := []byte(`"[]{}` + "\x02\x00\x01\x7f\x80\xff;=[]{}\x5c\x7c\x3b\x5b\x7b\x5d\x7d\x5a\x5e\x7a\x7e\xdb\xdd\xfb\xfd\xa2" + `0123456789.,:-eE `)
+	rng := rand.New(rand.NewSource(1))
+	n := 1 << 20
+	if raceEnabled {
+		n = 1 << 14
+	}
+	var w [8]byte
+	for k := 0; k < n; k++ {
+		for j := range w {
+			if rng.Intn(4) == 0 {
+				w[j] = byte(rng.Intn(256))
+			} else {
+				w[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		want := 8
+		for j, c := range w {
+			if isStructural[c] {
+				want = j
+				break
+			}
+		}
+		m := structural(binary.LittleEndian.Uint64(w[:]))
+		got := 8
+		if m != 0 {
+			got = bits.TrailingZeros64(m) / 8
+		}
+		if got != want {
+			t.Fatalf("%q: structural byte at %d, want %d", w, got, want)
+		}
+	}
+}
+
+// TestConcurrentPooledBodies: concurrent predict bodies share the pooled
+// body scanners, and a third of them give up while queued (a context
+// cancelled before the call, or timing out within it).  Every reply must
+// carry its own samples' classes.  A scanner pooled while a batch could
+// still read its arena would show as a data race under -race, which
+// make race runs this test with.
+func TestConcurrentPooledBodies(t *testing.T) {
+	const n, c = 16, 4
+	model, probes := trainBlobs(t, n, c, 7)
+	s, _, _ := newTestServer(t, model, Options{})
+	const goroutines, rounds = 4, 60
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for r := 0; r < rounds; r++ {
+				want := make([]int, 1+rng.Intn(8))
+				req := PredictRequest{Samples: make([]Sample, len(want))}
+				for i := range want {
+					want[i] = rng.Intn(c)
+					req.Samples[i] = DenseSample(probes.RowView(want[i]))
+				}
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				switch r % 3 {
+				case 0:
+					ctx, cancel = context.WithCancel(ctx)
+					cancel()
+				case 1:
+					ctx, cancel = context.WithTimeout(ctx, 50*time.Microsecond)
+				}
+				code, reply := s.PredictBody(ctx, nil, body)
+				cancel()
+				if r%3 != 2 && code == http.StatusServiceUnavailable {
+					continue // gave up while queued
+				}
+				var resp PredictResponse
+				if err := json.Unmarshal(reply, &resp); code != http.StatusOK || err != nil {
+					t.Errorf("round %d: %d %s (%v)", r, code, reply, err)
+					continue
+				}
+				if !slices.Equal(resp.Classes, want) {
+					t.Errorf("round %d: classes %v, want %v", r, resp.Classes, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -606,11 +606,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 // parsePredict scans a predict body and validates it like a typed
 // request.
 func (s *Server) parsePredict(body []byte) (*pending, error) {
-	b, err := scanPredict(body, s.opts.MaxRequestSamples)
+	sc, err := scanPredict(body, s.opts.MaxRequestSamples)
+	var p *pending
+	if err == nil {
+		p, err = s.newPending(sc.out.model, sc.out.embed, sc.out.samples())
+	}
 	if err != nil {
+		sc.release()
 		return nil, err
 	}
-	return s.newPending(b.model, b.embed, b.samples())
+	p.scanner = sc
+	return p, nil
 }
 
 // buildPending validates a typed predict request; its samples take the
@@ -680,11 +686,15 @@ func (s *Server) newPending(model string, embed bool, samples []rawSample) (*pen
 }
 
 // submit enqueues the request and waits for its batch under a "queue"
-// span.
+// span.  It returns the request's body scanner to the pool when no batch
+// can read p.dense any more: the request was refused, or its batch has
+// answered.  A caller that stops waiting leaves the scanner to the GC,
+// since the request may still be queued.
 func (s *Server) submit(ctx context.Context, p *pending) error {
 	_, queueSp := obs.StartSpan(ctx, "queue")
 	defer queueSp.End()
 	if err := s.enqueue(p); err != nil {
+		p.scanner.release()
 		return err
 	}
 	select {
@@ -694,6 +704,7 @@ func (s *Server) submit(ctx context.Context, p *pending) error {
 	case <-s.stop:
 		return ErrShuttingDown
 	}
+	p.scanner.release()
 	return p.err
 }
 

@@ -261,15 +261,20 @@ func FractionOver(points []Point, threshold float64, from, to time.Time) (float6
 }
 
 // StartPoller spawns the sampling goroutine: fn runs for every tick
-// until ticks is closed, then done closes.  The caller owns the tick
-// source — a time.Ticker in production, a hand-fed channel in tests —
-// so this package never touches the wall clock.
-func StartPoller(ticks <-chan time.Time, fn func(time.Time)) (done <-chan struct{}) {
+// until stop is closed, then done closes.  The caller owns the tick
+// source — a time.Ticker's channel in production, a hand-fed one in
+// tests — so this package never touches the wall clock.
+func StartPoller(ticks <-chan time.Time, stop <-chan struct{}, fn func(time.Time)) (done <-chan struct{}) {
 	ch := make(chan struct{})
 	go func() {
 		defer close(ch)
-		for t := range ticks {
-			fn(t)
+		for {
+			select {
+			case t := <-ticks:
+				fn(t)
+			case <-stop:
+				return
+			}
 		}
 	}()
 	return ch

@@ -118,13 +118,15 @@ func TestFractionOver(t *testing.T) {
 	}
 }
 
+// TestStartPoller: fn sees every tick in order, and closing stop ends
+// the loop with ticks still open, as a time.Ticker's channel stays.
 func TestStartPoller(t *testing.T) {
-	ticks := make(chan time.Time)
+	ticks, stop := make(chan time.Time), make(chan struct{})
 	var got []time.Time
-	done := StartPoller(ticks, func(now time.Time) { got = append(got, now) })
+	done := StartPoller(ticks, stop, func(now time.Time) { got = append(got, now) })
 	ticks <- at(1)
 	ticks <- at(2)
-	close(ticks)
+	close(stop)
 	<-done
 	if len(got) != 2 || !got[0].Equal(at(1)) || !got[1].Equal(at(2)) {
 		t.Errorf("poller saw %v", got)
