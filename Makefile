@@ -62,8 +62,9 @@ bench:
 
 # Active fuzzing of the kernel oracles (the blocked parallel Cholesky
 # against the unblocked sweep among them), the model and DiskCSR
-# decoders, the predict/observe body scanner, router peek and whole
-# routed tier against encoding/json, and the scraped-metrics parser and
+# decoders, the predict/observe body scanner, the observe edge against
+# per-row Observe, router peek and whole routed tier against
+# encoding/json, and the scraped-metrics parser and
 # SLO config validator
 # (the same targets run as plain regression tests from the checked-in
 # corpus during `make test`).
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzScanPredict$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzScanObserve$$' -fuzztime=30s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzObserveRequest$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzPeekPredict$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzRoutePredict$$' -fuzztime=30s ./internal/router
 	$(GO) test -run='^$$' -fuzz='^FuzzParsePrometheus$$' -fuzztime=30s ./internal/obs

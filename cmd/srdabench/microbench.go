@@ -170,7 +170,7 @@ func microCases() []microCase {
 				if err != nil {
 					return nil, err
 				}
-				if err := tr.ObserveBatch(x, labels); err != nil {
+				if err := tr.ObserveBatch(context.Background(), x, labels); err != nil {
 					return nil, err
 				}
 				// Fail during setup, not inside the timed loop.

@@ -205,20 +205,7 @@ func FitDense(x *mat.Dense, labels []int, numClasses int, opt Options) (*Model, 
 	if x.Rows != len(labels) {
 		return nil, fmt.Errorf("core: %d samples but %d labels", x.Rows, len(labels))
 	}
-	// Mirror regress.FitDense's Auto resolution so the two layers always
-	// agree on which solver a given shape gets.
-	strat := opt.Strategy
-	if strat == regress.Auto {
-		if x.Cols > x.Rows {
-			strat = regress.Dual
-		} else {
-			strat = regress.Primal
-		}
-	}
-	if strat == regress.Primal {
-		if opt.Alpha < 0 {
-			return nil, fmt.Errorf("regress: negative alpha %v", opt.Alpha)
-		}
+	if opt.Strategy.Resolve(x.Rows, x.Cols) == regress.Primal {
 		return fitDensePrimalStats(x, labels, numClasses, opt)
 	}
 	sp := opt.Span.StartChild("responses")

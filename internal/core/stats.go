@@ -88,10 +88,12 @@ func (s *SuffStats) ClassMean(k int, dst []float64) []float64 {
 	return dst
 }
 
-// Absorb accumulates one dense labeled sample in O(n²).  A NaN or ±Inf
-// feature is rejected: it would poison the Gram matrix for every later
-// refit.
-func (s *SuffStats) Absorb(x []float64, label int) error {
+// Check reports whether Absorb would take x with label: n features, each
+// finite, and a label in [0,c).  It is the one validator of the
+// streaming path; the online trainer checks a whole batch with it before
+// absorbing any row.  A NaN or ±Inf feature would poison the Gram matrix
+// for every later refit.
+func (s *SuffStats) Check(x []float64, label int) error {
 	if len(x) != s.n {
 		return fmt.Errorf("core: sample has %d features, expected %d", len(x), s.n)
 	}
@@ -103,37 +105,16 @@ func (s *SuffStats) Absorb(x []float64, label int) error {
 			return fmt.Errorf("core: feature %d is not finite (%v)", j, v)
 		}
 	}
-	copy(s.aug, x)
-	s.aug[s.n] = 1
-	s.absorbAug(label)
 	return nil
 }
 
-// AbsorbSparse accumulates one CSR-form labeled sample.  The sample is
-// densified into the scratch vector first, so the arithmetic — and hence
-// the resulting statistics — is bitwise identical to Absorb on the
-// densified row.
-func (s *SuffStats) AbsorbSparse(cols []int, vals []float64, label int) error {
-	if label < 0 || label >= s.c {
-		return fmt.Errorf("core: label %d out of range [0,%d)", label, s.c)
+// Absorb accumulates one dense labeled sample in O(n²), refusing what
+// Check refuses.
+func (s *SuffStats) Absorb(x []float64, label int) error {
+	if err := s.Check(x, label); err != nil {
+		return err
 	}
-	if len(cols) != len(vals) {
-		return fmt.Errorf("core: %d column indices but %d values", len(cols), len(vals))
-	}
-	for t, j := range cols {
-		if j < 0 || j >= s.n {
-			return fmt.Errorf("core: feature index %d out of range for %d features", j, s.n)
-		}
-		if v := vals[t]; math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: feature %d is not finite (%v)", j, v)
-		}
-	}
-	for j := 0; j < s.n; j++ {
-		s.aug[j] = 0
-	}
-	for t, j := range cols {
-		s.aug[j] = vals[t]
-	}
+	copy(s.aug, x)
 	s.aug[s.n] = 1
 	s.absorbAug(label)
 	return nil
@@ -157,20 +138,6 @@ func (s *SuffStats) absorbAug(label int) {
 	s.seen++
 }
 
-// Clone deep-copies the statistics, so a caller can fit or keep a
-// snapshot while absorption continues on the original.
-func (s *SuffStats) Clone() *SuffStats {
-	return &SuffStats{
-		n:         s.n,
-		c:         s.c,
-		counts:    append([]int(nil), s.counts...),
-		classSums: s.classSums.Clone(),
-		gram:      s.gram.Clone(),
-		seen:      s.seen,
-		aug:       make([]float64, s.n+1),
-	}
-}
-
 // FitStats solves the SRDA primal fit from sufficient statistics alone —
 // the incremental ↔ batch bridge.  No pass over the data: responses come
 // from the class counts (O(c³)), X̃ᵀY collapses to classSumsᵀ·V because
@@ -183,8 +150,8 @@ func (s *SuffStats) Clone() *SuffStats {
 // the result is bitwise identical to the batch FitDense primal fit on the
 // same data (which routes through this same function).
 func FitStats(s *SuffStats, opt Options) (*Model, error) {
-	if opt.Alpha < 0 {
-		return nil, fmt.Errorf("core: negative alpha %v", opt.Alpha)
+	if err := regress.CheckAlpha(opt.Alpha); err != nil {
+		return nil, err
 	}
 	sp := opt.Span.StartChild("responses")
 	rt, err := ResponsesFromCounts(s.counts)
@@ -268,7 +235,7 @@ func fitDensePrimalStats(x *mat.Dense, labels []int, numClasses int, opt Options
 		seen:      x.Rows,
 		aug:       make([]float64, x.Cols+1),
 	}
-	xa := augmentOnes(x)
+	xa := regress.Augment(x)
 	sp := opt.Span.StartChild("gram")
 	s.gram = mat.ParGram(opt.Workers, xa)
 	for i := 0; i < x.Rows; i++ {
@@ -276,15 +243,4 @@ func fitDensePrimalStats(x *mat.Dense, labels []int, numClasses int, opt Options
 	}
 	sp.End()
 	return FitStats(s, opt)
-}
-
-// augmentOnes appends the constant-1 intercept column.
-func augmentOnes(x *mat.Dense) *mat.Dense {
-	xa := mat.NewDense(x.Rows, x.Cols+1)
-	for i := 0; i < x.Rows; i++ {
-		row := xa.RowView(i)
-		copy(row, x.RowView(i))
-		row[x.Cols] = 1
-	}
-	return xa
 }

@@ -183,76 +183,6 @@ func TestIncrementalStreamingRefits(t *testing.T) {
 	}
 }
 
-// TestAbsorbSparseMatchesDense: a CSR-form sample must land bitwise
-// identically to its densified twin.
-func TestAbsorbSparseMatchesDense(t *testing.T) {
-	const n, c = 12, 3
-	dense, err := NewSuffStats(n, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := NewSuffStats(n, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(78))
-	row := make([]float64, n)
-	for i := 0; i < 40; i++ {
-		var cols []int
-		var vals []float64
-		for j := range row {
-			row[j] = 0
-			if rng.Float64() < 0.4 {
-				row[j] = rng.NormFloat64()
-				cols = append(cols, j)
-				vals = append(vals, row[j])
-			}
-		}
-		lab := i % c
-		if err := dense.Absorb(row, lab); err != nil {
-			t.Fatal(err)
-		}
-		if err := sparse.AbsorbSparse(cols, vals, lab); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bitsEqual(t, "gram", sparse.gram.Data, dense.gram.Data)
-	bitsEqual(t, "classSums", sparse.classSums.Data, dense.classSums.Data)
-}
-
-// TestSuffStatsCloneIsolated: mutating a clone must not leak into the
-// original.
-func TestSuffStatsCloneIsolated(t *testing.T) {
-	const n, c = 5, 2
-	s, err := NewSuffStats(n, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{1, 2, 3, 4, 5}
-	if err := s.Absorb(x, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Absorb(x, 1); err != nil {
-		t.Fatal(err)
-	}
-	cl := s.Clone()
-	if err := cl.Absorb(x, 1); err != nil {
-		t.Fatal(err)
-	}
-	if s.Seen() != 2 || cl.Seen() != 3 {
-		t.Fatalf("seen = %d / %d, want 2 / 3", s.Seen(), cl.Seen())
-	}
-	if got := s.ClassCounts()[1]; got != 1 {
-		t.Fatalf("original counts mutated: %d", got)
-	}
-	mean := cl.ClassMean(1, nil)
-	for j, v := range mean {
-		if v != x[j] {
-			t.Fatalf("clone class mean[%d] = %v, want %v", j, v, x[j])
-		}
-	}
-}
-
 // TestSuffStatsValidation pins the error paths.
 func TestSuffStatsValidation(t *testing.T) {
 	if _, err := NewSuffStats(0, 2); err == nil {
@@ -271,22 +201,19 @@ func TestSuffStatsValidation(t *testing.T) {
 	if err := s.Absorb([]float64{1, 2, 3}, 2); err == nil {
 		t.Fatal("out-of-range label accepted")
 	}
-	if err := s.AbsorbSparse([]int{3}, []float64{1}, 0); err == nil {
-		t.Fatal("out-of-range feature index accepted")
+	if err := s.Absorb([]float64{1, 2, 3}, -1); err == nil {
+		t.Fatal("negative label accepted")
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if err := s.Absorb([]float64{1, bad, 3}, 0); err == nil {
-			t.Fatalf("dense sample with %v accepted", bad)
+			t.Fatalf("sample with %v accepted", bad)
 		}
-		if err := s.AbsorbSparse([]int{0, 2}, []float64{1, bad}, 1); err == nil {
-			t.Fatalf("sparse sample with %v accepted", bad)
+		if err := s.Check([]float64{1, 2, bad}, 1); err == nil {
+			t.Fatalf("Check passed a sample with %v", bad)
 		}
 	}
-	if err := s.AbsorbSparse([]int{0, 1}, []float64{1}, 0); err == nil {
-		t.Fatal("more column indices than values accepted")
-	}
-	if err := s.AbsorbSparse([]int{0}, []float64{1, 2}, 0); err == nil {
-		t.Fatal("more values than column indices accepted")
+	if err := s.Check([]float64{1, 2, 3}, 1); err != nil {
+		t.Fatalf("Check refused a good sample: %v", err)
 	}
 	if s.Seen() != 0 {
 		t.Fatalf("failed absorptions counted: %d", s.Seen())

@@ -76,15 +76,6 @@ func (d *driftWindow) push(x []float64, label int) {
 	d.next = (d.next + 1) % d.capacity
 }
 
-// pushSparse densifies a CSR-form sample into the ring slot and pushes.
-func (d *driftWindow) pushSparse(cols []int, vals []float64, label int) {
-	row := make([]float64, d.n)
-	for i, j := range cols {
-		row[j] = vals[i]
-	}
-	d.push(row, label)
-}
-
 // setReference snapshots the cumulative class means of stats as the new
 // drift baseline; classes still empty stay incomparable.
 func (d *driftWindow) setReference(stats *core.SuffStats) {

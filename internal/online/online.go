@@ -1,9 +1,11 @@
 // Package online closes the train-while-serving loop: a streaming
-// trainer that ingests labeled samples (dense or CSR) into the
-// bounded-memory sufficient statistics of core.SuffStats, refits on
-// configurable triggers, and atomically publishes each new model version
-// into an internal/registry store so router/worker replicas pick it up
-// with zero downtime.
+// trainer that ingests labeled dense rows (Observe, or ObserveBatch,
+// which refuses a batch whole) into the bounded-memory sufficient
+// statistics of core.SuffStats, refits on configurable triggers, and
+// atomically publishes each new model version into an internal/registry
+// store so router/worker replicas pick it up with zero downtime.  A
+// sparse sample is densified before it reaches the trainer; serve's
+// /v1/observe edge does that against NumFeatures.
 //
 // The paper's linear-time claim is what makes this affordable: one
 // absorbed sample costs O(n²) (the rank-one Gram contribution), a refit
@@ -49,7 +51,6 @@ import (
 	"srda/internal/mat"
 	"srda/internal/obs"
 	"srda/internal/registry"
-	"srda/internal/sparse"
 )
 
 // RefitPolicy configures when the trainer refits and how candidates are
@@ -140,8 +141,9 @@ type holdoutSample struct {
 }
 
 // StreamTrainer is the streaming trainer; construct with NewStreamTrainer.
-// Observe/ObserveBatch/ObserveCSR are safe for concurrent use with each
-// other and with the registry's readers.
+// Its samples are dense rows: Observe takes one, ObserveBatch takes a
+// batch and refuses it whole on any bad row.  Both are safe for
+// concurrent use with each other and with the registry's readers.
 type StreamTrainer struct {
 	cfg    Config
 	stride int // holdout diversion stride (0 = no holdout)
@@ -253,147 +255,73 @@ func (t *StreamTrainer) DriftScore() float64 {
 	return math.Float64frombits(t.driftBits.Load())
 }
 
-// Observe absorbs one dense labeled sample and refits when a trigger
-// fires; the refit (publish, validation, rollback) happens before
-// Observe returns.
+// Observe absorbs one labeled sample and refits when a trigger fires;
+// the refit (publish, validation, rollback) happens before Observe
+// returns.  It is ObserveBatch on a one-row batch.
 func (t *StreamTrainer) Observe(x []float64, label int) error {
-	return t.ObserveCtx(context.Background(), x, label)
+	return t.ObserveBatch(context.Background(), mat.NewDenseData(1, len(x), x), []int{label})
 }
 
-// ObserveCtx is Observe carrying trace context: when the sample trips a
-// refit trigger, the refit runs under a "refit" child of whatever request
-// span ctx holds, so a cross-process trace shows which /v1/observe call
-// paid for the solve.
-func (t *StreamTrainer) ObserveCtx(ctx context.Context, x []float64, label int) error {
-	return t.observe(ctx, func(s *core.SuffStats) error { return s.Absorb(x, label) }, x, nil, nil, label)
-}
-
-// ObserveSparse absorbs one CSR-form sample; the statistics are bitwise
-// identical to Observe on the densified row.
-func (t *StreamTrainer) ObserveSparse(cols []int, vals []float64, label int) error {
-	return t.ObserveSparseCtx(context.Background(), cols, vals, label)
-}
-
-// ObserveSparseCtx is ObserveSparse carrying trace context, like
-// ObserveCtx.
-func (t *StreamTrainer) ObserveSparseCtx(ctx context.Context, cols []int, vals []float64, label int) error {
-	return t.observe(ctx, func(s *core.SuffStats) error { return s.AbsorbSparse(cols, vals, label) }, nil, cols, vals, label)
-}
-
-// ObserveBatch absorbs every row of x in order — equivalent to calling
-// Observe per row (triggers can fire mid-batch).  It stops at the first
-// invalid sample.
-func (t *StreamTrainer) ObserveBatch(x *mat.Dense, labels []int) error {
+// ObserveBatch absorbs the rows of x with their labels, in order.  It
+// checks every row and label first and refuses the whole batch if any
+// fails, so a refused batch changes no counter.  Triggers are evaluated
+// after each row, so refits fire at the same sample counts as per-row
+// Observe calls; a refit that fails or rolls back ends the batch after
+// the row that tripped it, and that error is returned.  When ctx carries
+// a request span, each refit runs under a "refit" child of it, so a
+// cross-process trace shows which /v1/observe call paid for the solve.
+// The trainer keeps no reference to x.
+func (t *StreamTrainer) ObserveBatch(ctx context.Context, x *mat.Dense, labels []int) error {
 	if x.Rows != len(labels) {
 		return fmt.Errorf("online: %d rows but %d labels", x.Rows, len(labels))
 	}
-	for i := 0; i < x.Rows; i++ {
-		if err := t.Observe(x.RowView(i), labels[i]); err != nil {
-			return fmt.Errorf("online: batch row %d: %w", i, err)
+	for i, label := range labels {
+		if err := t.stats.Check(x.RowView(i), label); err != nil {
+			return fmt.Errorf("sample %d: %w", i, err)
 		}
 	}
-	return nil
-}
-
-// ObserveCSR absorbs every row of x in order, like ObserveBatch for
-// sparse data; the statistics match the densified stream bitwise.
-func (t *StreamTrainer) ObserveCSR(x *sparse.CSR, labels []int) error {
-	if x.Rows != len(labels) {
-		return fmt.Errorf("online: %d rows but %d labels", x.Rows, len(labels))
-	}
-	for i := 0; i < x.Rows; i++ {
-		cols, vals := x.Row(i)
-		if err := t.ObserveSparse(cols, vals, labels[i]); err != nil {
-			return fmt.Errorf("online: batch row %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// observe is the shared ingestion path: divert to holdout or absorb,
-// update the drift window, then evaluate triggers.
-func (t *StreamTrainer) observe(ctx context.Context, absorb func(*core.SuffStats) error, dense []float64, cols []int, vals []float64, label int) error {
 	t.mu.Lock()
-	if err := t.validateSample(dense, cols, vals, label); err != nil {
-		t.mu.Unlock()
+	defer t.mu.Unlock()
+	for i, label := range labels {
+		if err := t.observeLocked(ctx, x.RowView(i), label); err != nil {
+			return fmt.Errorf("sample %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// NumFeatures returns the width every observed row must have.
+func (t *StreamTrainer) NumFeatures() int { return t.cfg.NumFeatures }
+
+// observeLocked diverts one checked sample to the holdout or absorbs it,
+// updates the drift window, then evaluates triggers; caller holds t.mu.
+func (t *StreamTrainer) observeLocked(ctx context.Context, x []float64, label int) error {
+	// Deterministic diversion: every stride-th sample validates, the
+	// rest train.
+	held := t.stride > 0 && (t.total+1)%int64(t.stride) == 0
+	if held {
+		t.holdout = append(t.holdout, holdoutSample{x: append([]float64(nil), x...), label: label})
+		if over := len(t.holdout) - t.cfg.Policy.MaxHoldout; over > 0 {
+			t.holdout = append([]holdoutSample(nil), t.holdout[over:]...)
+		}
+		t.mx.holdout.Inc()
+	} else if err := t.stats.Absorb(x, label); err != nil {
 		return err
 	}
 	t.total++
 	t.seen.Store(t.total)
 	t.mx.samples.Inc()
-	if t.stride > 0 && t.total%int64(t.stride) == 0 {
-		// Deterministic diversion: every stride-th sample validates, the
-		// rest train.  Densify sparse samples once, on entry.
-		var row []float64
-		if dense != nil {
-			row = append([]float64(nil), dense...)
-		} else {
-			row = make([]float64, t.cfg.NumFeatures)
-			for i, j := range cols {
-				row[j] = vals[i]
-			}
-		}
-		t.holdout = append(t.holdout, holdoutSample{x: row, label: label})
-		if over := len(t.holdout) - t.cfg.Policy.MaxHoldout; over > 0 {
-			t.holdout = append([]holdoutSample(nil), t.holdout[over:]...)
-		}
-		t.mx.holdout.Inc()
-		t.mu.Unlock()
+	if held {
 		return nil
-	}
-	if err := absorb(t.stats); err != nil {
-		// Unreachable after validateSample; kept so a statistics-side
-		// rejection can never corrupt the sample accounting.
-		t.total--
-		t.seen.Store(t.total)
-		t.mx.samples.Add(-1)
-		t.mu.Unlock()
-		return err
 	}
 	t.sinceRefit++
 	if t.drift != nil {
-		if dense != nil {
-			t.drift.push(dense, label)
-		} else {
-			t.drift.pushSparse(cols, vals, label)
-		}
+		t.drift.push(x, label)
 		t.updateDriftLocked()
 	}
-	defer t.mu.Unlock()
 	if trigger := t.triggerLocked(); trigger != "" {
 		_, _, err := t.refitLocked(ctx, trigger)
 		return err
-	}
-	return nil
-}
-
-// validateSample rejects malformed input before any accounting, so a
-// failed Observe leaves every counter untouched.
-func (t *StreamTrainer) validateSample(dense []float64, cols []int, vals []float64, label int) error {
-	if label < 0 || label >= t.cfg.NumClasses {
-		return fmt.Errorf("online: label %d out of range [0,%d)", label, t.cfg.NumClasses)
-	}
-	if dense != nil {
-		if len(dense) != t.cfg.NumFeatures {
-			return fmt.Errorf("online: sample has %d features, expected %d", len(dense), t.cfg.NumFeatures)
-		}
-		for j, v := range dense {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("online: feature %d is not finite (%v)", j, v)
-			}
-		}
-		return nil
-	}
-	if len(cols) != len(vals) {
-		return fmt.Errorf("online: %d column indices but %d values", len(cols), len(vals))
-	}
-	for i, j := range cols {
-		if j < 0 || j >= t.cfg.NumFeatures {
-			return fmt.Errorf("online: feature index %d out of range for %d features", j, t.cfg.NumFeatures)
-		}
-		if v := vals[i]; math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("online: feature %d is not finite (%v)", j, v)
-		}
 	}
 	return nil
 }

@@ -1,17 +1,18 @@
 package online
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"srda/internal/core"
 	"srda/internal/mat"
 	"srda/internal/registry"
-	"srda/internal/sparse"
 )
 
 // fakeClock is a manually-advanced clock for the interval trigger.
@@ -82,16 +83,19 @@ func TestObserveErrors(t *testing.T) {
 	if err := tr.Observe([]float64{1, 2}, 0); err == nil {
 		t.Fatal("short sample accepted")
 	}
-	if err := tr.ObserveSparse([]int{7}, []float64{1}, 0); err == nil {
-		t.Fatal("out-of-range sparse index accepted")
-	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if err := tr.Observe([]float64{bad, 1, 0}, 1); err == nil {
-			t.Fatalf("dense sample with %v accepted", bad)
+			t.Fatalf("sample with %v accepted", bad)
 		}
-		if err := tr.ObserveSparse([]int{0, 2}, []float64{1, bad}, 1); err == nil {
-			t.Fatalf("sparse sample with %v accepted", bad)
-		}
+	}
+	// A batch is refused whole: its good first row is not absorbed
+	// either, and the error names the bad row.
+	batch := mat.NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	if err := tr.ObserveBatch(context.Background(), batch, []int{0, 2}); err == nil || !strings.Contains(err.Error(), "sample 1") {
+		t.Fatalf("batch with a bad last label: err = %v", err)
+	}
+	if err := tr.ObserveBatch(context.Background(), batch, []int{0}); err == nil {
+		t.Fatal("batch with fewer labels than rows accepted")
 	}
 	if tr.Seen() != 0 {
 		t.Fatalf("failed observes counted: %d", tr.Seen())
@@ -365,53 +369,95 @@ func TestStandaloneRefit(t *testing.T) {
 	}
 }
 
-// TestObserveFormsAgree: the dense, batch, CSR, and sparse ingestion
-// forms of the same rows produce bitwise-identical refits.
+// TestObserveFormsAgree: per-row Observe and one ObserveBatch over the
+// same rows produce bitwise-identical refits, with the count trigger
+// firing at the same samples inside the batch.
 func TestObserveFormsAgree(t *testing.T) {
 	const m, n, c = 30, 8, 2
 	rng := rand.New(rand.NewSource(30))
 	x := mat.NewDense(m, n)
 	labels := make([]int, m)
-	b := sparse.NewBuilder(m, n)
 	for i := 0; i < m; i++ {
 		labels[i] = i % c
 		row := x.RowView(i)
 		for j := range row {
 			if rng.Float64() < 0.5 {
 				row[j] = rng.NormFloat64() + float64(labels[i])
-				b.Add(i, j, row[j])
 			}
 		}
 	}
-	csr := b.Build()
-
 	newTrainer := func() *StreamTrainer {
-		tr, err := NewStreamTrainer(Config{NumFeatures: n, NumClasses: c, Alpha: 1})
+		tr, err := NewStreamTrainer(Config{NumFeatures: n, NumClasses: c, Alpha: 1,
+			Policy: RefitPolicy{MinSamples: 7}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tr
 	}
-	dense := newTrainer()
-	if err := dense.ObserveBatch(x, labels); err != nil {
-		t.Fatal(err)
-	}
-	sp := newTrainer()
-	if err := sp.ObserveCSR(csr, labels); err != nil {
-		t.Fatal(err)
-	}
-	md, _, err := dense.Refit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, _, err := sp.Refit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range md.W.Data {
-		if math.Float64bits(md.W.Data[i]) != math.Float64bits(ms.W.Data[i]) {
-			t.Fatalf("W[%d]: dense %v vs CSR %v", i, md.W.Data[i], ms.W.Data[i])
+	rows := newTrainer()
+	for i := 0; i < m; i++ {
+		if err := rows.Observe(x.RowView(i), labels[i]); err != nil {
+			t.Fatal(err)
 		}
+	}
+	batch := newTrainer()
+	if err := batch.ObserveBatch(context.Background(), x, labels); err != nil {
+		t.Fatal(err)
+	}
+	if r, b := rows.mx.refits.Value(), batch.mx.refits.Value(); r != 4 || b != r {
+		t.Fatalf("refits: per-row %d, batch %d, want 4", r, b)
+	}
+	mr, _, err := rows.Refit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, _, err := batch.Refit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range mr.W.Data {
+		if math.Float64bits(mr.W.Data[i]) != math.Float64bits(mb.W.Data[i]) {
+			t.Fatalf("W[%d]: per-row %v vs batch %v", i, mr.W.Data[i], mb.W.Data[i])
+		}
+	}
+}
+
+// TestConcurrentBatches: batches from several goroutines each absorb
+// whole under the trainer's lock, so with batches as long as the refit
+// count every refit fires at a batch boundary, and every sample counts.
+func TestConcurrentBatches(t *testing.T) {
+	const n, c, feeders, batches, rows = 4, 2, 4, 10, 5
+	tr, err := NewStreamTrainer(Config{NumFeatures: n, NumClasses: c, Alpha: 1,
+		Policy: RefitPolicy{MinSamples: rows}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < feeders; g++ {
+		rng := rand.New(rand.NewSource(int64(40 + g)))
+		x := mat.NewDense(rows, n)
+		labels := make([]int, rows)
+		for i := range labels {
+			labels[i] = i % c
+			copy(x.RowView(i), blobSample(rng, n, labels[i]))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				if err := tr.ObserveBatch(context.Background(), x, labels); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := tr.Seen(); got != feeders*batches*rows {
+		t.Fatalf("seen %d, want %d", got, feeders*batches*rows)
+	}
+	if got := tr.mx.refits.Value(); got != feeders*batches {
+		t.Fatalf("%d refits, want one per batch (%d)", got, feeders*batches)
 	}
 }
 

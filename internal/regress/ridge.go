@@ -61,6 +61,28 @@ func (s Strategy) String() string {
 	}
 }
 
+// Resolve names the solver s runs on an m×n dense design: Auto becomes
+// Primal when n ≤ m and Dual when n > m; every other strategy is itself.
+// core's dense fit calls it too, so both layers pick the same solver.
+func (s Strategy) Resolve(m, n int) Strategy {
+	if s != Auto {
+		return s
+	}
+	if n > m {
+		return Dual
+	}
+	return Primal
+}
+
+// CheckAlpha refuses a negative ridge penalty, for every fit entry that
+// takes one.
+func CheckAlpha(alpha float64) error {
+	if alpha < 0 {
+		return fmt.Errorf("regress: negative alpha %v", alpha)
+	}
+	return nil
+}
+
 // Options configures a ridge fit.
 type Options struct {
 	// Alpha is the Tikhonov penalty (the paper's α); must be >= 0.
@@ -132,18 +154,10 @@ func FitDense(x *mat.Dense, y *mat.Dense, opt Options) (*Model, error) {
 	if x.Rows != y.Rows {
 		return nil, fmt.Errorf("regress: X has %d rows but Y has %d", x.Rows, y.Rows)
 	}
-	if opt.Alpha < 0 {
-		return nil, fmt.Errorf("regress: negative alpha %v", opt.Alpha)
+	if err := CheckAlpha(opt.Alpha); err != nil {
+		return nil, err
 	}
-	strat := opt.Strategy
-	if strat == Auto {
-		if x.Cols > x.Rows {
-			strat = Dual
-		} else {
-			strat = Primal
-		}
-	}
-	switch strat {
+	switch strat := opt.Strategy.Resolve(x.Rows, x.Cols); strat {
 	case Primal:
 		return fitPrimal(x, y, opt)
 	case Dual:
@@ -163,8 +177,8 @@ func FitOperator(op solver.Operator, y *mat.Dense, opt Options) (*Model, error) 
 	if m != y.Rows {
 		return nil, fmt.Errorf("regress: operator has %d rows but Y has %d", m, y.Rows)
 	}
-	if opt.Alpha < 0 {
-		return nil, fmt.Errorf("regress: negative alpha %v", opt.Alpha)
+	if err := CheckAlpha(opt.Alpha); err != nil {
+		return nil, err
 	}
 	work := op
 	if opt.Intercept {
@@ -266,6 +280,12 @@ func augment(x *mat.Dense, intercept bool) *mat.Dense {
 	if !intercept {
 		return x
 	}
+	return Augment(x)
+}
+
+// Augment appends the constant-1 intercept column of the paper's
+// intercept-absorption trick: row i of the result is [xᵢ, 1].
+func Augment(x *mat.Dense) *mat.Dense {
 	xa := mat.NewDense(x.Rows, x.Cols+1)
 	for i := 0; i < x.Rows; i++ {
 		row := xa.RowView(i)

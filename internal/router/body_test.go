@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -265,14 +266,56 @@ func TestWhereBadBodiesAreRefused(t *testing.T) {
 			t.Errorf("error inside a sample: %s counted %d forwards", replicas[i], d)
 		}
 	}
-	if n := r.mx.backendErrors.Value(replicas[owner]); n != 1 {
-		t.Errorf("backend errors on %s = %d, want 1", replicas[owner], n)
+	if n := r.mx.backendErrors.Value(replicas[owner]); n != 0 {
+		t.Errorf("backend errors on %s = %d for a client's bad body, want 0", replicas[owner], n)
 	}
 	if rec := routeOne(r, good); rec.Code != http.StatusOK {
 		t.Errorf("second token: %d %q", rec.Code, rec.Body.String())
 	}
 	if rec := routeOne(r, good); rec.Code != http.StatusTooManyRequests {
 		t.Errorf("third request on a burst of 2: %d %q, want 429", rec.Code, rec.Body.String())
+	}
+}
+
+// stubBody answers every forwarded body with a fixed status, or fails
+// as a transport would.
+type stubBody struct {
+	Backend
+	code int
+	err  error
+}
+
+func (b stubBody) PredictBody(context.Context, []byte) (int, []byte, error) {
+	return b.code, []byte(`{"error":"stub"}` + "\n"), b.err
+}
+
+// TestBackendErrorsCountReplicaFaults: srdaroute_backend_errors_total
+// counts a replica's 5xx replies and transport failures, not the 4xx
+// replies a client's own request earns.
+func TestBackendErrorsCountReplicaFaults(t *testing.T) {
+	const body = `{"model":"tenant-0","samples":[{"dense":[0,0,0,0,0,0,0,0]}]}`
+	_, _, workers := colocated(t, 1, Options{})
+	local := &LocalBackend{ReplicaName: "worker-0", Server: workers[0]}
+	for _, tc := range []struct {
+		name string
+		b    stubBody
+		want int64
+	}{
+		{"bad request", stubBody{local, http.StatusBadRequest, nil}, 0},
+		{"unknown model", stubBody{local, http.StatusNotFound, nil}, 0},
+		{"internal error", stubBody{local, http.StatusInternalServerError, nil}, 1},
+		{"queue full", stubBody{local, http.StatusServiceUnavailable, nil}, 1},
+		{"transport", stubBody{local, 0, errors.New("connection refused")}, 1},
+	} {
+		r, err := New([]Backend{tc.b}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := routeOne(r, body)
+		if got := r.mx.backendErrors.Value("worker-0"); got != tc.want {
+			t.Errorf("%s: reply %d counted %d backend errors, want %d", tc.name, rec.Code, got, tc.want)
+		}
+		r.Close()
 	}
 }
 

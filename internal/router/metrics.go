@@ -23,7 +23,7 @@ func newMetrics(ringMembers, healthy func() int64) *metrics {
 		shed: reg.NewCounterVec("srdaroute_shed_total",
 			"Requests shed before reaching a backend, by reason (quota, overload, no_backend, draining) and tenant.", "reason", "tenant"),
 		backendErrors: reg.NewCounterVec("srdaroute_backend_errors_total",
-			"Forwarded requests that failed at the backend, by replica.", "replica"),
+			"Forwarded requests the backend failed (a 5xx reply or a transport error), by replica.", "replica"),
 		forward: reg.NewHistogram("srdaroute_forward_seconds",
 			"Routed predict latency from admission to backend reply.",
 			[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}),

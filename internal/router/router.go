@@ -561,10 +561,13 @@ func (r *Router) admit(ctx context.Context, model string) (Backend, string, erro
 }
 
 // forward times one backend call under a "forward" span and counts it
-// for the replica by the status call returns.  The span rides the context
-// into the call: the HTTP client stamps it onto the outgoing request as a
-// traceparent header, and a co-located worker parents its "request" span
-// under it — either way the worker continues this TraceID.
+// for the replica by the status call returns.  Only a 5xx, which a
+// transport failure also maps to, counts as a backend error: a client's
+// 400 or an unknown model's 404 says nothing about the replica.  The
+// span rides the context into the call: the HTTP client stamps it onto
+// the outgoing request as a traceparent header, and a co-located worker
+// parents its "request" span under it — either way the worker continues
+// this TraceID.
 func (r *Router) forward(ctx context.Context, b Backend, tenant string, call func(context.Context) int) {
 	trace := obs.SpanFromContext(ctx).TraceID()
 	fctx, fsp := obs.StartSpan(ctx, "forward")
@@ -574,7 +577,7 @@ func (r *Router) forward(ctx context.Context, b Backend, tenant string, call fun
 	fsp.End()
 	r.observeForward(tenant, sec, trace)
 	r.mx.requests.With(b.Name(), strconv.Itoa(code)).Inc()
-	if code != http.StatusOK {
+	if code >= http.StatusInternalServerError {
 		r.mx.backendErrors.With(b.Name()).Inc()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"srda/internal/mat"
 	"srda/internal/obs"
 )
 
@@ -16,22 +17,18 @@ import (
 // online package can (in its tests) drive serve without an import
 // cycle.
 //
-// Refit latency leaks into Observe by design: the trainer refits inside
-// the Observe call that trips a trigger, so the HTTP request that
+// Refit latency leaks into ObserveBatch by design: the trainer refits
+// inside the call whose row trips a trigger, so the HTTP request that
 // delivered the triggering sample waits for the new model to publish.
 type Trainer interface {
-	// Observe absorbs one dense labeled sample.  No method may keep x,
-	// cols or vals past its return: they view the worker's pooled body
-	// buffers.
-	Observe(x []float64, label int) error
-	// ObserveSparse absorbs one CSR-form labeled sample.
-	ObserveSparse(cols []int, vals []float64, label int) error
-	// ObserveCtx is Observe with trace context: a synchronous refit the
-	// sample triggers runs under the request's span tree, so the trace
-	// that delivered the triggering sample shows the refit it paid for.
-	ObserveCtx(ctx context.Context, x []float64, label int) error
-	// ObserveSparseCtx is ObserveSparse with trace context.
-	ObserveSparseCtx(ctx context.Context, cols []int, vals []float64, label int) error
+	// ObserveBatch absorbs the rows of x with their labels, in order.  It
+	// checks every row and label before absorbing any, so an error from a
+	// refused batch leaves the trainer unchanged; a refit the batch trips
+	// runs under ctx's request span.
+	ObserveBatch(ctx context.Context, x *mat.Dense, labels []int) error
+	// NumFeatures is the row width the trainer takes; /v1/observe
+	// densifies sparse samples to it.
+	NumFeatures() int
 	// Seen returns the number of samples observed so far.
 	Seen() int64
 	// Metrics exposes the trainer's instruments (srdaonline_*).
@@ -58,9 +55,13 @@ type ObserveResponse struct {
 }
 
 // handleObserve feeds POSTed labeled samples to the co-located trainer.
-// Registered only when Options.Trainer is set.  The body goes through
-// the predict scanner, which fills the cols/vals/label the trainer
-// takes.
+// Registered only when Options.Trainer is set.  This is the one edge for
+// labeled samples: the body goes through the predict scanner, every
+// sample meets the rules predict samples meet (checkSample) against the
+// trainer's feature count, and sparse samples are densified.  Then the
+// whole request goes to the trainer in one call, which checks the labels
+// before absorbing any row.  A request refused on any sample gets a 400
+// naming it and changes no trainer counter.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeErr(w, http.StatusMethodNotAllowed, "POST required")
@@ -76,7 +77,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 		return writeErr(w, http.StatusBadRequest, "request body: %v", err)
 	}
 	sc, err := scanObserve(body, s.opts.MaxRequestSamples)
-	defer sc.release() // the trainer keeps no sample slice past its call
+	defer sc.release()
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "%v", err)
 	}
@@ -85,24 +86,22 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 		return writeErr(w, http.StatusBadRequest, "no samples")
 	}
 	tr := s.opts.Trainer
-	for i, ls := range samples {
-		hasDense, hasSparse := len(ls.dense) > 0, len(ls.cols) > 0
-		if hasDense == hasSparse {
-			return writeErr(w, http.StatusBadRequest, "sample %d: need exactly one of dense or sparse", i)
-		}
-		if hasDense {
-			err = tr.ObserveCtx(ctx, ls.dense, ls.label)
-		} else {
-			// Sorted columns: the trainer's streaming statistics
-			// accumulate in index order.
-			cols, vals := sortSparse(ls.cols, ls.vals)
-			err = tr.ObserveSparseCtx(ctx, cols, vals, ls.label)
-		}
-		if err != nil {
-			// Samples before i were absorbed; the caller sees how far the
-			// request got via the error index and the seen total.
+	x := mat.NewDense(len(samples), tr.NumFeatures())
+	labels := make([]int, len(samples))
+	for i := range samples {
+		smp := &samples[i]
+		if err := checkSample(smp, x.Cols); err != nil {
 			return writeErr(w, http.StatusBadRequest, "sample %d: %v", i, err)
 		}
+		row := x.RowView(i)
+		copy(row, smp.dense)
+		for t, j := range smp.cols {
+			row[j] = smp.vals[t]
+		}
+		labels[i] = smp.label
+	}
+	if err := tr.ObserveBatch(ctx, x, labels); err != nil {
+		return writeErr(w, http.StatusBadRequest, "%v", err)
 	}
 	return writeJSON(w, http.StatusOK, ObserveResponse{
 		Observed: len(samples),

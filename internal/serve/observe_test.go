@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,12 +17,12 @@ import (
 	"srda/internal/obs"
 )
 
-// fakeTrainer records observed samples and exposes one counter, standing
-// in for internal/online.StreamTrainer (serve only sees the interface).
+// fakeTrainer records observed rows and exposes one counter, standing
+// in for internal/online.StreamTrainer where a test needs only what the
+// handler hands over.
 type fakeTrainer struct {
 	mu      sync.Mutex
-	dense   [][]float64
-	sparse  int
+	rows    [][]float64
 	labels  []int
 	reg     *obs.Registry
 	samples *obs.Counter
@@ -36,37 +37,21 @@ func newFakeTrainer() *fakeTrainer {
 	}
 }
 
-func (f *fakeTrainer) Observe(x []float64, label int) error {
+func (f *fakeTrainer) ObserveBatch(_ context.Context, x *mat.Dense, labels []int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail {
-		return fmt.Errorf("trainer rejected the sample")
+		return fmt.Errorf("trainer rejected the batch")
 	}
-	f.dense = append(f.dense, append([]float64(nil), x...))
-	f.labels = append(f.labels, label)
-	f.samples.Inc()
+	for i, label := range labels {
+		f.rows = append(f.rows, append([]float64(nil), x.RowView(i)...))
+		f.labels = append(f.labels, label)
+		f.samples.Inc()
+	}
 	return nil
 }
 
-func (f *fakeTrainer) ObserveSparse(cols []int, vals []float64, label int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.fail {
-		return fmt.Errorf("trainer rejected the sample")
-	}
-	f.sparse++
-	f.labels = append(f.labels, label)
-	f.samples.Inc()
-	return nil
-}
-
-func (f *fakeTrainer) ObserveCtx(_ context.Context, x []float64, label int) error {
-	return f.Observe(x, label)
-}
-
-func (f *fakeTrainer) ObserveSparseCtx(_ context.Context, cols []int, vals []float64, label int) error {
-	return f.ObserveSparse(cols, vals, label)
-}
+func (f *fakeTrainer) NumFeatures() int { return 4 }
 
 func (f *fakeTrainer) Seen() int64 {
 	f.mu.Lock()
@@ -76,7 +61,7 @@ func (f *fakeTrainer) Seen() int64 {
 
 func (f *fakeTrainer) Metrics() *obs.Registry { return f.reg }
 
-func observeModel(t *testing.T) *core.Model {
+func observeModel(t testing.TB) *core.Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	x := mat.NewDense(30, 4)
@@ -95,9 +80,10 @@ func observeModel(t *testing.T) *core.Model {
 	return m
 }
 
-// TestObserveEndpoint: with a trainer, /v1/observe absorbs dense and
-// sparse samples, reports totals, and the trainer's metrics join the
-// exposition; bad samples get a 400 naming the offender.
+// TestObserveEndpoint: with a trainer, /v1/observe hands dense and
+// densified sparse samples over as one batch, reports totals, and the
+// trainer's metrics join the exposition; bad samples get a 400 naming
+// the offender.
 func TestObserveEndpoint(t *testing.T) {
 	tr := newFakeTrainer()
 	s, err := New(observeModel(t), Options{Trainer: tr})
@@ -119,8 +105,9 @@ func TestObserveEndpoint(t *testing.T) {
 	if resp.Observed != 2 || resp.Seen != 2 {
 		t.Fatalf("observed/seen = %d/%d, want 2/2", resp.Observed, resp.Seen)
 	}
-	if len(tr.dense) != 1 || tr.sparse != 1 || tr.labels[1] != 1 {
-		t.Fatalf("trainer saw dense=%d sparse=%d labels=%v", len(tr.dense), tr.sparse, tr.labels)
+	if !slices.Equal(tr.rows[0], []float64{1, 2, 3, 4}) || !slices.Equal(tr.rows[1], []float64{0, 2.5, 0, 0}) ||
+		!slices.Equal(tr.labels, []int{0, 1}) {
+		t.Fatalf("trainer saw rows %v labels %v, want the dense rows of both samples", tr.rows, tr.labels)
 	}
 
 	if _, err := c.Observe(context.Background(),

@@ -709,10 +709,39 @@ func (s *Server) submit(ctx context.Context, p *pending) error {
 }
 
 // add validates sample i against the model's feature count n and appends
-// it in dispatcher form.  This is the one place the predict rules live:
-// exactly one of dense or sparse, the dense length, finite values, sparse
-// index range, column order, and exact zeros dropped.
+// it in dispatcher form: sorted by column, exact zeros dropped.
 func (p *pending) add(i int, smp *rawSample, n int) error {
+	if err := checkSample(smp, n); err != nil {
+		return err
+	}
+	if len(smp.dense) > 0 {
+		if p.dense == nil {
+			p.dense = make([][]float64, p.rows())
+		}
+		p.dense[i] = smp.dense
+		p.width = n
+		p.ptr = append(p.ptr, len(p.cols))
+		return nil
+	}
+	for t, j := range smp.cols {
+		p.width = max(p.width, j+1)
+		if v := smp.vals[t]; v != 0 { //srdalint:ignore floatcmp exact zeros are dropped from the sparse structure, as a CSR build drops them
+			p.cols = append(p.cols, j)
+			p.vals = append(p.vals, v)
+		}
+	}
+	p.ptr = append(p.ptr, len(p.cols))
+	return nil
+}
+
+// checkSample is the one place the sample rules live, for predict and
+// observe bodies alike: exactly one of dense or sparse, the dense length
+// n, finite values, and sparse indices in [0, n).  It sorts a sparse
+// sample's writes by column first, keeping the last write to each
+// column, so a value that a later write replaces is never checked.
+// Column order makes a CSR row's kernel dot products accumulate in index
+// order, bitwise reproducible across requests.
+func checkSample(smp *rawSample, n int) error {
 	hasDense, hasSparse := len(smp.dense) > 0, len(smp.cols) > 0
 	if hasDense == hasSparse {
 		return fmt.Errorf("need exactly one of dense or sparse")
@@ -726,19 +755,11 @@ func (p *pending) add(i int, smp *rawSample, n int) error {
 				return fmt.Errorf("feature %d is not finite (%v)", j, v)
 			}
 		}
-		if p.dense == nil {
-			p.dense = make([][]float64, p.rows())
-		}
-		p.dense[i] = smp.dense
-		p.width = n
-		p.ptr = append(p.ptr, len(p.cols))
 		return nil
 	}
-	// Column order makes the CSR row's kernel dot products accumulate in
-	// index order, bitwise reproducible across requests.
-	cols, vals := sortSparse(smp.cols, smp.vals)
-	for t, j := range cols {
-		v := vals[t]
+	smp.cols, smp.vals = sortSparse(smp.cols, smp.vals)
+	for t, j := range smp.cols {
+		v := smp.vals[t]
 		if j < 0 {
 			return fmt.Errorf("negative feature index %d", j)
 		}
@@ -748,13 +769,7 @@ func (p *pending) add(i int, smp *rawSample, n int) error {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("feature %d is not finite (%v)", j, v)
 		}
-		p.width = max(p.width, j+1)
-		if v != 0 { //srdalint:ignore floatcmp exact zeros are dropped from the sparse structure, as a CSR build drops them
-			p.cols = append(p.cols, j)
-			p.vals = append(p.vals, v)
-		}
 	}
-	p.ptr = append(p.ptr, len(p.cols))
 	return nil
 }
 
