@@ -560,7 +560,7 @@ func newObsKit(cfg config, process string, logger *obs.Logger) (*obsKit, *obs.Lo
 			P99SLO:  cfg.flightP99.Seconds(),
 			Logger:  logger,
 		}),
-		exemplars: obs.NewExemplarStore(0, cfg.flightP99.Seconds()),
+		exemplars: obs.NewExemplarStore(cfg.flightP99.Seconds()),
 	}
 	kit.tracer.SetProcess(process)
 	kit.flight.AttachTracer(kit.tracer)
@@ -597,11 +597,10 @@ func buildTrainer(cfg config, reg *registry.Registry, kit *obsKit, logger *obs.L
 			DriftThreshold: cfg.driftThreshold,
 			HoldoutFrac:    cfg.holdoutFrac,
 		},
-		Registry:  reg,
-		ModelName: serve.DefaultModelName,
-		Clock:     srda.SystemClock(),
-		Logger:    logger,
-		Flight:    kit.flight,
+		Registry: reg,
+		Clock:    srda.SystemClock(),
+		Logger:   logger,
+		Flight:   kit.flight,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("building streaming trainer: %w", err)

@@ -99,8 +99,8 @@ func TestOnlineSmoke(t *testing.T) {
 	// on the holdout and must be rolled back.  (Plain huge random noise
 	// would not do: isotropic zero-mean poison acts like extra ridge and
 	// leaves the discriminant directions intact.)  The Observe request
-	// that delivers the triggering sample surfaces the rollback as its
-	// error.
+	// that delivers the triggering sample is still absorbed whole and
+	// answered 200; its reply names the rollback in refit_error.
 	rng := rand.New(rand.NewSource(48))
 	poison := func() serve.LabeledSample {
 		src := rng.Intn(ds.Sparse.Rows)
@@ -112,18 +112,23 @@ func TestOnlineSmoke(t *testing.T) {
 		wrong := (ds.Labels[src] + 1 + rng.Intn(ds.NumClasses-1)) % ds.NumClasses
 		return serve.LabeledSample{Sample: serve.SparseSample(m), Label: wrong}
 	}
-	var rollbackErr error
-	for i := 0; i < 2*refitSamples && rollbackErr == nil; i += 10 {
+	rollback := ""
+	for i := 0; i < 2*refitSamples && rollback == ""; i += 10 {
 		batch := make([]serve.LabeledSample, 10)
 		for j := range batch {
 			batch[j] = poison()
 		}
-		if _, err := client.Observe(ctx, batch...); err != nil {
-			rollbackErr = err
+		seen := resp.Seen
+		if resp, err = client.Observe(ctx, batch...); err != nil {
+			t.Fatalf("poison batch %d: %v", i/10, err)
 		}
+		if resp.Seen != seen+int64(len(batch)) {
+			t.Fatalf("poison batch %d moved seen %d→%d, want +%d", i/10, seen, resp.Seen, len(batch))
+		}
+		rollback = resp.RefitError
 	}
-	if rollbackErr == nil || !strings.Contains(rollbackErr.Error(), "rolled back") {
-		t.Fatalf("poison stream never surfaced a rollback, last err = %v", rollbackErr)
+	if !strings.Contains(rollback, "rolled back") {
+		t.Fatalf("poison stream never surfaced a rollback, last refit_error = %q", rollback)
 	}
 
 	// The rollback republishes the previous model under a fresh version:

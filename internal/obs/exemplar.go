@@ -31,16 +31,14 @@ type Exemplar struct {
 	Seq     uint64  `json:"seq"`      // store-wide observation index
 }
 
-// DefaultExemplarWindow is the observations-per-window used when
-// NewExemplarStore is given window <= 0.
+// DefaultExemplarWindow is the observations per exemplar window.
 const DefaultExemplarWindow = 256
 
 // ExemplarStore tracks trace-linked outliers for any number of metrics.
 // All methods are safe for concurrent use; a nil *ExemplarStore is a
 // valid no-op, matching the rest of obs.
 type ExemplarStore struct {
-	window int
-	slo    float64 // seconds; <= 0 disables slo_breach tracking
+	slo float64 // seconds; <= 0 disables slo_breach tracking
 
 	mu  sync.Mutex
 	seq uint64
@@ -59,14 +57,11 @@ type exemplarState struct {
 	breachOpen bool // the open window already has its "first"
 }
 
-// NewExemplarStore creates a store with the given window size
-// (DefaultExemplarWindow when <= 0) and SLO threshold in the observed
-// unit (<= 0 disables slo_breach exemplars).
-func NewExemplarStore(window int, slo float64) *ExemplarStore {
-	if window <= 0 {
-		window = DefaultExemplarWindow
-	}
-	return &ExemplarStore{window: window, slo: slo, m: make(map[string]*exemplarState)}
+// NewExemplarStore creates a store whose windows hold
+// DefaultExemplarWindow observations, with an SLO threshold in the
+// observed unit (<= 0 disables slo_breach exemplars).
+func NewExemplarStore(slo float64) *ExemplarStore {
+	return &ExemplarStore{slo: slo, m: make(map[string]*exemplarState)}
 }
 
 // SLO returns the configured breach threshold (0 on nil).
@@ -101,7 +96,7 @@ func (e *ExemplarStore) Observe(metric string, v float64, trace TraceID) {
 		s.hasBreach = true
 		s.breachOpen = true
 	}
-	if s.count >= e.window {
+	if s.count >= DefaultExemplarWindow {
 		s.last, s.hasLast = s.cur, s.hasCur
 		s.hasCur = false
 		s.count = 0

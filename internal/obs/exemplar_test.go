@@ -9,7 +9,7 @@ import (
 // TestExemplarWindowMax: the store keeps the slowest traced observation
 // per window and rolls completed windows forward.
 func TestExemplarWindowMax(t *testing.T) {
-	e := NewExemplarStore(4, 0)
+	e := NewExemplarStore(0)
 	e.Observe("lat", 0.010, 101)
 	e.Observe("lat", 0.050, 102)
 	e.Observe("lat", 0.020, 103)
@@ -25,18 +25,28 @@ func TestExemplarWindowMax(t *testing.T) {
 
 	// Complete the window; the max survives as last-window max even when
 	// the next window opens slower.
-	e.Observe("lat", 0.001, 104)
+	for i := 3; i < DefaultExemplarWindow; i++ {
+		e.Observe("lat", 0.001, 104)
+	}
 	e.Observe("lat", 0.002, 105)
 	snap = e.Snapshot()
 	if snap[0].TraceID != FormatTraceID(102) {
 		t.Fatalf("completed-window max lost: %+v", snap[0])
+	}
+	// Completing the second window rolls the first one's max out.
+	for i := 1; i < DefaultExemplarWindow; i++ {
+		e.Observe("lat", 0.001, 106)
+	}
+	snap = e.Snapshot()
+	if snap[0].TraceID != FormatTraceID(105) {
+		t.Fatalf("second window's max = %+v, want trace 105", snap[0])
 	}
 }
 
 // TestExemplarSLOBreach: the first over-SLO observation of a window is
 // kept, later breaches in the same window are not.
 func TestExemplarSLOBreach(t *testing.T) {
-	e := NewExemplarStore(8, 0.100)
+	e := NewExemplarStore(0.100)
 	e.Observe("lat", 0.050, 201)
 	e.Observe("lat", 0.150, 202) // first breach
 	e.Observe("lat", 0.300, 203) // bigger, but not first
@@ -58,7 +68,7 @@ func TestExemplarSLOBreach(t *testing.T) {
 
 // TestExemplarSkipsUntracedAndNil: trace 0 and a nil store are no-ops.
 func TestExemplarSkipsUntracedAndNil(t *testing.T) {
-	e := NewExemplarStore(4, 0)
+	e := NewExemplarStore(0)
 	e.Observe("lat", 9.0, 0)
 	if snap := e.Snapshot(); len(snap) != 0 {
 		t.Fatalf("untraced observation produced exemplars: %+v", snap)
@@ -73,7 +83,7 @@ func TestExemplarSkipsUntracedAndNil(t *testing.T) {
 // TestExemplarHandler serves the snapshot as a JSON array, deterministic
 // order by metric name.
 func TestExemplarHandler(t *testing.T) {
-	e := NewExemplarStore(4, 0)
+	e := NewExemplarStore(0)
 	e.Observe("zeta", 2.0, 301)
 	e.Observe("alpha", 1.0, 302)
 
@@ -95,7 +105,7 @@ func TestExemplarHandler(t *testing.T) {
 // QuantileSketch.ObserveTraced feed both the instrument and the store.
 func TestTracedInstruments(t *testing.T) {
 	reg := NewRegistry()
-	e := NewExemplarStore(8, 0)
+	e := NewExemplarStore(0)
 	h := reg.NewHistogram("lat_hist", "h", []float64{0.1, 1})
 	h.AttachExemplars(e)
 	h.ObserveTraced(0.5, 401)

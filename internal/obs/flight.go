@@ -40,21 +40,22 @@ var flightTriggers = map[string]bool{
 	"slo_burn":          true,
 }
 
-// FlightOptions configures a recorder; zero values get defaults.
+// The recorder's fixed rule and ring sizes.
+const (
+	flightCooldown       = 30 * time.Second // min spacing between dumps per trigger
+	flightLogCapacity    = 256              // log ring size
+	flightHealthCapacity = 32               // numeric-health ring size
+	shedStormThreshold   = 16               // sheds within shedStormWindow that make a storm
+	shedStormWindow      = time.Second
+)
+
+// FlightOptions configures a recorder.
 type FlightOptions struct {
-	Dir     string // bundle directory; "" records rings but never dumps
-	Process string // label stamped into bundles
-	Clock   Clock  // injectable for deterministic tests
-
-	Cooldown       time.Duration // min spacing between dumps per trigger (default 30s)
-	LogCapacity    int           // log ring size (default 256)
-	HealthCapacity int           // numeric-health ring size (default 32)
-
-	P99SLO             float64       // seconds; CheckP99 fires above this (<= 0 disables)
-	ShedStormThreshold int           // sheds within the window that make a storm (default 16)
-	ShedStormWindow    time.Duration // shed-storm window (default 1s)
-
-	Logger *Logger // dump failures are reported here
+	Dir     string  // bundle directory; "" records rings but never dumps
+	Process string  // label stamped into bundles
+	Clock   Clock   // injectable for deterministic tests
+	P99SLO  float64 // seconds; CheckP99 fires above this (<= 0 disables)
+	Logger  *Logger // dump failures are reported here
 }
 
 // LogRecord is one captured log line in the flight ring.
@@ -145,26 +146,11 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	if opts.Cooldown <= 0 {
-		opts.Cooldown = 30 * time.Second
-	}
-	if opts.LogCapacity <= 0 {
-		opts.LogCapacity = 256
-	}
-	if opts.HealthCapacity <= 0 {
-		opts.HealthCapacity = 32
-	}
-	if opts.ShedStormThreshold <= 0 {
-		opts.ShedStormThreshold = 16
-	}
-	if opts.ShedStormWindow <= 0 {
-		opts.ShedStormWindow = time.Second
-	}
 	return &FlightRecorder{
 		opts:     opts,
 		clock:    opts.Clock,
-		logs:     make([]LogRecord, opts.LogCapacity),
-		health:   make([]HealthRecord, opts.HealthCapacity),
+		logs:     make([]LogRecord, flightLogCapacity),
+		health:   make([]HealthRecord, flightHealthCapacity),
 		lastDump: make(map[string]time.Time),
 	}
 }
@@ -257,15 +243,15 @@ func (f *FlightRecorder) NoteQueueFull(trace TraceID) {
 	f.trigger("queue_full", trace, 0, 0)
 }
 
-// NoteShed records one shed decision; ShedStormThreshold sheds inside
-// ShedStormWindow fire the shed_storm trigger.
+// NoteShed records one shed decision; shedStormThreshold sheds inside
+// shedStormWindow fire the shed_storm trigger.
 func (f *FlightRecorder) NoteShed(trace TraceID) {
 	if f == nil {
 		return
 	}
 	now := f.clock()
 	f.mu.Lock()
-	cutoff := now.Add(-f.opts.ShedStormWindow)
+	cutoff := now.Add(-shedStormWindow)
 	kept := f.shedTimes[:0]
 	for _, t := range f.shedTimes {
 		if t.After(cutoff) {
@@ -275,8 +261,8 @@ func (f *FlightRecorder) NoteShed(trace TraceID) {
 	f.shedTimes = append(kept, now)
 	count := len(f.shedTimes)
 	f.mu.Unlock()
-	if count >= f.opts.ShedStormThreshold {
-		f.trigger("shed_storm", trace, float64(count), float64(f.opts.ShedStormThreshold))
+	if count >= shedStormThreshold {
+		f.trigger("shed_storm", trace, float64(count), shedStormThreshold)
 	}
 }
 
@@ -314,7 +300,7 @@ func (f *FlightRecorder) NoteRefitFailure(trace TraceID) {
 func (f *FlightRecorder) trigger(name string, trace TraceID, value, threshold float64) {
 	now := f.clock()
 	f.mu.Lock()
-	if last, ok := f.lastDump[name]; ok && now.Sub(last) < f.opts.Cooldown {
+	if last, ok := f.lastDump[name]; ok && now.Sub(last) < flightCooldown {
 		f.mu.Unlock()
 		return
 	}
@@ -332,12 +318,13 @@ func (f *FlightRecorder) trigger(name string, trace TraceID, value, threshold fl
 
 // dump assembles and atomically writes one bundle.
 func (f *FlightRecorder) dump(trigger string, trace TraceID, value, threshold float64, now time.Time) error {
+	id := FormatTraceID(trace)
 	bundle := FlightBundle{
 		Schema:    FlightSchema,
 		Process:   f.opts.Process,
 		Trigger:   trigger,
 		Time:      now,
-		TraceID:   FormatTraceID(trace),
+		TraceID:   id,
 		Value:     value,
 		Threshold: threshold,
 		Spans:     f.bundleSpans(trace),
@@ -367,7 +354,7 @@ func (f *FlightRecorder) dump(trigger string, trace TraceID, value, threshold fl
 	if err != nil {
 		return err
 	}
-	final := filepath.Join(f.opts.Dir, fmt.Sprintf("flight-%s-%s.json", trigger, FormatTraceID(trace)))
+	final := filepath.Join(f.opts.Dir, fmt.Sprintf("flight-%s-%s.json", trigger, id))
 	tmp := final + ".tmp"
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err

@@ -52,7 +52,7 @@ func TestFlightP99BreachDumpsBundle(t *testing.T) {
 	reg.NewCounter("srdatest_requests_total", "requests").Add(7)
 	f.AttachRegistry("serve", reg)
 
-	e := NewExemplarStore(8, 0.200)
+	e := NewExemplarStore(0.200)
 	e.Observe("lat", 0.5, root.TraceID())
 	f.AttachExemplars(e)
 
@@ -108,44 +108,52 @@ func TestFlightP99BreachDumpsBundle(t *testing.T) {
 	}
 }
 
-// TestFlightCooldown: repeated triggers inside the cooldown dump once.
+// TestFlightCooldown: repeated triggers inside the cooldown dump once;
+// the first trigger a full cooldown later dumps again.
 func TestFlightCooldown(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{now: time.Unix(1000, 0), step: 0}
-	f := NewFlightRecorder(FlightOptions{Dir: dir, Process: "p", Clock: clk.read, Cooldown: 10 * time.Second, P99SLO: 0.1})
+	f := NewFlightRecorder(FlightOptions{Dir: dir, Process: "p", Clock: clk.read, P99SLO: 0.1})
 	f.CheckP99(1.0, 5)
 	f.CheckP99(1.0, 5)
 	if n := f.DumpCount(); n != 1 {
 		t.Fatalf("cooldown let %d dumps through", n)
 	}
-	clk.now = clk.now.Add(11 * time.Second)
+	clk.now = clk.now.Add(flightCooldown - time.Second)
 	f.CheckP99(1.0, 6)
+	if n := f.DumpCount(); n != 1 {
+		t.Fatalf("trigger a second before the cooldown ends dumped (count %d)", n)
+	}
+	clk.now = clk.now.Add(time.Second)
+	f.CheckP99(1.0, 7)
 	if n := f.DumpCount(); n != 2 {
 		t.Fatalf("post-cooldown trigger did not dump (count %d)", n)
 	}
 }
 
-// TestFlightShedStorm: the storm trigger needs threshold sheds inside
-// the window; slow sheds never fire.
+// TestFlightShedStorm: the storm trigger needs shedStormThreshold sheds
+// inside shedStormWindow; slow sheds never fire.
 func TestFlightShedStorm(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{now: time.Unix(1000, 0), step: 0}
-	f := NewFlightRecorder(FlightOptions{
-		Dir: dir, Process: "p", Clock: clk.read,
-		ShedStormThreshold: 3, ShedStormWindow: time.Second,
-	})
-	f.NoteShed(1)
-	clk.now = clk.now.Add(2 * time.Second)
-	f.NoteShed(2)
-	clk.now = clk.now.Add(2 * time.Second)
-	f.NoteShed(3)
+	f := NewFlightRecorder(FlightOptions{Dir: dir, Process: "p", Clock: clk.read})
+	trace := TraceID(1)
+	for i := 0; i < 2*shedStormThreshold; i++ {
+		f.NoteShed(trace)
+		trace++
+		clk.now = clk.now.Add(shedStormWindow)
+	}
 	if n := f.DumpCount(); n != 0 {
 		t.Fatalf("slow sheds fired a storm (%d dumps)", n)
 	}
-	clk.now = clk.now.Add(2 * time.Second)
-	f.NoteShed(4)
-	f.NoteShed(5)
-	f.NoteShed(6)
+	for i := 1; i < shedStormThreshold; i++ {
+		f.NoteShed(trace)
+		trace++
+	}
+	if n := f.DumpCount(); n != 0 {
+		t.Fatalf("%d sheds in one window fired a storm (%d dumps)", shedStormThreshold-1, n)
+	}
+	f.NoteShed(trace)
 	if n := f.DumpCount(); n != 1 {
 		t.Fatalf("storm dumps = %d, want 1", n)
 	}
@@ -160,7 +168,7 @@ func TestFlightNilRecorder(t *testing.T) {
 	var f *FlightRecorder
 	f.AttachTracer(NewTracer(8))
 	f.AttachRegistry("x", NewRegistry())
-	f.AttachExemplars(NewExemplarStore(4, 0))
+	f.AttachExemplars(NewExemplarStore(0))
 	f.RecordHealth(HealthRecord{})
 	f.CheckP99(10, 1)
 	f.NoteQueueFull(1)

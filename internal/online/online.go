@@ -29,8 +29,8 @@
 //
 // Publish → validate → rollback: each refit publishes its candidate
 // first, then scores it on the held-out samples against the previous
-// version; a regression beyond Policy.MaxRegression (or a Validate hook
-// error) rolls the registry back.  Ordering it this way keeps every swap
+// version; a regression beyond maxRegression (or a Validate hook error)
+// rolls the registry back.  Ordering it this way keeps every swap
 // on the registry's one atomic publish path and makes rollbacks
 // first-class, observable events (srdareg_rollbacks_total,
 // srdaonline_rollbacks_total) rather than silent non-publishes; the
@@ -53,6 +53,19 @@ import (
 	"srda/internal/registry"
 )
 
+// The fixed bounds of drift detection and holdout validation.
+const (
+	// driftSamples is the number of recent training samples the drift
+	// score compares against the reference means.
+	driftSamples = 256
+	// maxHoldout bounds the retained holdout samples; past it the oldest
+	// are dropped.
+	maxHoldout = 512
+	// maxRegression is the tolerated drop in holdout accuracy of a
+	// candidate versus the live model before its publish is rolled back.
+	maxRegression = 0.05
+)
+
 // RefitPolicy configures when the trainer refits and how candidates are
 // validated.  The zero value never refits on its own; Refit can always
 // be called explicitly.
@@ -68,35 +81,12 @@ type RefitPolicy struct {
 	// score exceeds it (0 disables).  Drift is measured only after the
 	// first refit establishes reference means.
 	DriftThreshold float64
-	// DriftWindow is the number of recent samples in the drift window
-	// (default 256 when a drift threshold is set).
-	DriftWindow int
 	// HoldoutFrac diverts roughly this fraction of observed samples
 	// (deterministically, every ⌊1/frac⌋-th) into a validation holdout
 	// instead of the training statistics.  0 disables validation —
 	// required for bitwise streaming↔batch equivalence, since held-out
 	// samples never train.
 	HoldoutFrac float64
-	// MaxHoldout bounds retained holdout samples; past it the oldest are
-	// dropped (default 512).
-	MaxHoldout int
-	// MaxRegression is the tolerated drop in holdout accuracy of a
-	// candidate versus the live model before the publish is rolled back
-	// (default 0.05).
-	MaxRegression float64
-}
-
-func (p RefitPolicy) withDefaults() RefitPolicy {
-	if p.DriftThreshold > 0 && p.DriftWindow <= 0 {
-		p.DriftWindow = 256
-	}
-	if p.MaxHoldout <= 0 {
-		p.MaxHoldout = 512
-	}
-	if p.MaxRegression <= 0 {
-		p.MaxRegression = 0.05
-	}
-	return p
 }
 
 // Config configures a StreamTrainer.
@@ -113,11 +103,10 @@ type Config struct {
 	// Policy selects refit triggers and validation.
 	Policy RefitPolicy
 	// Registry, when non-nil, receives every successful refit as a new
-	// version of ModelName.  Nil runs the trainer standalone (benchmarks,
-	// equivalence tests); Refit then just returns the fitted model.
+	// version of registry.DefaultName.  Nil runs the trainer standalone
+	// (benchmarks, equivalence tests); Refit then just returns the fitted
+	// model.
 	Registry *registry.Registry
-	// ModelName is the registry name published to (default "default").
-	ModelName string
 	// Clock supplies the wall time for the Interval trigger; this package
 	// never reads package time itself (noclock).  Required when
 	// Policy.Interval > 0; obs.SystemClock() is the production value.
@@ -175,7 +164,6 @@ func NewStreamTrainer(cfg Config) (*StreamTrainer, error) {
 	if cfg.Alpha <= 0 {
 		return nil, fmt.Errorf("online: streaming SRDA needs alpha > 0, got %v", cfg.Alpha)
 	}
-	cfg.Policy = cfg.Policy.withDefaults()
 	if cfg.Policy.Interval > 0 && cfg.Clock == nil {
 		return nil, fmt.Errorf("online: Policy.Interval needs an injected Clock (obs.SystemClock())")
 	}
@@ -183,9 +171,6 @@ func NewStreamTrainer(cfg Config) (*StreamTrainer, error) {
 		if f != 0 { //srdalint:ignore floatcmp exact zero disables the holdout; any other out-of-range value is an error
 			return nil, fmt.Errorf("online: HoldoutFrac %v outside [0,1)", f)
 		}
-	}
-	if cfg.ModelName == "" {
-		cfg.ModelName = "default"
 	}
 	stats, err := core.NewSuffStats(cfg.NumFeatures, cfg.NumClasses)
 	if err != nil {
@@ -199,7 +184,7 @@ func NewStreamTrainer(cfg Config) (*StreamTrainer, error) {
 		}
 	}
 	if cfg.Policy.DriftThreshold > 0 {
-		t.drift = newDriftWindow(cfg.NumFeatures, cfg.NumClasses, cfg.Policy.DriftWindow)
+		t.drift = newDriftWindow(cfg.NumFeatures, cfg.NumClasses, driftSamples)
 	}
 	if cfg.Clock != nil {
 		t.lastRefit = cfg.Clock()
@@ -257,51 +242,59 @@ func (t *StreamTrainer) DriftScore() float64 {
 
 // Observe absorbs one labeled sample and refits when a trigger fires;
 // the refit (publish, validation, rollback) happens before Observe
-// returns.  It is ObserveBatch on a one-row batch.
+// returns.  It is ObserveBatch on a one-row batch, and returns either
+// the refusal or the refit's error.
 func (t *StreamTrainer) Observe(x []float64, label int) error {
-	return t.ObserveBatch(context.Background(), mat.NewDenseData(1, len(x), x), []int{label})
+	refitErr, err := t.ObserveBatch(context.Background(), mat.NewDenseData(1, len(x), x), []int{label})
+	if err != nil {
+		return err
+	}
+	return refitErr
 }
 
 // ObserveBatch absorbs the rows of x with their labels, in order.  It
 // checks every row and label first and refuses the whole batch if any
-// fails, so a refused batch changes no counter.  Triggers are evaluated
-// after each row, so refits fire at the same sample counts as per-row
-// Observe calls; a refit that fails or rolls back ends the batch after
-// the row that tripped it, and that error is returned.  When ctx carries
-// a request span, each refit runs under a "refit" child of it, so a
-// cross-process trace shows which /v1/observe call paid for the solve.
-// The trainer keeps no reference to x.
-func (t *StreamTrainer) ObserveBatch(ctx context.Context, x *mat.Dense, labels []int) error {
+// fails: err is then non-nil and no counter changed.  Otherwise every
+// row is absorbed.  Triggers are evaluated after each row, so refits
+// fire at the same sample counts as per-row Observe calls.  A refit that
+// fails or rolls back is the trainer's outcome, not the batch's fault:
+// the batch goes on, and refitErr reports the first such refit, naming
+// the row that tripped it.  When ctx carries a request span, each refit
+// runs under a "refit" child of it, so a cross-process trace shows which
+// /v1/observe call paid for the solve.  The trainer keeps no reference
+// to x.
+func (t *StreamTrainer) ObserveBatch(ctx context.Context, x *mat.Dense, labels []int) (refitErr, err error) {
 	if x.Rows != len(labels) {
-		return fmt.Errorf("online: %d rows but %d labels", x.Rows, len(labels))
+		return nil, fmt.Errorf("online: %d rows but %d labels", x.Rows, len(labels))
 	}
 	for i, label := range labels {
 		if err := t.stats.Check(x.RowView(i), label); err != nil {
-			return fmt.Errorf("sample %d: %w", i, err)
+			return nil, fmt.Errorf("sample %d: %w", i, err)
 		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i, label := range labels {
-		if err := t.observeLocked(ctx, x.RowView(i), label); err != nil {
-			return fmt.Errorf("sample %d: %w", i, err)
+		if err := t.observeLocked(ctx, x.RowView(i), label); err != nil && refitErr == nil {
+			refitErr = fmt.Errorf("sample %d: %w", i, err)
 		}
 	}
-	return nil
+	return refitErr, nil
 }
 
 // NumFeatures returns the width every observed row must have.
 func (t *StreamTrainer) NumFeatures() int { return t.cfg.NumFeatures }
 
 // observeLocked diverts one checked sample to the holdout or absorbs it,
-// updates the drift window, then evaluates triggers; caller holds t.mu.
+// updates the drift window, then evaluates triggers and returns the
+// error of a refit they start; caller holds t.mu.
 func (t *StreamTrainer) observeLocked(ctx context.Context, x []float64, label int) error {
 	// Deterministic diversion: every stride-th sample validates, the
 	// rest train.
 	held := t.stride > 0 && (t.total+1)%int64(t.stride) == 0
 	if held {
 		t.holdout = append(t.holdout, holdoutSample{x: append([]float64(nil), x...), label: label})
-		if over := len(t.holdout) - t.cfg.Policy.MaxHoldout; over > 0 {
+		if over := len(t.holdout) - maxHoldout; over > 0 {
 			t.holdout = append([]holdoutSample(nil), t.holdout[over:]...)
 		}
 		t.mx.holdout.Inc()
@@ -379,7 +372,7 @@ func (t *StreamTrainer) refitLocked(ctx context.Context, trigger string) (*core.
 		t.cfg.Logger.Warn("refit failed; keeping current model",
 			"trigger", trigger, "err", err.Error())
 		t.cfg.Flight.RecordHealth(obs.HealthRecord{
-			Time: t.now(), Model: t.cfg.ModelName, Trigger: trigger, Err: err.Error(),
+			Time: t.now(), Model: registry.DefaultName, Trigger: trigger, Err: err.Error(),
 		})
 		t.cfg.Flight.NoteRefitFailure(trace)
 		return nil, 0, fmt.Errorf("online: refit (trigger=%s): %w", trigger, err)
@@ -395,7 +388,7 @@ func (t *StreamTrainer) refitLocked(ctx context.Context, trigger string) (*core.
 		t.cfg.Logger.Info("refit done (standalone)", "trigger", trigger,
 			"samples", t.stats.Seen())
 		t.cfg.Flight.RecordHealth(obs.HealthRecord{
-			Time: t.now(), Model: t.cfg.ModelName, Trigger: trigger,
+			Time: t.now(), Model: registry.DefaultName, Trigger: trigger,
 			CondEstimate: candidate.Stats.CondEstimate,
 		})
 		return candidate, 0, nil
@@ -421,7 +414,7 @@ func (t *StreamTrainer) now() time.Time {
 // Caller holds t.mu.
 func (t *StreamTrainer) publishAndValidateLocked(ctx context.Context, candidate *core.Model, trigger string) (uint64, error) {
 	trace := obs.SpanFromContext(ctx).TraceID()
-	reg, name := t.cfg.Registry, t.cfg.ModelName
+	reg, name := t.cfg.Registry, registry.DefaultName
 	prev, hadPrev := reg.Get(name)
 	snap, err := reg.Publish(name, candidate)
 	if err != nil {
@@ -451,7 +444,7 @@ func (t *StreamTrainer) publishAndValidateLocked(ctx context.Context, candidate 
 			t.holdCandBits.Store(math.Float64bits(candAcc))
 			t.holdPrevBits.Store(math.Float64bits(prevAcc))
 		}
-		if scored > 0 && prevAcc-candAcc > t.cfg.Policy.MaxRegression {
+		if scored > 0 && prevAcc-candAcc > maxRegression {
 			reason = fmt.Sprintf("holdout accuracy %.3f vs %.3f on %d samples", candAcc, prevAcc, scored)
 		}
 	}

@@ -60,12 +60,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := NewStreamTrainer(cfg); err == nil {
 		t.Fatal("1 class accepted")
 	}
-	tr, err := NewStreamTrainer(base)
-	if err != nil {
+	if _, err := NewStreamTrainer(base); err != nil {
 		t.Fatal(err)
-	}
-	if tr.cfg.ModelName != "default" {
-		t.Fatalf("default model name = %q", tr.cfg.ModelName)
 	}
 }
 
@@ -91,10 +87,10 @@ func TestObserveErrors(t *testing.T) {
 	// A batch is refused whole: its good first row is not absorbed
 	// either, and the error names the bad row.
 	batch := mat.NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	if err := tr.ObserveBatch(context.Background(), batch, []int{0, 2}); err == nil || !strings.Contains(err.Error(), "sample 1") {
+	if _, err := tr.ObserveBatch(context.Background(), batch, []int{0, 2}); err == nil || !strings.Contains(err.Error(), "sample 1") {
 		t.Fatalf("batch with a bad last label: err = %v", err)
 	}
-	if err := tr.ObserveBatch(context.Background(), batch, []int{0}); err == nil {
+	if _, err := tr.ObserveBatch(context.Background(), batch, []int{0}); err == nil {
 		t.Fatal("batch with fewer labels than rows accepted")
 	}
 	if tr.Seen() != 0 {
@@ -173,28 +169,37 @@ func TestIntervalTrigger(t *testing.T) {
 }
 
 // TestHoldoutDiversion: every stride-th sample validates instead of
-// training, and the retained holdout is bounded.
+// training, and the retained holdout keeps the newest maxHoldout.
 func TestHoldoutDiversion(t *testing.T) {
 	tr, err := NewStreamTrainer(Config{
 		NumFeatures: 4, NumClasses: 2, Alpha: 1,
-		Policy: RefitPolicy{HoldoutFrac: 0.25, MaxHoldout: 3},
+		Policy: RefitPolicy{HoldoutFrac: 0.25},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(23))
-	streamBlobs(t, tr, rng, 4, 2, 20)
-	if got := tr.stats.Seen(); got != 15 {
-		t.Fatalf("trained samples = %d, want 15 (5 of 20 diverted)", got)
+	// Sample i carries i in its first feature; every 4th (i = 3, 7, ...)
+	// is held out, 5 more than the holdout retains.
+	const held = maxHoldout + 5
+	for i := 0; i < 4*held; i++ {
+		if err := tr.Observe([]float64{float64(i), 1, 0, 0}, i%2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := tr.mx.holdout.Value(); got != 5 {
-		t.Fatalf("srdaonline_holdout_total = %d, want 5", got)
+	if got := tr.stats.Seen(); got != 3*held {
+		t.Fatalf("trained samples = %d, want %d (%d of %d diverted)", got, 3*held, held, 4*held)
 	}
-	if got := len(tr.holdout); got != 3 {
-		t.Fatalf("retained holdout = %d, want MaxHoldout = 3", got)
+	if got := tr.mx.holdout.Value(); got != held {
+		t.Fatalf("srdaonline_holdout_total = %d, want %d", got, held)
 	}
-	if tr.Seen() != 20 {
-		t.Fatalf("seen = %d, want 20 (holdout still observed)", tr.Seen())
+	if got := len(tr.holdout); got != maxHoldout {
+		t.Fatalf("retained holdout = %d, want maxHoldout = %d", got, maxHoldout)
+	}
+	if first, last := tr.holdout[0].x[0], tr.holdout[maxHoldout-1].x[0]; first != 4*5+3 || last != 4*held-1 {
+		t.Fatalf("retained holdout spans samples %v..%v, want %d..%d", first, last, 4*5+3, 4*held-1)
+	}
+	if tr.Seen() != 4*held {
+		t.Fatalf("seen = %d, want %d (holdout still observed)", tr.Seen(), 4*held)
 	}
 }
 
@@ -313,19 +318,23 @@ func TestRefitFailureKeepsModel(t *testing.T) {
 }
 
 // TestDriftTrigger: shifting the class-conditional means past the
-// threshold refits without any count/interval trigger.
+// threshold refits without any count/interval trigger.  The baseline
+// overfills the window, which keeps the newest driftSamples.
 func TestDriftTrigger(t *testing.T) {
 	reg := registry.New(registry.Options{})
 	tr, err := NewStreamTrainer(Config{
 		NumFeatures: 4, NumClasses: 2, Alpha: 1,
-		Policy:   RefitPolicy{DriftThreshold: 0.5, DriftWindow: 16},
+		Policy:   RefitPolicy{DriftThreshold: 0.5},
 		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(27))
-	streamBlobs(t, tr, rng, 4, 2, 40)
+	streamBlobs(t, tr, rng, 4, 2, driftSamples+40)
+	if tr.drift.size != driftSamples || tr.drift.winCounts[0]+tr.drift.winCounts[1] != driftSamples {
+		t.Fatalf("drift window holds %d samples (%v by class), want %d", tr.drift.size, tr.drift.winCounts, driftSamples)
+	}
 	if _, ver, err := tr.Refit(); err != nil || ver != 1 {
 		t.Fatalf("baseline refit: version=%d err=%v", ver, err)
 	}
@@ -401,8 +410,8 @@ func TestObserveFormsAgree(t *testing.T) {
 		}
 	}
 	batch := newTrainer()
-	if err := batch.ObserveBatch(context.Background(), x, labels); err != nil {
-		t.Fatal(err)
+	if refitErr, err := batch.ObserveBatch(context.Background(), x, labels); err != nil || refitErr != nil {
+		t.Fatal(err, refitErr)
 	}
 	if r, b := rows.mx.refits.Value(), batch.mx.refits.Value(); r != 4 || b != r {
 		t.Fatalf("refits: per-row %d, batch %d, want 4", r, b)
@@ -445,8 +454,8 @@ func TestConcurrentBatches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
-				if err := tr.ObserveBatch(context.Background(), x, labels); err != nil {
-					t.Error(err)
+				if refitErr, err := tr.ObserveBatch(context.Background(), x, labels); err != nil || refitErr != nil {
+					t.Error(err, refitErr)
 					return
 				}
 			}

@@ -31,17 +31,22 @@ import (
 	"srda/internal/obs"
 )
 
-// Options tunes a registry.  The zero value means: no byte budget, two
-// retained versions per name, models keep their own Workers setting.
+// DefaultName is the name a worker serves when a request names no
+// model, and the name its co-located streaming trainer publishes to.
+const DefaultName = "default"
+
+// keepVersions bounds the per-name history retained for Rollback: the
+// live version and its predecessor.
+const keepVersions = 2
+
+// Options tunes a registry.  The zero value means: no byte budget,
+// models keep their own Workers setting.
 type Options struct {
 	// MaxBytes caps the estimated resident bytes of all live versions;
 	// 0 means unlimited.  Publishing past the budget evicts
 	// least-recently-used names until the new total fits (the name being
 	// published is never evicted, even if it alone exceeds the budget).
 	MaxBytes int64
-	// KeepVersions bounds the per-name history retained for Rollback
-	// (default 2: the live version and its predecessor).
-	KeepVersions int
 	// Workers is stamped onto every published model's Workers knob so
 	// batch projection sharding follows the server's worker budget
 	// (0 leaves models untouched).
@@ -49,13 +54,6 @@ type Options struct {
 	// Logger receives publish/evict/rollback outcomes.  Nil disables
 	// logging.
 	Logger *obs.Logger
-}
-
-func (o Options) withDefaults() Options {
-	if o.KeepVersions <= 0 {
-		o.KeepVersions = 2
-	}
-	return o
 }
 
 // Snapshot is one immutable published version, the unit Get hands to the
@@ -96,7 +94,7 @@ type Registry struct {
 // New creates an empty registry with its own metrics instruments.
 func New(opts Options) *Registry {
 	return &Registry{
-		opts:   opts.withDefaults(),
+		opts:   opts,
 		models: make(map[string]*entry),
 		mx:     newMetrics(),
 	}
@@ -162,7 +160,7 @@ func (r *Registry) Publish(name string, m *core.Model) (*Snapshot, error) {
 		snap.Version = e.live().Version + 1
 	}
 	e.versions = append(e.versions, snap)
-	if over := len(e.versions) - r.opts.KeepVersions; over > 0 {
+	if over := len(e.versions) - keepVersions; over > 0 {
 		e.versions = append([]*Snapshot(nil), e.versions[over:]...)
 	}
 	r.bytes += snap.Bytes
@@ -256,7 +254,7 @@ func (r *Registry) Rollback(name string) (*Snapshot, error) {
 	}
 	r.bytes += snap.Bytes - cur.Bytes
 	e.versions = append(e.versions, snap)
-	if over := len(e.versions) - r.opts.KeepVersions; over > 0 {
+	if over := len(e.versions) - keepVersions; over > 0 {
 		e.versions = append([]*Snapshot(nil), e.versions[over:]...)
 	}
 	e.lastUsed.Store(r.clock.Add(1))

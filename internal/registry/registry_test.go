@@ -183,7 +183,7 @@ func TestEvictionLRU(t *testing.T) {
 func TestConcurrentPublishEvictPredict(t *testing.T) {
 	base := trainBlobs(t, 8, 3, 8)
 	per := EstimateBytes(base)
-	r := New(Options{MaxBytes: 3 * per, KeepVersions: 2})
+	r := New(Options{MaxBytes: 3 * per})
 	names := []string{"t0", "t1", "t2", "t3"}
 	models := make([]*core.Model, len(names))
 	for i := range names {

@@ -7,7 +7,7 @@
 // Replicas are Backends: LocalBackend wraps an in-process *serve.Server
 // (co-located mode, the arrangement the race tests drive), HTTPBackend
 // wraps a serve.Client for workers in other processes.  Health checks
-// run against either transport; a replica failing HealthFailures
+// run against either transport; a replica failing healthFailures
 // consecutive checks leaves the ring, as does one explicitly put into
 // draining.  Because each replica owns only its own ring points, a
 // drain moves only the drained replica's tenants — everyone else's
@@ -124,11 +124,6 @@ type Options struct {
 	// no background loop — call CheckHealth explicitly (tests do, for
 	// determinism).
 	HealthInterval time.Duration
-	// HealthFailures is how many consecutive failed checks remove a
-	// replica from the ring (default 3).
-	HealthFailures int
-	// RetryAfterSeconds is the Retry-After hint on 503 sheds (default 1).
-	RetryAfterSeconds int
 	// Clock overrides time.Now for quota refill — tests advance it
 	// explicitly instead of sleeping.
 	Clock func() time.Time
@@ -160,14 +155,12 @@ func (o Options) withDefaults() Options {
 	if o.QuotaBurst <= 0 {
 		o.QuotaBurst = 1
 	}
-	if o.HealthFailures <= 0 {
-		o.HealthFailures = 3
-	}
-	if o.RetryAfterSeconds <= 0 {
-		o.RetryAfterSeconds = 1
-	}
 	return o
 }
+
+// healthFailures is how many consecutive failed health checks remove a
+// replica from the ring.
+const healthFailures = 3
 
 // replicaState is the router's view of one backend.  All fields are
 // guarded by Router.mu; the ring itself is the lock-free fast path.
@@ -258,22 +251,6 @@ func (r *Router) Handler() http.Handler { return r.mux }
 // Registry returns the router's metrics registry for debug exposition.
 func (r *Router) Registry() *obs.Registry { return r.mx.reg }
 
-// Backends returns the router's backends sorted by replica name —
-// drained and unhealthy replicas included, since the telemetry plane
-// wants to scrape exactly the replicas the router knows about, not just
-// the ones currently taking traffic.
-func (r *Router) Backends() []Backend {
-	r.mu.RLock()
-	out := make([]Backend, 0, len(r.replicas))
-	//srdalint:ignore maprange collect-then-sort: the slice is sorted by name below
-	for _, st := range r.replicas {
-		out = append(out, st.backend)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
 // Tracer returns the router's request tracer (nil when tracing is off);
 // shutdown flushes its ring alongside the worker traces.
 func (r *Router) Tracer() *obs.Tracer { return r.tracer }
@@ -349,7 +326,7 @@ func (r *Router) setDraining(name string, draining bool) error {
 }
 
 // CheckHealth sweeps every replica's health endpoint once, updating
-// overload snapshots and flipping ring membership after HealthFailures
+// overload snapshots and flipping ring membership after healthFailures
 // consecutive failures (one success restores).  The background loop
 // calls this on HealthInterval; tests call it directly.
 func (r *Router) CheckHealth(ctx context.Context) {
@@ -386,7 +363,7 @@ func (r *Router) CheckHealth(ctx context.Context) {
 		}
 		if res.err != nil {
 			st.failures++
-			if st.healthy && st.failures >= r.opts.HealthFailures {
+			if st.healthy && st.failures >= healthFailures {
 				st.healthy = false
 				changed = true
 				r.logger.Warn("replica failed health checks, leaving ring",
@@ -438,7 +415,7 @@ func (r *Router) shed(reason, tenant string, trace obs.TraceID, code int, msg st
 	return &serve.StatusError{
 		Code:       code,
 		Message:    msg,
-		RetryAfter: time.Duration(r.opts.RetryAfterSeconds) * time.Second,
+		RetryAfter: serve.RetryAfterSeconds * time.Second,
 	}
 }
 
@@ -654,7 +631,7 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 	defer root.End()
 	code, reply := r.predictBody(ctx, model, samples, body)
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(r.opts.RetryAfterSeconds))
+		w.Header().Set("Retry-After", strconv.Itoa(serve.RetryAfterSeconds))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -365,7 +365,7 @@ func TestHealthDrivenMembership(t *testing.T) {
 		}
 		backends = append(backends, b)
 	}
-	r, err := New(backends, Options{HealthFailures: 2})
+	r, err := New(backends, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +378,13 @@ func TestHealthDrivenMembership(t *testing.T) {
 	mu.Lock()
 	failing = true
 	mu.Unlock()
-	r.CheckHealth(ctx) // failure 1 of 2: still on the ring
-	if len(r.Ring()) != 2 {
-		t.Fatal("one failed check removed the replica")
+	for k := 1; k < healthFailures; k++ {
+		r.CheckHealth(ctx) // failure k of healthFailures: still on the ring
+		if len(r.Ring()) != 2 {
+			t.Fatalf("%d failed checks removed the replica", k)
+		}
 	}
-	r.CheckHealth(ctx) // failure 2: off the ring
+	r.CheckHealth(ctx) // failure healthFailures: off the ring
 	if members := r.Ring(); len(members) != 1 || members[0] != "worker-1" {
 		t.Fatalf("ring after failures = %v", members)
 	}
@@ -448,5 +450,76 @@ func TestPredictBodyCap(t *testing.T) {
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
 			t.Errorf("%s: oversized body got %d %q, want 400 naming the size cap", tc.name, rec.Code, rec.Body.String())
 		}
+	}
+}
+
+// TestRetryAfterAgreesAcrossTier: every shed reply of the tier carries
+// serve.RetryAfterSeconds, and the client parses it back.  The worker's
+// own queue-full 503 (a 2-sample request against QueueDepth 1 is
+// refused whole), that 503 forwarded by the router, the router's 429
+// quota shed, and its 503 no_backend shed all agree.
+func TestRetryAfterAgreesAcrossTier(t *testing.T) {
+	worker, err := serve.New(trainBlobs(t, 8, 3, 70), serve.Options{QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = worker.Close(context.Background()) })
+	ws := httptest.NewServer(worker.Handler())
+	t.Cleanup(ws.Close)
+	var clockMu sync.Mutex
+	now := time.Unix(3000, 0)
+	clock := func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return now }
+	r, err := New([]Backend{&HTTPBackend{ReplicaName: "worker-0", Client: serve.NewClient(ws.URL)}},
+		Options{QuotaRPS: 1, QuotaBurst: 1, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	rs := httptest.NewServer(r.Handler())
+	t.Cleanup(rs.Close)
+
+	two := []serve.Sample{{Dense: probe(8, 0)}, {Dense: probe(8, 1)}}
+	wantHeader := fmt.Sprint(serve.RetryAfterSeconds)
+	wantParsed := serve.RetryAfterSeconds * time.Second
+	check := func(what, url string, code int) {
+		t.Helper()
+		_, err := serve.NewClient(url).Predict(context.Background(), two...)
+		var st *serve.StatusError
+		if !errors.As(err, &st) || st.Code != code {
+			t.Fatalf("%s: err = %v, want http %d", what, err, code)
+		}
+		if !errors.Is(err, serve.ErrShed) || st.RetryAfter != wantParsed {
+			t.Fatalf("%s: shed %v with RetryAfter %v, want %v", what, errors.Is(err, serve.ErrShed), st.RetryAfter, wantParsed)
+		}
+	}
+	header := func(url string) string {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/predict", "application/json",
+			strings.NewReader(`{"samples":[{"dense":[0,0,0,0,0,0,0,0]},{"dense":[0,0,0,0,0,0,0,0]}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		return resp.Header.Get("Retry-After")
+	}
+
+	if got := header(ws.URL); got != wantHeader {
+		t.Fatalf("worker queue-full Retry-After = %q, want %q", got, wantHeader)
+	}
+	check("worker queue full", ws.URL, http.StatusServiceUnavailable)
+	check("forwarded queue full", rs.URL, http.StatusServiceUnavailable) // spends the tenant's one token
+	check("quota", rs.URL, http.StatusTooManyRequests)
+	if got := header(rs.URL); got != wantHeader {
+		t.Fatalf("router quota Retry-After = %q, want %q", got, wantHeader)
+	}
+	if err := r.Drain("worker-0"); err != nil {
+		t.Fatal(err)
+	}
+	clockMu.Lock()
+	now = now.Add(time.Minute) // refill, so the empty ring is what sheds
+	clockMu.Unlock()
+	check("no backend", rs.URL, http.StatusServiceUnavailable)
+	if got := r.mx.shed.Value("no_backend", serve.DefaultModelName); got != 1 {
+		t.Fatalf("no_backend sheds = %d, want 1", got)
 	}
 }

@@ -7,10 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"srda/internal/obs"
@@ -19,7 +17,8 @@ import (
 // ErrShed marks replies shed by quota or admission control (HTTP 429 and
 // 503): the request was refused by policy, not failed by a bug.  Test
 // with errors.Is(err, ErrShed) to tell load shedding apart from real
-// errors; 503s are additionally retried when a RetryPolicy is set.
+// errors.  The client never retries: a shed reply comes back as a
+// *StatusError carrying the server's Retry-After hint.
 var ErrShed = errors.New("serve: request shed by quota or admission control")
 
 // StatusError is a non-200 server reply: the status code, the server's
@@ -49,26 +48,6 @@ func (e *StatusError) Is(target error) bool {
 		(e.Code == http.StatusTooManyRequests || e.Code == http.StatusServiceUnavailable)
 }
 
-// RetryPolicy retries idempotent predicts on 503 with capped exponential
-// backoff plus seeded jitter.  Predictions are idempotent, so retrying a
-// shed request is always safe; 429 quota rejections are never retried —
-// the tenant is over its budget and backing off immediately is the
-// point.  The zero value disables retries.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries including the first
-	// (values < 2 disable retries).
-	MaxAttempts int
-	// BaseDelay seeds the exponential schedule (default 50ms): attempt k
-	// backs off in [base·2ᵏ/2, base·2ᵏ), capped at MaxDelay.
-	BaseDelay time.Duration
-	// MaxDelay caps any single backoff, including server Retry-After
-	// hints (default 2s).
-	MaxDelay time.Duration
-	// Seed fixes the jitter sequence, making retry schedules
-	// deterministic in tests (same seed, same delays).
-	Seed int64
-}
-
 // Client is a typed HTTP client for a srdaserve worker or router.  The
 // zero value is unusable; construct with NewClient.
 type Client struct {
@@ -76,15 +55,6 @@ type Client struct {
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// Retry, when non-nil, retries idempotent predicts on 503 replies,
-	// honoring Retry-After up to Retry.MaxDelay.
-	Retry *RetryPolicy
-	// Sleep is the backoff clock (nil = time.Sleep); tests inject a
-	// recorder to pin the schedule without waiting it out.
-	Sleep func(time.Duration)
-
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
 }
 
 // NewClient returns a client for the server at baseURL.
@@ -153,12 +123,12 @@ func (c *Client) PredictRaw(ctx context.Context, req *PredictRequest) (*PredictR
 }
 
 // PredictBody posts an encoded predict body unchanged and returns the
-// reply's status and bytes, retrying 503s under c.Retry: the transport
-// the router's HTTP backends forward through.  The error is non-nil only
+// reply's status and bytes in one attempt: the transport the router's
+// HTTP backends forward through.  The error is non-nil only
 // when no reply was read: a transport failure, a cancelled context, or a
 // reply longer than MaxReplyBytes (ErrReplyTooLarge).
 func (c *Client) PredictBody(ctx context.Context, body []byte) (int, []byte, error) {
-	rep, err := c.predict(ctx, body)
+	rep, err := c.roundTrip(ctx, http.MethodPost, "/v1/predict", body)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -170,7 +140,7 @@ func (c *Client) do(ctx context.Context, req PredictRequest) (*PredictResponse, 
 	if err != nil {
 		return nil, err
 	}
-	rep, err := c.predict(ctx, body)
+	rep, err := c.roundTrip(ctx, http.MethodPost, "/v1/predict", body)
 	if err != nil {
 		return nil, err
 	}
@@ -189,71 +159,6 @@ func (c *Client) do(ctx context.Context, req PredictRequest) (*PredictResponse, 
 		return nil, fmt.Errorf("serve: server returned %d classes for %d samples", len(out.Classes), want)
 	}
 	return &out, nil
-}
-
-// predict posts an encoded predict body, retrying 503 replies under
-// c.Retry.  Other replies, 429 quota sheds included, return at once, and
-// so do transport errors.
-func (c *Client) predict(ctx context.Context, body []byte) (*reply, error) {
-	attempts := 1
-	if c.Retry != nil && c.Retry.MaxAttempts > 1 {
-		attempts = c.Retry.MaxAttempts
-	}
-	var rep *reply
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if err := c.waitBackoff(ctx, attempt-1, rep.retryAfter); err != nil {
-				return nil, err
-			}
-		}
-		var err error
-		if rep, err = c.roundTrip(ctx, http.MethodPost, "/v1/predict", body); err != nil {
-			return nil, err
-		}
-		if rep.code != http.StatusServiceUnavailable {
-			break
-		}
-	}
-	return rep, nil
-}
-
-// waitBackoff sleeps for retry k's backoff: base·2ᵏ with half-to-full
-// jitter, capped at MaxDelay, floored by the server's Retry-After hint.
-func (c *Client) waitBackoff(ctx context.Context, k int, retryAfter time.Duration) error {
-	p := c.Retry
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	maxd := p.MaxDelay
-	if maxd <= 0 {
-		maxd = 2 * time.Second
-	}
-	d := base << k
-	if d > maxd || d <= 0 {
-		d = maxd
-	}
-	c.jitterMu.Lock()
-	if c.jitter == nil {
-		c.jitter = rand.New(rand.NewSource(p.Seed))
-	}
-	d = d/2 + time.Duration(c.jitter.Float64()*float64(d/2))
-	c.jitterMu.Unlock()
-	if retryAfter > d {
-		d = retryAfter
-	}
-	if d > maxd {
-		d = maxd
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sleep := c.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	sleep(d)
-	return ctx.Err()
 }
 
 // reply is one reply read back from a worker or router, its body

@@ -22,10 +22,11 @@ import (
 // delivered the triggering sample waits for the new model to publish.
 type Trainer interface {
 	// ObserveBatch absorbs the rows of x with their labels, in order.  It
-	// checks every row and label before absorbing any, so an error from a
-	// refused batch leaves the trainer unchanged; a refit the batch trips
-	// runs under ctx's request span.
-	ObserveBatch(ctx context.Context, x *mat.Dense, labels []int) error
+	// checks every row and label before absorbing any: err refuses the
+	// batch and leaves the trainer unchanged.  Otherwise every row is
+	// absorbed, and refitErr reports a refit the batch tripped that
+	// failed or rolled back.  Refits run under ctx's request span.
+	ObserveBatch(ctx context.Context, x *mat.Dense, labels []int) (refitErr, err error)
 	// NumFeatures is the row width the trainer takes; /v1/observe
 	// densifies sparse samples to it.
 	NumFeatures() int
@@ -47,11 +48,13 @@ type ObserveRequest struct {
 	Samples []LabeledSample `json:"samples"`
 }
 
-// ObserveResponse reports how many samples this request absorbed and
-// the trainer's total.
+// ObserveResponse reports how many samples this request absorbed, the
+// trainer's total, and the error of a refit the request tripped that
+// failed or rolled back ("" when none did).
 type ObserveResponse struct {
-	Observed int   `json:"observed"`
-	Seen     int64 `json:"seen"`
+	Observed   int    `json:"observed"`
+	Seen       int64  `json:"seen"`
+	RefitError string `json:"refit_error,omitempty"`
 }
 
 // handleObserve feeds POSTed labeled samples to the co-located trainer.
@@ -61,7 +64,10 @@ type ObserveResponse struct {
 // trainer's feature count, and sparse samples are densified.  Then the
 // whole request goes to the trainer in one call, which checks the labels
 // before absorbing any row.  A request refused on any sample gets a 400
-// naming it and changes no trainer counter.
+// naming it and changes no trainer counter.  An accepted request is
+// absorbed whole and gets a 200, even when a refit it tripped failed or
+// rolled back: that outcome is the trainer's, and the reply names it in
+// refit_error, so a client never resends rows that were absorbed.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeErr(w, http.StatusMethodNotAllowed, "POST required")
@@ -72,11 +78,11 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	}
 	ctx, root := s.startRequestSpan(r.Context(), "observe", r.Header)
 	defer root.End()
-	body, err := ReadRequestBody(w, r, s.opts.MaxBodyBytes)
+	body, err := ReadRequestBody(w, r, DefaultMaxBodyBytes)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "request body: %v", err)
 	}
-	sc, err := scanObserve(body, s.opts.MaxRequestSamples)
+	sc, err := scanObserve(body, maxRequestSamples)
 	defer sc.release()
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "%v", err)
@@ -100,13 +106,15 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 		}
 		labels[i] = smp.label
 	}
-	if err := tr.ObserveBatch(ctx, x, labels); err != nil {
+	refitErr, err := tr.ObserveBatch(ctx, x, labels)
+	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "%v", err)
 	}
-	return writeJSON(w, http.StatusOK, ObserveResponse{
-		Observed: len(samples),
-		Seen:     tr.Seen(),
-	})
+	resp := ObserveResponse{Observed: len(samples), Seen: tr.Seen()}
+	if refitErr != nil {
+		resp.RefitError = refitErr.Error()
+	}
+	return writeJSON(w, http.StatusOK, resp)
 }
 
 // Observe posts labeled training samples to a worker's co-located

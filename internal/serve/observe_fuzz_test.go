@@ -149,7 +149,7 @@ func FuzzObserveRequest(f *testing.F) {
 
 		var req ObserveRequest
 		refused := json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil ||
-			len(req.Samples) == 0 || len(req.Samples) > s.opts.MaxRequestSamples
+			len(req.Samples) == 0 || len(req.Samples) > maxRequestSamples
 		rows, labels, bad := edgeRows(&req)
 		if refused || bad >= 0 {
 			if rec.Code != http.StatusBadRequest {
@@ -165,26 +165,25 @@ func FuzzObserveRequest(f *testing.F) {
 			}
 			return
 		}
-		// Per-row Observe on the reference; a refit that fails ends the
-		// batch after its row, at the edge as here.
+		// Per-row Observe on the reference.  A refit that fails does not
+		// end the batch: the edge absorbs every row, answers 200, and
+		// names the first failed refit in refit_error.
 		failed := -1
 		for i, row := range rows {
-			if err := ref.Observe(row, labels[i]); err != nil {
+			if err := ref.Observe(row, labels[i]); err != nil && failed < 0 {
 				failed = i
-				break
 			}
 		}
-		switch {
-		case failed >= 0 && (rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), fmt.Sprintf("sample %d:", failed))):
-			t.Fatalf("%q: refit failing at sample %d answered %d %s", body, failed, rec.Code, rec.Body)
-		case failed < 0 && rec.Code != http.StatusOK:
+		var resp ObserveResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
 			t.Fatalf("%q: accepted body answered %d %s", body, rec.Code, rec.Body)
 		}
-		if tr.Seen() != ref.Seen() {
-			t.Fatalf("%q: seen %d, per-row Observe %d", body, tr.Seen(), ref.Seen())
+		if want := fmt.Sprintf("sample %d:", failed); (failed >= 0) != (resp.RefitError != "") ||
+			failed >= 0 && !strings.HasPrefix(resp.RefitError, want) {
+			t.Fatalf("%q: first refit failure at sample %d, reply refit_error %q", body, failed, resp.RefitError)
 		}
-		if failed < 0 && tr.Seen() != seen+int64(len(rows)) {
-			t.Fatalf("%q: seen %d→%d for %d samples", body, seen, tr.Seen(), len(rows))
+		if tr.Seen() != ref.Seen() || tr.Seen() != seen+int64(len(rows)) {
+			t.Fatalf("%q: seen %d→%d for %d samples, per-row Observe %d", body, seen, tr.Seen(), len(rows), ref.Seen())
 		}
 		gs, gr := trainerCounters(t, tr)
 		if ws, wr := trainerCounters(t, ref); gs != ws || gr != wr {

@@ -15,6 +15,8 @@ import (
 	"srda/internal/core"
 	"srda/internal/mat"
 	"srda/internal/obs"
+	"srda/internal/online"
+	"srda/internal/registry"
 )
 
 // fakeTrainer records observed rows and exposes one counter, standing
@@ -37,18 +39,18 @@ func newFakeTrainer() *fakeTrainer {
 	}
 }
 
-func (f *fakeTrainer) ObserveBatch(_ context.Context, x *mat.Dense, labels []int) error {
+func (f *fakeTrainer) ObserveBatch(_ context.Context, x *mat.Dense, labels []int) (error, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail {
-		return fmt.Errorf("trainer rejected the batch")
+		return nil, fmt.Errorf("trainer rejected the batch")
 	}
 	for i, label := range labels {
 		f.rows = append(f.rows, append([]float64(nil), x.RowView(i)...))
 		f.labels = append(f.labels, label)
 		f.samples.Inc()
 	}
-	return nil
+	return nil, nil
 }
 
 func (f *fakeTrainer) NumFeatures() int { return 4 }
@@ -155,5 +157,67 @@ func TestObserveUnregisteredWithoutTrainer(t *testing.T) {
 	}
 	if strings.Contains(text, "srdaonline_") {
 		t.Fatalf("trainer metrics leaked into trainerless exposition:\n%s", text)
+	}
+}
+
+// TestObserveAbsorbsRequestDespiteRollback: a refit that rolls back is
+// the trainer's outcome, not the request's fault.  The request that
+// tripped it is absorbed whole and answered 200 with the rollback named
+// in refit_error, so a client has no reason to resend rows that were
+// already counted.
+func TestObserveAbsorbsRequestDespiteRollback(t *testing.T) {
+	reg := registry.New(registry.Options{})
+	validations := 0
+	tr, err := online.NewStreamTrainer(online.Config{
+		NumFeatures: 4, NumClasses: 2, Alpha: 1,
+		Policy:   online.RefitPolicy{MinSamples: 2},
+		Registry: reg,
+		Validate: func(*core.Model) error {
+			if validations++; validations >= 2 {
+				return errors.New("refit vetoed")
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(nil, Options{Registry: reg, Trainer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close(context.Background()) }()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	c := NewClient(hs.URL)
+
+	sample := func(label int) LabeledSample {
+		x := []float64{1, 0, 0, 0}
+		x[label+1] = 3
+		return LabeledSample{Sample: Sample{Dense: x}, Label: label}
+	}
+	ctx := context.Background()
+	resp, err := c.Observe(ctx, sample(0), sample(1)) // refit 1 publishes v1
+	if err != nil || resp.RefitError != "" {
+		t.Fatalf("first request: resp %+v err %v", resp, err)
+	}
+	// Sample 1 of this request trips refit 2, the first the hook vetoes.
+	resp, err = c.Observe(ctx, sample(0), sample(1), sample(0))
+	if err != nil {
+		t.Fatalf("request whose refit rolled back: %v", err)
+	}
+	if resp.Observed != 3 || resp.Seen != 5 || tr.Seen() != 5 {
+		t.Fatalf("observed/seen = %d/%d (trainer %d), want 3/5", resp.Observed, resp.Seen, tr.Seen())
+	}
+	if !strings.HasPrefix(resp.RefitError, "sample 1: ") || !strings.Contains(resp.RefitError, "v2 rolled back: refit vetoed") {
+		t.Fatalf("refit_error = %q, want sample 1's rollback", resp.RefitError)
+	}
+	// Per-row Observe still returns the refit's error: the next sample
+	// trips refit 3, vetoed too.
+	if err := tr.Observe([]float64{1, 0, 3, 0}, 1); err == nil || !strings.Contains(err.Error(), "v4 rolled back") {
+		t.Fatalf("Observe tripping a vetoed refit: err = %v", err)
+	}
+	if tr.Seen() != 6 {
+		t.Fatalf("seen = %d, want 6", tr.Seen())
 	}
 }

@@ -42,13 +42,20 @@ import (
 	"srda/internal/registry"
 )
 
-// DefaultModelName is the registry name used when neither the server
-// options nor the request specify a model.
-const DefaultModelName = "default"
+// DefaultModelName is the registry name served when a request does not
+// name a model; Swap, ReloadFromFile and WatchFile publish to it.
+const DefaultModelName = registry.DefaultName
 
-// DefaultMaxBodyBytes caps a request body when Options.MaxBodyBytes is
-// unset; the router holds its predict bodies to the same cap.
+// DefaultMaxBodyBytes caps a request body; the router holds its predict
+// bodies to the same cap.
 const DefaultMaxBodyBytes = 32 << 20
+
+// maxRequestSamples caps the samples of one predict or observe request.
+const maxRequestSamples = 1024
+
+// RetryAfterSeconds is the Retry-After hint on every shed reply of the
+// tier: a worker's 503 and a router's 429 and 503 carry the same value.
+const RetryAfterSeconds = 1
 
 // Options tunes the server.  The zero value gets sensible defaults from
 // New.
@@ -66,26 +73,15 @@ type Options struct {
 	// QueueDepth caps queued samples; past it requests get 503
 	// (default 4096).
 	QueueDepth int
-	// MaxRequestSamples caps samples per HTTP request (default 1024).
-	MaxRequestSamples int
-	// MaxBodyBytes caps the request body (default DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 	// Registry, when non-nil, backs the server with a caller-owned
 	// multi-tenant model store (co-located workers share one).  When nil,
 	// New creates a private registry holding just the initial model.
 	Registry *registry.Registry
-	// DefaultModel names the registry entry served when a request does
-	// not specify one (default DefaultModelName); Swap, ReloadFromFile,
-	// and WatchFile publish to it.
-	DefaultModel string
 	// Tracer records request-scoped span trees (request → batch → kernel)
 	// for /v1/predict.  When nil, New creates one whose ring holds
-	// TraceCapacity completed spans; pass an explicit tracer to share one
-	// ring across servers or to inject a test clock.
+	// obs.DefaultTraceCapacity completed spans; pass an explicit tracer
+	// to share one ring across servers or to inject a test clock.
 	Tracer *obs.Tracer
-	// TraceCapacity sizes the ring of the tracer New creates when Tracer
-	// is nil (default obs.DefaultTraceCapacity).
-	TraceCapacity int
 	// Logger receives the server's structured logs: hot-reload outcomes
 	// and rate-limited queue-overflow warnings.  Nil disables logging.
 	Logger *obs.Logger
@@ -116,15 +112,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4096
-	}
-	if o.MaxRequestSamples <= 0 {
-		o.MaxRequestSamples = 1024
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if o.DefaultModel == "" {
-		o.DefaultModel = DefaultModelName
 	}
 	return o
 }
@@ -199,7 +186,7 @@ func newServer(m *core.Model, opts Options) (*Server, error) {
 			return nil, fmt.Errorf("serve: model carries no class centroids; retrain with srda.Fit/FitCSR or srdatrain")
 		}
 		m.Workers = opts.Workers
-		if _, err := reg.Publish(opts.DefaultModel, m); err != nil {
+		if _, err := reg.Publish(DefaultModelName, m); err != nil {
 			return nil, err
 		}
 	}
@@ -216,7 +203,7 @@ func newServer(m *core.Model, opts Options) (*Server, error) {
 		logger:  opts.Logger,
 	}
 	if s.tracer == nil {
-		s.tracer = obs.NewTracer(opts.TraceCapacity)
+		s.tracer = obs.NewTracer(0)
 	}
 	s.metrics = newMetrics(
 		s.queued.Load,
@@ -258,7 +245,7 @@ func (s *Server) Logger() *obs.Logger { return s.logger }
 // Model returns the live default model (nil when the registry holds no
 // default entry).
 func (s *Server) Model() *core.Model {
-	if snap, ok := s.reg.Get(s.opts.DefaultModel); ok {
+	if snap, ok := s.reg.Get(DefaultModelName); ok {
 		return snap.Model
 	}
 	return nil
@@ -268,7 +255,7 @@ func (s *Server) Model() *core.Model {
 // model the server started with; each successful Swap increments it, and
 // rollbacks keep moving forward).  Zero when no default model exists.
 func (s *Server) ModelSeq() uint64 {
-	if snap, ok := s.reg.Get(s.opts.DefaultModel); ok {
+	if snap, ok := s.reg.Get(DefaultModelName); ok {
 		return snap.Version
 	}
 	return 0
@@ -293,7 +280,7 @@ func (s *Server) Swap(m *core.Model) (uint64, error) {
 		return 0, fmt.Errorf("serve: refusing to swap in a model without centroids")
 	}
 	m.Workers = s.opts.Workers
-	snap, err := s.reg.Publish(s.opts.DefaultModel, m)
+	snap, err := s.reg.Publish(DefaultModelName, m)
 	if err != nil {
 		return 0, err
 	}
@@ -502,11 +489,11 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) int {
 	return writeJSON(w, code, errorReply{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeReply writes an encoded reply, advertising Retry-After on
-// retryable 503s so the client's backoff has a floor.
+// writeReply writes an encoded reply, advertising RetryAfterSeconds on
+// 503s.
 func writeReply(w http.ResponseWriter, code int, reply []byte) int {
 	if code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -595,7 +582,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeErr(w, http.StatusMethodNotAllowed, "POST required")
 	}
-	body, err := ReadRequestBody(w, r, s.opts.MaxBodyBytes)
+	body, err := ReadRequestBody(w, r, DefaultMaxBodyBytes)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "request body: %v", err)
 	}
@@ -606,7 +593,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 // parsePredict scans a predict body and validates it like a typed
 // request.
 func (s *Server) parsePredict(body []byte) (*pending, error) {
-	sc, err := scanPredict(body, s.opts.MaxRequestSamples)
+	sc, err := scanPredict(body, maxRequestSamples)
 	var p *pending
 	if err == nil {
 		p, err = s.newPending(sc.out.model, sc.out.embed, sc.out.samples())
@@ -655,13 +642,13 @@ func (s *Server) newPending(model string, embed bool, samples []rawSample) (*pen
 	if len(samples) == 0 {
 		return nil, badRequestf("no samples")
 	}
-	if len(samples) > s.opts.MaxRequestSamples {
+	if len(samples) > maxRequestSamples {
 		return nil, badRequestf("%d samples exceeds the per-request cap of %d",
-			len(samples), s.opts.MaxRequestSamples)
+			len(samples), maxRequestSamples)
 	}
 	name := model
 	if name == "" {
-		name = s.opts.DefaultModel
+		name = DefaultModelName
 	}
 	snap, ok := s.reg.Get(name)
 	if !ok {
@@ -784,7 +771,7 @@ func (s *Server) HealthSnapshot() *Health {
 		Models:            s.reg.Len(),
 		LatencyP99Seconds: s.LatencyP99(),
 	}
-	if snap, ok := s.reg.Get(s.opts.DefaultModel); ok {
+	if snap, ok := s.reg.Get(DefaultModelName); ok {
 		h.Features = snap.Model.W.Rows
 		h.Classes = snap.Model.NumClasses
 		h.Dim = snap.Model.Dim()

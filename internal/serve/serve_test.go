@@ -142,7 +142,10 @@ func TestHealthz(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	model, probes := trainBlobs(t, 10, 3, 4)
-	_, ts, _ := newTestServer(t, model, Options{MaxRequestSamples: 2})
+	_, ts, _ := newTestServer(t, model, Options{})
+	samples := func(k int) string {
+		return `{"samples":[` + strings.TrimSuffix(strings.Repeat(`{"sparse":{"0":1}},`, k), ",") + `]}`
+	}
 	post := func(body string) int {
 		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -161,7 +164,8 @@ func TestBadRequests(t *testing.T) {
 		{"sparse index out of range", `{"sparse":{"99":1}}`, http.StatusBadRequest},
 		{"negative sparse index", `{"sparse":{"-1":1}}`, http.StatusBadRequest},
 		{"both dense and sparse", `{"samples":[{"dense":[1,1,1,1,1,1,1,1,1,1],"sparse":{"0":1}}]}`, http.StatusBadRequest},
-		{"too many samples", `{"samples":[{"sparse":{"0":1}},{"sparse":{"0":1}},{"sparse":{"0":1}}]}`, http.StatusBadRequest},
+		{"samples at the cap", samples(maxRequestSamples), http.StatusOK},
+		{"too many samples", samples(maxRequestSamples + 1), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if got := post(tc.body); got != tc.want {
@@ -507,7 +511,7 @@ func TestModelShapeConflict(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	model, probes := trainBlobs(t, 10, 3, 11)
-	ex := obs.NewExemplarStore(0, 0)
+	ex := obs.NewExemplarStore(0)
 	_, _, client := newTestServer(t, model, Options{Exemplars: ex})
 	ctx := ctxT(t)
 	if _, err := client.Predict(ctx, DenseSample(probes.RowView(0)), DenseSample(probes.RowView(1))); err != nil {

@@ -79,7 +79,7 @@ func TestSLOLifecycle(t *testing.T) {
 	clock := func() time.Time { return now }
 
 	flight := obs.NewFlightRecorder(obs.FlightOptions{
-		Dir: dir, Process: "router-test", Clock: clock, Cooldown: time.Millisecond,
+		Dir: dir, Process: "router-test", Clock: clock,
 	})
 	reg := obs.NewRegistry()
 	cfg, err := ValidateSLOConfig([]byte(`{

@@ -13,9 +13,7 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -117,26 +115,6 @@ func (st *Store) Ingest(now time.Time, fams []obs.PromFamily) {
 			sr.push(Point{T: now, V: smp.Value})
 		}
 	}
-}
-
-// SampleRegistry renders reg's exposition, parses it back through the
-// shared grammar, and ingests one point per series at now.  Parsing our
-// own writer is deliberate: the sampler exercises exactly the code path
-// the federation scraper uses on remote replicas.
-func (st *Store) SampleRegistry(now time.Time, regs ...*obs.Registry) error {
-	var sb strings.Builder
-	for _, reg := range regs {
-		if reg == nil {
-			continue
-		}
-		reg.WritePrometheus(&sb)
-	}
-	fams, err := obs.ParsePrometheus([]byte(sb.String()))
-	if err != nil {
-		return fmt.Errorf("telemetry: sampling registry: %w", err)
-	}
-	st.Ingest(now, fams)
-	return nil
 }
 
 // Snapshot returns every series in first-ingest order.

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -42,7 +43,10 @@ func TestStoreRingBounds(t *testing.T) {
 	}
 }
 
-func TestStoreSampleRegistry(t *testing.T) {
+// TestRegistryTargetScrape: a federator scraping a RegistryTarget
+// renders the registry, parses it back through the shared grammar, and
+// ingests one replica-tagged point per series.
+func TestRegistryTargetScrape(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.NewCounter("srdatest_total", "Test counter.")
 	vec := reg.NewCounterVec("srdatest_by_code", "By code.", "code")
@@ -50,14 +54,11 @@ func TestStoreSampleRegistry(t *testing.T) {
 	vec.With("200").Add(2)
 	vec.With("503").Inc()
 
-	st := NewStore(8)
-	if err := st.SampleRegistry(at(0), reg); err != nil {
-		t.Fatal(err)
-	}
+	f := NewFederator([]Target{RegistryTarget("w0", nil, reg)}, FederatorOptions{PointsPerSeries: 8})
+	f.Scrape(context.Background(), at(0))
 	c.Add(1)
-	if err := st.SampleRegistry(at(15), reg); err != nil {
-		t.Fatal(err)
-	}
+	f.Scrape(context.Background(), at(15))
+	st := f.Store()
 	if n := st.SeriesCount(); n != 3 {
 		t.Fatalf("series = %d, want 3", n)
 	}
@@ -66,7 +67,7 @@ func TestStoreSampleRegistry(t *testing.T) {
 		t.Fatalf("by_code series = %d", len(q))
 	}
 	// Query is sorted by canonical key: code="200" before code="503".
-	if q[0].Label("code") != "200" || q[1].Label("code") != "503" {
+	if q[0].Label("code") != "200" || q[1].Label("code") != "503" || q[0].Label(ReplicaLabel) != "w0" {
 		t.Errorf("query order: %q, %q", q[0].Key, q[1].Key)
 	}
 	total := st.Query("srdatest_total")

@@ -52,8 +52,8 @@ type StreamTrainer = online.StreamTrainer
 // StreamConfig configures NewStreamTrainer.
 type StreamConfig = online.Config
 
-// RefitPolicy selects the streaming trainer's refit triggers and
-// candidate validation (holdout fraction, tolerated regression).
+// RefitPolicy selects the streaming trainer's refit triggers and the
+// holdout fraction its candidates are validated on.
 type RefitPolicy = online.RefitPolicy
 
 // ModelRegistry is the multi-tenant versioned model store the streaming
