@@ -131,9 +131,9 @@ trace-smoke:
 # Sharded-tier acceptance smoke (see doc/SHARDING.md): -role=all spawns
 # a router plus two co-located workers sharing one registry, publishes
 # three tenant models, and asserts routed predictions, quota/shed
-# metrics, and hash-ring stability under drain.  The router and
-# registry race tests run fresh alongside it; `make race` covers the
-# full packages racy.
+# metrics, and hash-ring stability when health checks remove a
+# replica.  The router and registry race tests run fresh alongside it;
+# `make race` covers the full packages racy.
 shard-smoke:
 	$(GO) test -run 'TestShardSmoke|TestTeardownOnError' -count=1 -v ./cmd/srdaserve
 	$(GO) test -run 'TestColocatedRoutingQuotasAndDrain|TestConcurrentPublishEvictPredict' -count=1 -race -v ./internal/router ./internal/registry

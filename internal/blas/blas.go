@@ -102,35 +102,6 @@ func (n NormAcc) Norm() float64 {
 	return n.scale * math.Sqrt(n.ssq)
 }
 
-// Asum returns the sum of absolute values of x.
-func Asum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// Iamax returns the index of the element of x with the largest absolute
-// value, or -1 for an empty vector.
-func Iamax(x []float64) int {
-	best, at := -1.0, -1
-	for i, v := range x {
-		if a := math.Abs(v); a > best {
-			best, at = a, i
-		}
-	}
-	return at
-}
-
-// Copy copies src into dst.  It panics if the lengths differ.
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("blas: vector length mismatch in Copy")
-	}
-	copy(dst, src)
-}
-
 // Gemv computes y = alpha*A*x + beta*y where A is m×n row-major with
 // leading dimension lda (lda >= n).
 func Gemv(m, n int, alpha float64, a []float64, lda int, x []float64, beta float64, y []float64) {

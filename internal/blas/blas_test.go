@@ -140,19 +140,6 @@ func TestNrm2PropertyScaling(t *testing.T) {
 	}
 }
 
-func TestAsumIamax(t *testing.T) {
-	x := []float64{1, -5, 3}
-	if got := Asum(x); got != 9 {
-		t.Errorf("Asum=%v want 9", got)
-	}
-	if got := Iamax(x); got != 1 {
-		t.Errorf("Iamax=%v want 1", got)
-	}
-	if got := Iamax(nil); got != -1 {
-		t.Errorf("Iamax(nil)=%v want -1", got)
-	}
-}
-
 func naiveGemm(m, n, k int, a, b []float64) []float64 {
 	c := make([]float64, m*n)
 	for i := 0; i < m; i++ {
@@ -374,21 +361,4 @@ func BenchmarkDot4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Dot(x, y)
 	}
-}
-
-func TestCopy(t *testing.T) {
-	src := []float64{1, 2, 3}
-	dst := make([]float64, 3)
-	Copy(dst, src)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatal("Copy failed")
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch accepted")
-		}
-	}()
-	Copy(dst, []float64{1})
 }

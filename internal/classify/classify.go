@@ -174,18 +174,6 @@ func ErrorRate(pred, truth []int) float64 {
 	return float64(wrong) / float64(len(pred))
 }
 
-// ConfusionMatrix tallies counts[true][predicted].
-func ConfusionMatrix(pred, truth []int, numClasses int) [][]int {
-	cm := make([][]int, numClasses)
-	for i := range cm {
-		cm[i] = make([]int, numClasses)
-	}
-	for i := range pred {
-		cm[truth[i]][pred[i]]++
-	}
-	return cm
-}
-
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {

@@ -127,10 +127,6 @@ func TestErrorRateAndConfusion(t *testing.T) {
 	if got := ErrorRate(pred, truth); got != 0.25 {
 		t.Fatalf("ErrorRate=%v", got)
 	}
-	cm := ConfusionMatrix(pred, truth, 2)
-	if cm[0][0] != 2 || cm[0][1] != 1 || cm[1][1] != 1 || cm[1][0] != 0 {
-		t.Fatalf("cm=%v", cm)
-	}
 	if got := ErrorRate(nil, nil); got != 0 {
 		t.Fatalf("empty ErrorRate=%v", got)
 	}

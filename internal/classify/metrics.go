@@ -3,7 +3,6 @@ package classify
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -96,7 +95,7 @@ func (m *Metrics) String() string {
 
 // TopKAccuracy scores ranked predictions: sample i counts as correct when
 // truth[i] appears among the first k entries of ranked[i].  Embedding
-// methods produce natural rankings by centroid distance (RankCentroids).
+// methods produce natural rankings by centroid distance.
 func TopKAccuracy(ranked [][]int, truth []int, k int) (float64, error) {
 	if len(ranked) != len(truth) {
 		return 0, fmt.Errorf("classify: %d rankings for %d labels", len(ranked), len(truth))
@@ -118,31 +117,6 @@ func TopKAccuracy(ranked [][]int, truth []int, k int) (float64, error) {
 		}
 	}
 	return float64(hits) / float64(len(ranked)), nil
-}
-
-// RankCentroids ranks all classes for each embedded point by increasing
-// centroid distance, for top-k evaluation.
-func (nc *NearestCentroid) RankCentroids(emb interface{ RowView(int) []float64 }, rows int) [][]int {
-	out := make([][]int, rows)
-	c := nc.Centroids.Rows
-	for i := 0; i < rows; i++ {
-		v := emb.RowView(i)
-		type kd struct {
-			k int
-			d float64
-		}
-		ds := make([]kd, c)
-		for k := 0; k < c; k++ {
-			ds[k] = kd{k, sqDist(v, nc.Centroids.RowView(k))}
-		}
-		sort.Slice(ds, func(a, b int) bool { return ds[a].d < ds[b].d })
-		r := make([]int, c)
-		for t, e := range ds {
-			r[t] = e.k
-		}
-		out[i] = r
-	}
-	return out
 }
 
 // BalancedError averages per-class error rates, insensitive to class

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"srda/internal/mat"
 )
 
 func TestComputeMetricsPerfect(t *testing.T) {
@@ -94,18 +92,6 @@ func TestTopKAccuracy(t *testing.T) {
 	}
 	if _, err := TopKAccuracy(nil, nil, 1); err == nil {
 		t.Fatal("empty accepted")
-	}
-}
-
-func TestRankCentroidsOrdersByDistance(t *testing.T) {
-	emb := mat.FromRows([][]float64{{0.2, 0}})
-	nc := &NearestCentroid{Centroids: mat.FromRows([][]float64{{0, 0}, {1, 0}, {5, 0}})}
-	ranked := nc.RankCentroids(emb, 1)
-	want := []int{0, 1, 2}
-	for i, w := range want {
-		if ranked[0][i] != w {
-			t.Fatalf("ranking %v", ranked[0])
-		}
 	}
 }
 

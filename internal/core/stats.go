@@ -60,9 +60,6 @@ func NewSuffStats(numFeatures, numClasses int) (*SuffStats, error) {
 // NumFeatures returns n.
 func (s *SuffStats) NumFeatures() int { return s.n }
 
-// NumClasses returns c.
-func (s *SuffStats) NumClasses() int { return s.c }
-
 // Seen returns the number of absorbed samples.
 func (s *SuffStats) Seen() int { return s.seen }
 

@@ -1,7 +1,6 @@
 package decomp
 
 import (
-	"errors"
 	"math"
 
 	"srda/internal/blas"
@@ -119,44 +118,6 @@ func (f *QR) applyReflector(j int, b *mat.Dense) {
 		}
 		blas.Axpy(-tau*vi, w, b.RowView(i))
 	}
-}
-
-// QTMul computes QᵀB in place of a copy of B (B has m rows), returning it.
-// This is the building block for least-squares solves.
-func (f *QR) QTMul(b *mat.Dense) *mat.Dense {
-	if b.Rows != f.m {
-		panic("decomp: QTMul dimension mismatch")
-	}
-	out := b.Clone()
-	for j := 0; j < len(f.tau); j++ {
-		f.applyReflector(j, out)
-	}
-	return out
-}
-
-// SolveLS solves the least-squares problem min ‖A x - b‖ for each column of
-// b, requiring m >= n and full column rank.  Returns the n×cols solution.
-func (f *QR) SolveLS(b *mat.Dense) (*mat.Dense, error) {
-	if f.m < f.n {
-		return nil, errors.New("decomp: SolveLS requires m >= n")
-	}
-	qtb := f.QTMul(b)
-	x := mat.NewDense(f.n, b.Cols)
-	for j := 0; j < b.Cols; j++ {
-		for i := f.n - 1; i >= 0; i-- {
-			ri := f.qr.RowView(i)
-			s := qtb.At(i, j)
-			for k := i + 1; k < f.n; k++ {
-				s -= ri[k] * x.At(k, j)
-			}
-			d := ri[i]
-			if d == 0 { //srdalint:ignore floatcmp exact zero pivot marks structural rank deficiency
-				return nil, errors.New("decomp: rank-deficient matrix in SolveLS")
-			}
-			x.Set(i, j, s/d)
-		}
-	}
-	return x, nil
 }
 
 // GramSchmidt orthonormalizes the columns of A in place using modified

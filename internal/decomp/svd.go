@@ -3,7 +3,6 @@ package decomp
 import (
 	"math"
 
-	"srda/internal/blas"
 	"srda/internal/mat"
 )
 
@@ -110,26 +109,6 @@ func (s *SVD) Reconstruct() *mat.Dense {
 	return mat.MulTB(us, s.V)
 }
 
-// PseudoInverseVec applies the Moore–Penrose pseudo-inverse to b:
-// x = V Σ⁻¹ Uᵀ b.
-func (s *SVD) PseudoInverseVec(b []float64) []float64 {
-	r := s.Rank()
-	utb := s.U.MulTVec(b, nil)
-	for j := 0; j < r; j++ {
-		utb[j] /= s.Sigma[j]
-	}
-	return s.V.MulVec(utb, nil)
-}
-
-// Cond returns the 2-norm condition number σ_max/σ_min of the retained
-// spectrum (infinite when rank is zero).
-func (s *SVD) Cond() float64 {
-	if s.Rank() == 0 {
-		return math.Inf(1)
-	}
-	return s.Sigma[0] / s.Sigma[s.Rank()-1]
-}
-
 // OrthoError returns max(‖UᵀU - I‖_max, ‖VᵀV - I‖_max), a cheap health
 // check used by tests.
 func (s *SVD) OrthoError() float64 {
@@ -150,20 +129,4 @@ func (s *SVD) OrthoError() float64 {
 		return worst
 	}
 	return math.Max(check(s.U), check(s.V))
-}
-
-// NormalizeColumns scales each column of a to unit Euclidean norm in
-// place, skipping zero columns; a convenience used by eigenvector
-// post-processing.
-func NormalizeColumns(a *mat.Dense) {
-	col := make([]float64, a.Rows)
-	for j := 0; j < a.Cols; j++ {
-		a.ColCopy(j, col)
-		nrm := blas.Nrm2(col)
-		if nrm == 0 { //srdalint:ignore floatcmp exact zero column norm marks a null singular direction
-			continue
-		}
-		blas.Scal(1/nrm, col)
-		a.SetCol(j, col)
-	}
 }

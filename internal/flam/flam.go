@@ -7,8 +7,6 @@
 // harness's memory-wall modeling.
 package flam
 
-import "fmt"
-
 // Problem describes an experiment shape in the paper's notation.
 type Problem struct {
 	M int     // number of training samples
@@ -116,14 +114,4 @@ func Speedup(p Problem) float64 {
 // Table returns all Table I rows for a problem.
 func Table(p Problem) []Count {
 	return []Count{LDA(p), SRDANormal(p), SRDALSQRDense(p), SRDALSQRSparse(p), IDRQR(p)}
-}
-
-// Render formats counts as the Table I layout.
-func Render(p Problem, counts []Count) string {
-	out := fmt.Sprintf("Problem: m=%d n=%d c=%d k=%d s=%.0f (t=%d)\n", p.M, p.N, p.C, p.K, p.S, p.T())
-	out += fmt.Sprintf("%-28s %14s %14s\n", "algorithm", "flam", "memory")
-	for _, c := range counts {
-		out += fmt.Sprintf("%-28s %14.3g %13.3gB\n", c.Algorithm, c.Flam, c.Bytes())
-	}
-	return out
 }

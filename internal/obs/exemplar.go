@@ -64,14 +64,6 @@ func NewExemplarStore(slo float64) *ExemplarStore {
 	return &ExemplarStore{slo: slo, m: make(map[string]*exemplarState)}
 }
 
-// SLO returns the configured breach threshold (0 on nil).
-func (e *ExemplarStore) SLO() float64 {
-	if e == nil {
-		return 0
-	}
-	return e.slo
-}
-
 // Observe records one observation of metric with the trace it belongs
 // to.  Trace 0 (no active trace) and a nil store are no-ops.
 func (e *ExemplarStore) Observe(metric string, v float64, trace TraceID) {

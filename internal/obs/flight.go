@@ -155,14 +155,6 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 	}
 }
 
-// P99SLO returns the configured latency SLO in seconds (0 on nil).
-func (f *FlightRecorder) P99SLO() float64 {
-	if f == nil {
-		return 0
-	}
-	return f.opts.P99SLO
-}
-
 // AttachTracer points the recorder at the span ring bundles draw from.
 func (f *FlightRecorder) AttachTracer(t *Tracer) {
 	if f != nil {

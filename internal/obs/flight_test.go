@@ -175,7 +175,7 @@ func TestFlightNilRecorder(t *testing.T) {
 	f.NoteShed(1)
 	f.NoteRollback(1)
 	f.NoteRefitFailure(1)
-	if f.DumpCount() != 0 || f.P99SLO() != 0 {
+	if f.DumpCount() != 0 {
 		t.Fatal("nil recorder has state")
 	}
 	l := NewLogger(os.Stderr, slog.LevelError)

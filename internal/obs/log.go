@@ -3,16 +3,10 @@ package obs
 // Structured logging on log/slog.  Logger is the repository's sole
 // sanctioned logging surface outside the command mains: the serving and
 // reload paths log through it (the srdalint rawlog analyzer bans raw
-// log.Printf / fmt.Fprint-to-stderr elsewhere), which buys three things
-// uniformly:
-//
-//   - level control at runtime (SetLevel), so a busy server can be turned
-//     up to debug without a restart;
-//   - trace correlation: WithTrace(ctx) stamps every line with the
-//     request's trace_id/span_id, joining logs to the request tracer;
-//   - rate-limited sampling (Sample) for hot paths, so a queue-overflow
-//     storm logs once a second with a suppressed count instead of once
-//     per rejected sample.
+// log.Printf / fmt.Fprint-to-stderr elsewhere), which buys rate-limited
+// sampling (Sample) for hot paths uniformly, so a queue-overflow storm
+// logs once a second with a suppressed count instead of once per
+// rejected sample.
 //
 // The clock is injectable like everywhere else in obs, so log output in
 // tests is byte-deterministic.  A nil *Logger is a valid no-op receiver:
@@ -29,7 +23,7 @@ import (
 )
 
 // Logger is a leveled, attribute-carrying logger.  Derive children with
-// With/WithTrace; all children share the parent's level and sampler.
+// With; all children share the parent's level and sampler.
 type Logger struct {
 	h     slog.Handler
 	lvl   *slog.LevelVar
@@ -86,14 +80,6 @@ func ParseLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("obs: unknown log level %q (want debug, info, warn, or error)", s)
 }
 
-// SetLevel changes the minimum level for this logger and every logger
-// derived from it.  No-op on nil.
-func (l *Logger) SetLevel(level slog.Level) {
-	if l != nil {
-		l.lvl.Set(level)
-	}
-}
-
 // Level returns the current minimum level (LevelInfo on nil).
 func (l *Logger) Level() slog.Level {
 	if l == nil {
@@ -109,17 +95,6 @@ func (l *Logger) With(args ...any) *Logger {
 		return l
 	}
 	return &Logger{h: l.h.WithAttrs(argsToAttrs(args)), lvl: l.lvl, clock: l.clock, smp: l.smp}
-}
-
-// WithTrace returns a child logger stamped with the trace_id and span_id
-// of the span carried by ctx, correlating log lines with the request
-// tracer.  Without an active span it returns l unchanged.
-func (l *Logger) WithTrace(ctx context.Context) *Logger {
-	s := SpanFromContext(ctx)
-	if l == nil || s == nil {
-		return l
-	}
-	return l.With("trace_id", FormatTraceID(s.TraceID()), "span_id", uint64(s.SpanID()))
 }
 
 // Sample returns l when a log line keyed by key is due (at most one per
@@ -143,9 +118,6 @@ func (l *Logger) Sample(key string, period time.Duration) *Logger {
 	}
 	return l
 }
-
-// Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, args ...any) { l.log(slog.LevelDebug, msg, args) }
 
 // Info logs at LevelInfo.
 func (l *Logger) Info(msg string, args ...any) { l.log(slog.LevelInfo, msg, args) }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"log/slog"
 	"strings"
 	"testing"
@@ -29,47 +28,6 @@ func TestLoggerJSONIncludesAttrs(t *testing.T) {
 		if !strings.Contains(out, frag) {
 			t.Errorf("output missing %s: %s", frag, out)
 		}
-	}
-}
-
-func TestLoggerLevelControl(t *testing.T) {
-	var sb strings.Builder
-	l := NewLoggerClock(&sb, slog.LevelInfo, false, (&fakeClock{now: time.Unix(0, 0).UTC(), step: time.Second}).read)
-	l.Debug("hidden")
-	if sb.Len() != 0 {
-		t.Fatalf("debug logged at info level: %q", sb.String())
-	}
-	l.SetLevel(slog.LevelDebug)
-	l.Debug("visible")
-	if !strings.Contains(sb.String(), "visible") {
-		t.Fatalf("debug suppressed after SetLevel(debug): %q", sb.String())
-	}
-	// Children share the parent's level var.
-	child := l.With("k", "v")
-	child.SetLevel(slog.LevelError)
-	sb.Reset()
-	l.Info("also hidden")
-	if sb.Len() != 0 {
-		t.Fatalf("parent ignored child's SetLevel: %q", sb.String())
-	}
-}
-
-func TestLoggerWithTrace(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(0, 0).UTC(), step: time.Second}
-	tr := NewTracerClock(8, clk.read)
-	ctx, sp := tr.StartRoot(context.Background(), "request")
-	defer sp.End()
-
-	var sb strings.Builder
-	l := NewLoggerClock(&sb, slog.LevelInfo, false, clk.read)
-	l.WithTrace(ctx).Info("handling")
-	out := sb.String()
-	if !strings.Contains(out, "trace_id=t0000000000000001") || !strings.Contains(out, "span_id=1") {
-		t.Fatalf("trace correlation missing: %q", out)
-	}
-	// Without a span in ctx, WithTrace is the identity.
-	if l.WithTrace(context.Background()) != l {
-		t.Fatal("WithTrace without a span should return the receiver")
 	}
 }
 
@@ -101,11 +59,10 @@ func TestLoggerNilNoOps(t *testing.T) {
 	var l *Logger
 	l.Info("nothing")
 	l.Error("nothing")
-	l.SetLevel(slog.LevelDebug)
 	if l.Level() != slog.LevelInfo {
 		t.Fatalf("nil Level = %v", l.Level())
 	}
-	if l.With("k", "v") != nil || l.WithTrace(context.Background()) != nil || l.Sample("k", time.Second) != nil {
+	if l.With("k", "v") != nil || l.Sample("k", time.Second) != nil {
 		t.Fatal("nil derivations must stay nil")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -62,14 +61,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for _, m := range ms {
 		m.writeProm(w)
 	}
-}
-
-// Handler returns an http.Handler serving the registry's exposition.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", PromContentType)
-		r.WritePrometheus(w)
-	})
 }
 
 func promHeader(w io.Writer, name, help, kind string) {
@@ -136,9 +127,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add shifts the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }

@@ -266,21 +266,6 @@ func (r *Registry) Rollback(name string) (*Snapshot, error) {
 	return snap, nil
 }
 
-// Delete removes name and its whole version history.
-func (r *Registry) Delete(name string) bool {
-	r.mu.Lock()
-	e := r.models[name]
-	if e != nil {
-		r.bytes -= e.live().Bytes
-		delete(r.models, name)
-	}
-	r.mu.Unlock()
-	if e != nil {
-		r.updateGauges()
-	}
-	return e != nil
-}
-
 // Len returns the number of live names.
 func (r *Registry) Len() int {
 	r.mu.RLock()

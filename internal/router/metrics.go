@@ -21,7 +21,7 @@ func newMetrics(ringMembers, healthy func() int64) *metrics {
 		requests: reg.NewCounterVec("srdaroute_requests_total",
 			"Routed predict requests by backend replica and status code.", "replica", "code"),
 		shed: reg.NewCounterVec("srdaroute_shed_total",
-			"Requests shed before reaching a backend, by reason (quota, overload, no_backend, draining) and tenant.", "reason", "tenant"),
+			"Requests shed before reaching a backend, by reason (quota, overload, no_backend) and tenant.", "reason", "tenant"),
 		backendErrors: reg.NewCounterVec("srdaroute_backend_errors_total",
 			"Forwarded requests the backend failed (a 5xx reply or a transport error), by replica.", "replica"),
 		forward: reg.NewHistogram("srdaroute_forward_seconds",
@@ -29,9 +29,9 @@ func newMetrics(ringMembers, healthy func() int64) *metrics {
 			[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}),
 	}
 	reg.NewGaugeFunc("srdaroute_ring_members",
-		"Replicas currently on the hash ring (healthy and not draining).", ringMembers)
+		"Replicas currently on the hash ring.", ringMembers)
 	reg.NewGaugeFunc("srdaroute_healthy_replicas",
-		"Replicas passing their health checks, including draining ones.", healthy)
+		"Replicas passing their health checks.", healthy)
 	return mx
 }
 

@@ -8,10 +8,9 @@
 // (co-located mode, the arrangement the race tests drive), HTTPBackend
 // wraps a serve.Client for workers in other processes.  Health checks
 // run against either transport; a replica failing healthFailures
-// consecutive checks leaves the ring, as does one explicitly put into
-// draining.  Because each replica owns only its own ring points, a
-// drain moves only the drained replica's tenants — everyone else's
-// placement is untouched.
+// consecutive checks leaves the ring.  Because each replica owns only
+// its own ring points, removing one moves only that replica's tenants —
+// everyone else's placement is untouched.
 //
 // Shed replies are typed: quota breaches are 429, overload and
 // no-backend are 503 with Retry-After, both satisfying
@@ -167,7 +166,6 @@ const healthFailures = 3
 type replicaState struct {
 	backend  Backend
 	healthy  bool
-	draining bool
 	failures int
 	health   serve.Health // last successful check's snapshot
 }
@@ -251,10 +249,6 @@ func (r *Router) Handler() http.Handler { return r.mux }
 // Registry returns the router's metrics registry for debug exposition.
 func (r *Router) Registry() *obs.Registry { return r.mx.reg }
 
-// Tracer returns the router's request tracer (nil when tracing is off);
-// shutdown flushes its ring alongside the worker traces.
-func (r *Router) Tracer() *obs.Tracer { return r.tracer }
-
 // Close stops the background health loop, if any.
 func (r *Router) Close() {
 	if r.stopped.CompareAndSwap(false, true) {
@@ -263,13 +257,13 @@ func (r *Router) Close() {
 	}
 }
 
-// rebuildRingLocked recomputes the ring from replicas that are healthy
-// and not draining.  Caller holds r.mu.
+// rebuildRingLocked recomputes the ring from the healthy replicas.
+// Caller holds r.mu.
 func (r *Router) rebuildRingLocked() {
 	var members []string
 	//srdalint:ignore maprange collect-then-sort: members are sorted immediately below before the ring is built
 	for name, st := range r.replicas {
-		if st.healthy && !st.draining {
+		if st.healthy {
 			members = append(members, name)
 		}
 	}
@@ -297,32 +291,6 @@ func (r *Router) healthyCount() int64 {
 		}
 	}
 	return n
-}
-
-// Drain removes name from the ring without failing its in-flight work;
-// its tenants rehash onto the remaining replicas and nobody else moves.
-func (r *Router) Drain(name string) error { return r.setDraining(name, true) }
-
-// Undrain returns a drained replica to the ring.
-func (r *Router) Undrain(name string) error { return r.setDraining(name, false) }
-
-func (r *Router) setDraining(name string, draining bool) error {
-	r.mu.Lock()
-	st := r.replicas[name]
-	if st == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("router: unknown replica %q", name)
-	}
-	changed := st.draining != draining
-	st.draining = draining
-	if changed {
-		r.rebuildRingLocked()
-	}
-	r.mu.Unlock()
-	if changed {
-		r.logger.Info("replica drain state changed", "replica", name, "draining", draining)
-	}
-	return nil
 }
 
 // CheckHealth sweeps every replica's health endpoint once, updating
@@ -676,7 +644,6 @@ type RouterHealth struct {
 type ReplicaHealth struct {
 	Name     string `json:"name"`
 	Healthy  bool   `json:"healthy"`
-	Draining bool   `json:"draining"`
 	Failures int    `json:"failures,omitempty"`
 }
 
@@ -697,7 +664,7 @@ func (r *Router) HealthSnapshot() *RouterHealth {
 	for _, name := range names {
 		st := r.replicas[name]
 		h.Replicas = append(h.Replicas, ReplicaHealth{
-			Name: name, Healthy: st.healthy, Draining: st.draining, Failures: st.failures,
+			Name: name, Healthy: st.healthy, Failures: st.failures,
 		})
 	}
 	r.mu.RUnlock()

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,7 +132,8 @@ func TestQuotaBuckets(t *testing.T) {
 // colocated builds the arrangement the sharding tier is designed around:
 // one shared registry, nWorkers in-process serve.Servers over it, and a
 // router in front.  Tenants tenant-0..tenant-2 are published with
-// distinct models.
+// distinct models.  Each worker sits behind a failingBackend, so setDown
+// can take it off the ring.
 func colocated(t testing.TB, nWorkers int, opts Options) (*Router, *registry.Registry, []*serve.Server) {
 	t.Helper()
 	reg := registry.New(registry.Options{})
@@ -153,7 +155,7 @@ func colocated(t testing.TB, nWorkers int, opts Options) (*Router, *registry.Reg
 			_ = s.Close(ctx)
 		})
 		workers[i] = s
-		backends[i] = &LocalBackend{ReplicaName: fmt.Sprintf("worker-%d", i), Server: s}
+		backends[i] = &failingBackend{inner: &LocalBackend{ReplicaName: fmt.Sprintf("worker-%d", i), Server: s}}
 	}
 	r, err := New(backends, opts)
 	if err != nil {
@@ -166,9 +168,9 @@ func colocated(t testing.TB, nWorkers int, opts Options) (*Router, *registry.Reg
 // TestColocatedRoutingQuotasAndDrain is the tier's acceptance test: a
 // router over two co-located workers serving three tenants.  It pins
 // deterministic consistent-hash routing across independently built
-// routers, exact per-tenant quota rejection counts, and that draining a
-// replica reroutes its tenants without a single failed request.  Run
-// under -race via make race.
+// routers, exact per-tenant quota rejection counts, and that a replica
+// failing its health checks leaves the ring and its tenants reroute
+// without a single failed request.  Run under -race via make race.
 func TestColocatedRoutingQuotasAndDrain(t *testing.T) {
 	now := time.Unix(2000, 0)
 	var clockMu sync.Mutex
@@ -238,22 +240,21 @@ func TestColocatedRoutingQuotasAndDrain(t *testing.T) {
 		}
 	}
 
-	// Drain the replica owning tenant-0.  Its tenants rehash onto the
-	// survivor; tenants owned elsewhere must not move; no request fails.
+	// The replica owning tenant-0 fails its health checks and leaves the
+	// ring.  Its tenants rehash onto the survivor; tenants owned
+	// elsewhere must not move; no request fails.
 	victim := owners["tenant-0"]
-	if err := r.Drain(victim); err != nil {
-		t.Fatal(err)
-	}
+	setDown(t, r, true, victim)
 	if members := r.Ring(); len(members) != 1 || members[0] == victim {
-		t.Fatalf("ring after drain = %v", members)
+		t.Fatalf("ring after removal = %v", members)
 	}
 	for _, tn := range tenants {
 		newOwner := r.RouteFor(tn)
 		if newOwner == victim {
-			t.Fatalf("%s still routed to drained %s", tn, victim)
+			t.Fatalf("%s still routed to removed %s", tn, victim)
 		}
 		if owners[tn] != victim && newOwner != owners[tn] {
-			t.Fatalf("%s moved from %s to %s though its owner was not drained",
+			t.Fatalf("%s moved from %s to %s though its owner was not removed",
 				tn, owners[tn], newOwner)
 		}
 	}
@@ -266,19 +267,17 @@ func TestColocatedRoutingQuotasAndDrain(t *testing.T) {
 			Samples: []serve.Sample{{Dense: probe(8, 1)}},
 		})
 		if err != nil {
-			t.Fatalf("%s failed during drain: %v", tn, err)
+			t.Fatalf("%s failed with %s off the ring: %v", tn, victim, err)
 		}
 		if resp.Classes[0] != 1 {
 			t.Fatalf("%s predicted class %d, want 1", tn, resp.Classes[0])
 		}
 	}
-	// Undrain restores the original deterministic placement.
-	if err := r.Undrain(victim); err != nil {
-		t.Fatal(err)
-	}
+	// One healthy sweep restores the original deterministic placement.
+	setDown(t, r, false, victim)
 	for _, tn := range tenants {
 		if got := r.RouteFor(tn); got != owners[tn] {
-			t.Fatalf("%s placement after undrain = %s, want %s", tn, got, owners[tn])
+			t.Fatalf("%s placement after recovery = %s, want %s", tn, got, owners[tn])
 		}
 	}
 }
@@ -296,12 +295,9 @@ func TestUnknownTenantAndShedTyping(t *testing.T) {
 	if errors.Is(err, serve.ErrShed) {
 		t.Fatal("a 404 must not read as a shed")
 	}
-	// Drain everything: the ring empties and requests shed as no_backend.
-	for _, name := range []string{"worker-0", "worker-1"} {
-		if err := r.Drain(name); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Every replica fails its health checks: the ring empties and
+	// requests shed as no_backend.
+	setDown(t, r, true, "worker-0", "worker-1")
 	_, err = r.Predict(ctx, &serve.PredictRequest{
 		Model:   "tenant-0",
 		Samples: []serve.Sample{{Dense: probe(8, 0)}},
@@ -321,22 +317,50 @@ func TestUnknownTenantAndShedTyping(t *testing.T) {
 	}
 }
 
-// failingBackend reports unhealthy after a switch flips, for the
-// health-driven membership test.
+// failingBackend fails its health checks while down is set and
+// forwards everything else, predict bodies included, to the replica it
+// wraps.
 type failingBackend struct {
 	inner Backend
-	fail  func() bool
+	down  atomic.Bool
 }
 
 func (b *failingBackend) Name() string { return b.inner.Name() }
 func (b *failingBackend) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
 	return b.inner.Predict(ctx, req)
 }
+func (b *failingBackend) PredictBody(ctx context.Context, body []byte) (int, []byte, error) {
+	return b.inner.(BodyBackend).PredictBody(ctx, body)
+}
 func (b *failingBackend) Health(ctx context.Context) (*serve.Health, error) {
-	if b.fail() {
+	if b.down.Load() {
 		return nil, errors.New("connection refused")
 	}
 	return b.inner.Health(ctx)
+}
+
+// setDown switches the named replicas' failingBackends down (or up) and
+// sweeps health as often as it takes the ring to follow: healthFailures
+// failed sweeps remove a replica, one healthy sweep restores it.
+func setDown(t testing.TB, r *Router, down bool, names ...string) {
+	t.Helper()
+	r.mu.RLock()
+	for _, name := range names {
+		fb, ok := r.replicas[name].backend.(*failingBackend)
+		if !ok {
+			r.mu.RUnlock()
+			t.Fatalf("replica %s is not a failingBackend", name)
+		}
+		fb.down.Store(down)
+	}
+	r.mu.RUnlock()
+	sweeps := 1
+	if down {
+		sweeps = healthFailures
+	}
+	for k := 0; k < sweeps; k++ {
+		r.CheckHealth(context.Background())
+	}
 }
 
 func TestHealthDrivenMembership(t *testing.T) {
@@ -346,8 +370,7 @@ func TestHealthDrivenMembership(t *testing.T) {
 	}
 	var workers []*serve.Server
 	var backends []Backend
-	var mu sync.Mutex
-	failing := false
+	var victim *failingBackend
 	for i := 0; i < 2; i++ {
 		s, err := serve.New(nil, serve.Options{Registry: reg})
 		if err != nil {
@@ -361,7 +384,8 @@ func TestHealthDrivenMembership(t *testing.T) {
 		workers = append(workers, s)
 		b := Backend(&LocalBackend{ReplicaName: fmt.Sprintf("worker-%d", i), Server: s})
 		if i == 0 {
-			b = &failingBackend{inner: b, fail: func() bool { mu.Lock(); defer mu.Unlock(); return failing }}
+			victim = &failingBackend{inner: b}
+			b = victim
 		}
 		backends = append(backends, b)
 	}
@@ -375,9 +399,7 @@ func TestHealthDrivenMembership(t *testing.T) {
 	if len(r.Ring()) != 2 {
 		t.Fatalf("ring = %v before failures", r.Ring())
 	}
-	mu.Lock()
-	failing = true
-	mu.Unlock()
+	victim.down.Store(true)
 	for k := 1; k < healthFailures; k++ {
 		r.CheckHealth(ctx) // failure k of healthFailures: still on the ring
 		if len(r.Ring()) != 2 {
@@ -396,9 +418,7 @@ func TestHealthDrivenMembership(t *testing.T) {
 	if err != nil || resp.Classes[0] != 2 {
 		t.Fatalf("predict through survivor: resp=%v err=%v", resp, err)
 	}
-	mu.Lock()
-	failing = false
-	mu.Unlock()
+	victim.down.Store(false)
 	r.CheckHealth(ctx) // one success restores membership
 	if len(r.Ring()) != 2 {
 		t.Fatalf("ring after recovery = %v", r.Ring())
@@ -469,7 +489,7 @@ func TestRetryAfterAgreesAcrossTier(t *testing.T) {
 	var clockMu sync.Mutex
 	now := time.Unix(3000, 0)
 	clock := func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return now }
-	r, err := New([]Backend{&HTTPBackend{ReplicaName: "worker-0", Client: serve.NewClient(ws.URL)}},
+	r, err := New([]Backend{&failingBackend{inner: &HTTPBackend{ReplicaName: "worker-0", Client: serve.NewClient(ws.URL)}}},
 		Options{QuotaRPS: 1, QuotaBurst: 1, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
@@ -512,9 +532,7 @@ func TestRetryAfterAgreesAcrossTier(t *testing.T) {
 	if got := header(rs.URL); got != wantHeader {
 		t.Fatalf("router quota Retry-After = %q, want %q", got, wantHeader)
 	}
-	if err := r.Drain("worker-0"); err != nil {
-		t.Fatal(err)
-	}
+	setDown(t, r, true, "worker-0")
 	clockMu.Lock()
 	now = now.Add(time.Minute) // refill, so the empty ring is what sheds
 	clockMu.Unlock()

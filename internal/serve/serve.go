@@ -230,17 +230,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // expose it alongside the process-wide obs.Default() registry.
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
-// Models returns the model registry backing the server; co-located
-// deployments publish and roll back tenants through it.
-func (s *Server) Models() *registry.Registry { return s.reg }
-
 // Tracer returns the server's request tracer; a debug listener exports
 // its ring at /debug/traces, and shutdown flushes it to -trace-out.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// Logger returns the server's structured logger (nil when logging is
-// disabled); the watch and shutdown paths in cmd/srdaserve share it.
-func (s *Server) Logger() *obs.Logger { return s.logger }
 
 // Model returns the live default model (nil when the registry holds no
 // default entry).

@@ -167,24 +167,6 @@ func (a *CSR) MulTBlock(k int, x, dst []float64) []float64 {
 	return dst
 }
 
-// AddScaledRow accumulates alpha * row i of A into the dense vector dst.
-func (a *CSR) AddScaledRow(i int, alpha float64, dst []float64) {
-	cols, vals := a.Row(i)
-	for k, j := range cols {
-		dst[j] += alpha * vals[k]
-	}
-}
-
-// RowDot returns the inner product of row i with the dense vector x.
-func (a *CSR) RowDot(i int, x []float64) float64 {
-	cols, vals := a.Row(i)
-	var s float64
-	for k, j := range cols {
-		s += vals[k] * x[j]
-	}
-	return s
-}
-
 // RowNorm2 returns the squared Euclidean norm of row i.
 func (a *CSR) RowNorm2(i int) float64 {
 	_, vals := a.Row(i)
@@ -193,29 +175,6 @@ func (a *CSR) RowNorm2(i int) float64 {
 		s += v * v
 	}
 	return s
-}
-
-// ScaleRow multiplies row i by alpha in place.
-func (a *CSR) ScaleRow(i int, alpha float64) {
-	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-	for k := lo; k < hi; k++ {
-		a.Val[k] *= alpha
-	}
-}
-
-// ColMeans returns the per-column mean (treating missing entries as zero).
-func (a *CSR) ColMeans() []float64 {
-	mu := make([]float64, a.Cols)
-	for k, j := range a.ColIdx {
-		mu[j] += a.Val[k]
-	}
-	if a.Rows > 0 {
-		inv := 1 / float64(a.Rows)
-		for j := range mu {
-			mu[j] *= inv
-		}
-	}
-	return mu
 }
 
 // SelectRows returns a new CSR containing the given rows of a, in order.
@@ -279,12 +238,6 @@ func FromDense(d *mat.Dense, dropTol float64) *CSR {
 		a.RowPtr[i+1] = len(a.Val)
 	}
 	return a
-}
-
-// MemoryBytes estimates the resident size of the CSR structure, used by the
-// experiment harness to model the paper's 2 GB memory wall.
-func (a *CSR) MemoryBytes() int64 {
-	return int64(len(a.RowPtr))*8 + int64(len(a.ColIdx))*8 + int64(len(a.Val))*8
 }
 
 // String summarizes the matrix shape and sparsity.

@@ -7,7 +7,7 @@ package sparse
 // methods are themselves expressed as full-range calls of the shared range
 // helpers, making twin-ness a structural property rather than a promise.
 //
-// Sharding a CSR by *output column* (MulTVec, Gram) uses a binary search
+// Sharding a CSR by *output column* (MulTVec) uses a binary search
 // per row to find the window of stored entries that land in the shard's
 // column span; column indices are strictly increasing within a row, so the
 // window is contiguous and the per-column accumulation still walks rows in
@@ -16,7 +16,6 @@ package sparse
 import (
 	"sort"
 
-	"srda/internal/mat"
 	"srda/internal/pool"
 )
 
@@ -157,87 +156,5 @@ func (a *CSR) ParMulTBlock(workers, k int, x, dst []float64) []float64 {
 	pool.Do(workers, a.Cols, func(lo, hi int) {
 		a.mulTBlockRange(lo, hi, k, x, dst)
 	})
-	return dst
-}
-
-// gramUpperRange accumulates the rows [ilo, ihi) of the upper triangle of
-// G = AᵀA: for every matrix row p (ascending) and every stored pair
-// (i, j) with i in the span and j >= i, G[i,j] += A[p,i]*A[p,j].  Column
-// indices ascend within a row, so the pair order for a fixed (i, j) is
-// identical no matter how the i range is sharded.
-func (a *CSR) gramUpperRange(ilo, ihi int, g *mat.Dense) {
-	for p := 0; p < a.Rows; p++ {
-		hi := a.RowPtr[p+1]
-		s, e := a.colWindow(p, ilo, ihi)
-		for t := s; t < e; t++ {
-			i, v := a.ColIdx[t], a.Val[t]
-			gi := g.Data[i*g.Stride : i*g.Stride+g.Cols]
-			for u := t; u < hi; u++ {
-				gi[a.ColIdx[u]] += v * a.Val[u]
-			}
-		}
-	}
-}
-
-// gramMirrorRange copies the upper triangle into the lower for rows
-// [jlo, jhi) of G.  Pure copies of already-final values: no arithmetic, so
-// nothing to reorder.
-func (a *CSR) gramMirrorRange(jlo, jhi int, g *mat.Dense) {
-	for j := jlo; j < jhi; j++ {
-		row := g.Data[j*g.Stride:]
-		for i := 0; i < j; i++ {
-			row[i] = g.Data[i*g.Stride+j]
-		}
-	}
-}
-
-// Gram computes G = AᵀA into dst (allocated when nil; must be Cols×Cols
-// otherwise), overwriting it.  This is the normal-equations accumulation
-// the primal solver needs, done in one pass over the stored entries:
-// O(Σ s_p²) where s_p is the nonzeros of row p, never materializing a
-// dense copy of A.
-func (a *CSR) Gram(dst *mat.Dense) *mat.Dense {
-	dst = a.gramDst(dst)
-	a.gramUpperRange(0, a.Cols, dst)
-	a.gramMirrorRange(0, a.Cols, dst)
-	return dst
-}
-
-// ParGram computes G = AᵀA like Gram, sharding the upper-triangle
-// accumulation and then the mirror over output rows of G in spans of
-// equal triangle area (upper row i holds n−i entries, mirror row j holds
-// j); the two passes
-// are separated by the pool barrier, so the mirror only reads final upper
-// values.  Bitwise identical to Gram for any workers.
-func (a *CSR) ParGram(workers int, dst *mat.Dense) *mat.Dense {
-	dst = a.gramDst(dst)
-	if workers == 1 || a.Cols < 2 || a.NNZ() < parMinNNZ {
-		a.gramUpperRange(0, a.Cols, dst)
-		a.gramMirrorRange(0, a.Cols, dst)
-		return dst
-	}
-	n := a.Cols
-	pool.DoUpper(workers, n, func(lo, hi int) {
-		a.gramUpperRange(lo, hi, dst)
-	})
-	pool.DoUpper(workers, n, func(lo, hi int) {
-		a.gramMirrorRange(n-hi, n-lo, dst)
-	})
-	return dst
-}
-
-func (a *CSR) gramDst(dst *mat.Dense) *mat.Dense {
-	if dst == nil {
-		return mat.NewDense(a.Cols, a.Cols)
-	}
-	if dst.Rows != a.Cols || dst.Cols != a.Cols {
-		panic("sparse: Gram destination has wrong shape")
-	}
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.RowView(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
 	return dst
 }

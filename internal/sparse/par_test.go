@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"srda/internal/mat"
 )
 
 // parShapes mixes shapes below the parMinNNZ cutoff (exercising the
@@ -19,7 +17,7 @@ var parShapes = []struct {
 	{0, 0, 0}, {0, 5, 0.5}, {5, 0, 0}, {1, 1, 1},
 	{3, 7, 0.4}, {64, 65, 0.1}, {65, 64, 0},
 	{400, 300, 0.2},  // ~24k nnz: row sharding active
-	{50, 2000, 0.25}, // wide: column sharding active for MulTVec/Gram
+	{50, 2000, 0.25}, // wide: column sharding active for MulTVec
 	{2000, 50, 0.25}, // tall
 }
 
@@ -129,60 +127,6 @@ func TestParMulTVecBitwiseEqualsMulTVec(t *testing.T) {
 	}
 }
 
-func TestParGramBitwiseEqualsGram(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, sh := range parShapes {
-		_, a := randSparseDense(rng, sh.r, sh.c, sh.fill)
-		want := a.Gram(nil)
-		for _, w := range sparseEqWorkers {
-			got := a.ParGram(w, nil)
-			if i, ok := bitsEqualVec(got.Data, want.Data); !ok {
-				t.Fatalf("%v workers=%d: element %d = %v, sequential %v", a, w, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-// TestGramMatchesDenseOracle checks the sparse Gram against the dense
-// XᵀX computed by internal/mat from the uncompressed matrix.
-func TestGramMatchesDenseOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	for _, sh := range parShapes {
-		d, a := randSparseDense(rng, sh.r, sh.c, sh.fill)
-		got := a.Gram(nil)
-		want := mat.Gram(d)
-		if got.Rows != sh.c || got.Cols != sh.c {
-			t.Fatalf("Gram shape %dx%d, want %dx%d", got.Rows, got.Cols, sh.c, sh.c)
-		}
-		for i := range got.Data {
-			if math.Abs(got.Data[i]-want.Data[i]) > 1e-9 {
-				t.Fatalf("%v: Gram element %d = %v, dense oracle %v", a, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-// TestGramReusesDst checks that a dirty destination is fully overwritten.
-func TestGramReusesDst(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	_, a := randSparseDense(rng, 30, 20, 0.3)
-	want := a.Gram(nil)
-	dst := mat.NewDense(20, 20)
-	for i := range dst.Data {
-		dst.Data[i] = math.NaN()
-	}
-	a.Gram(dst)
-	if i, ok := bitsEqualVec(dst.Data, want.Data); !ok {
-		t.Fatalf("reused dst differs at %d: %v vs %v", i, dst.Data[i], want.Data[i])
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for wrong-shape dst")
-		}
-	}()
-	a.Gram(mat.NewDense(3, 3))
-}
-
 // TestCSRRoundTripProperty drives COO→CSR→dense→CSR round trips over
 // random matrices and asserts the two CSR forms are structurally
 // identical, including matrices with empty rows, empty columns, and
@@ -241,9 +185,6 @@ func TestParKernelsEmptyMatrix(t *testing.T) {
 		}
 		if y := empty.ParMulTVec(w, nil, nil); len(y) != 0 {
 			t.Fatalf("workers=%d: ParMulTVec on 0x0 returned %d elems", w, len(y))
-		}
-		if g := empty.ParGram(w, nil); g.Rows != 0 || g.Cols != 0 {
-			t.Fatalf("workers=%d: ParGram on 0x0 returned %dx%d", w, g.Rows, g.Cols)
 		}
 
 		b := NewBuilder(4, 3) // rows 0 and 2 empty
