@@ -69,8 +69,8 @@ bench:
 # Active fuzzing of the kernel oracles (the blocked parallel Cholesky
 # against the unblocked sweep among them), the model and DiskCSR
 # decoders, the predict/observe body scanner, the observe edge against
-# per-row Observe, router peek and whole routed tier against
-# encoding/json, and the scraped-metrics parser and
+# per-row Observe, router peek and whole routed tier against the strict
+# body reference (internal/jsonref), and the scraped-metrics parser and
 # SLO config validator
 # (the same targets run as plain regression tests from the checked-in
 # corpus during `make test`).

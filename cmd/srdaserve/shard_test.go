@@ -81,7 +81,6 @@ func TestShardSmoke(t *testing.T) {
 	for _, want := range []string{
 		"srdaroute_requests_total",
 		"srdaroute_shed_total",
-		"srdaroute_ring_members 2",
 		"srdaroute_healthy_replicas 2",
 		// -role=all serves one combined scrape: router, worker, and
 		// shared-registry families on the same endpoint.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"srda/internal/core"
+	"srda/internal/jsonref"
 	"srda/internal/mat"
 	"srda/internal/serve"
 )
@@ -224,8 +225,9 @@ func forwarded(r *Router, replicas []string) []int64 {
 	return n
 }
 
-// TestWhereBadBodiesAreRefused: a body malformed at its top level gets
-// the router's own 400 before admission, so it calls no backend and
+// TestWhereBadBodiesAreRefused: a body malformed at its top level (a
+// repeated, case-variant or unknown key among them) gets the router's
+// own 400 naming an offset, before admission, so it calls no backend and
 // spends no quota token.  A body whose only syntax error sits inside a
 // sample is admitted, spends a token, is forwarded once, and gets the
 // worker's own 400 relayed byte for byte.
@@ -235,16 +237,20 @@ func TestWhereBadBodiesAreRefused(t *testing.T) {
 	r, _, workers := colocated(t, 2, Options{QuotaRPS: 1, QuotaBurst: 2, Clock: func() time.Time { return now }})
 	const good = `{"model":"tenant-0","samples":[{"dense":[0,0,0,0,0,0,0,0]}]}`
 	for _, body := range []string{
-		`[{"dense":[0,0,0,0,0,0,0,0]}]`,                    // not an object
-		`{"model":"tenant-0,"samples":[{"dense":[0]}]}`,    // the string runs to the end
-		`{model:"tenant-0","samples":[{"dense":[0]}]}`,     // bad key
-		`{"model" "tenant-0","samples":[{"dense":[0]}]}`,   // no colon
-		`{"model":0,"samples":[{"dense":[0]}]}`,            // "model" not a string
-		`{"model":"tenant-0","samples":[{"dense":[0,0,0,0`, // truncated
+		`[{"dense":[0,0,0,0,0,0,0,0]}]`,                                                   // not an object
+		`{"model":"tenant-0,"samples":[{"dense":[0]}]}`,                                   // the string runs to the end
+		`{model:"tenant-0","samples":[{"dense":[0]}]}`,                                    // bad key
+		`{"model" "tenant-0","samples":[{"dense":[0]}]}`,                                  // no colon
+		`{"model":0,"samples":[{"dense":[0]}]}`,                                           // "model" not a string
+		`{"model":"tenant-0","samples":[{"dense":[0,0,0,0,0,0,0,0]}],"model":"tenant-0"}`, // repeated key
+		`{"samples":[{"dense":[0,0,0,0,0,0,0,0]}],"samples":[]}`,                          // repeated key
+		`{"Model":"tenant-0","samples":[{"dense":[0,0,0,0,0,0,0,0]}]}`,                    // case-variant key
+		`{"model":"tenant-0","samples":[{"dense":[0,0,0,0,0,0,0,0]}]} x`,                  // trailing text
+		`{"model":"tenant-0","samples":[{"dense":[0,0,0,0`,                                // truncated
 	} {
 		before := forwarded(r, replicas)
 		rec := routeOne(r, body)
-		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad JSON") {
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad JSON") || !strings.Contains(rec.Body.String(), "at offset") {
 			t.Errorf("%s: %d %q, want the router's 400", body, rec.Code, rec.Body.String())
 		}
 		if after := forwarded(r, replicas); !slices.Equal(after, before) {
@@ -319,25 +325,33 @@ func TestBackendErrorsCountReplicaFaults(t *testing.T) {
 	}
 }
 
-// FuzzRoutePredict holds the whole tier to encoding/json, since the
-// router's peek checks only a body's top level.  Through
-// Router.Handler() over two co-located workers, every body encoding/json
-// rejects for PredictRequest gets a 400, and every body it accepts is
-// answered by the replica RouteFor names for the model it decodes, as
-// the router's per-replica request counter shows.
+// FuzzRoutePredict holds the whole tier to the strict reference
+// (jsonref.Decode), since the router's peek checks only a body's top
+// level.  Through Router.Handler() over two co-located workers:
+//   - every body the reference refuses for PredictRequest gets a 400;
+//   - a body that repeats a top-level key reaches no replica: the peek
+//     refuses it;
+//   - every body it accepts is forwarded exactly once, to the replica
+//     RouteFor names for the model it decodes, as the router's
+//     per-replica request counter shows.
 func FuzzRoutePredict(f *testing.F) {
 	f.Add([]byte(`{"samples":[{"dense":[0,0,0,0,0,0,0,8]}],"model":"tenant-1"}`))
 	replicas := []string{"worker-0", "worker-1"}
 	r, _, _ := colocated(f, 2, Options{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var ref serve.PredictRequest
-		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&ref)
+		refErr := jsonref.Decode(b, &ref)
 		before := forwarded(r, replicas)
 		rec := httptest.NewRecorder()
 		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(b)))
+		after := forwarded(r, replicas)
 		if refErr != nil {
 			if rec.Code != http.StatusBadRequest {
-				t.Fatalf("%q: encoding/json rejects it (%v), the tier answered %d %q", b, refErr, rec.Code, rec.Body.String())
+				t.Fatalf("%q: the reference refuses it (%v), the tier answered %d %q", b, refErr, rec.Code, rec.Body.String())
+			}
+			var rep *jsonref.RepeatError
+			if errors.As(refErr, &rep) && rep.Depth == 0 && !slices.Equal(after, before) {
+				t.Fatalf("%q: repeated top-level key %q, forwards per replica went from %v to %v", b, rep.Key, before, after)
 			}
 			return
 		}
@@ -346,7 +360,6 @@ func FuzzRoutePredict(f *testing.F) {
 			tenant = serve.DefaultModelName
 		}
 		owner := r.RouteFor(tenant)
-		after := forwarded(r, replicas)
 		for i, name := range replicas {
 			if d := after[i] - before[i]; name == owner && d != 1 || name != owner && d != 0 {
 				t.Fatalf("%q: model %q belongs on %s, %s counted %d forwards (reply %d %q)",

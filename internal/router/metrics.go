@@ -14,7 +14,7 @@ type metrics struct {
 	forward       *obs.Histogram  // routed predict seconds, admission → backend reply
 }
 
-func newMetrics(ringMembers, healthy func() int64) *metrics {
+func newMetrics(healthy func() int64) *metrics {
 	reg := obs.NewRegistry()
 	mx := &metrics{
 		reg: reg,
@@ -28,10 +28,8 @@ func newMetrics(ringMembers, healthy func() int64) *metrics {
 			"Routed predict latency from admission to backend reply.",
 			[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}),
 	}
-	reg.NewGaugeFunc("srdaroute_ring_members",
-		"Replicas currently on the hash ring.", ringMembers)
 	reg.NewGaugeFunc("srdaroute_healthy_replicas",
-		"Replicas passing their health checks.", healthy)
+		"Replicas passing their health checks, which are the replicas on the hash ring.", healthy)
 	return mx
 }
 

@@ -221,10 +221,7 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		}
 		r.replicas[b.Name()] = &replicaState{backend: b, healthy: true}
 	}
-	r.mx = newMetrics(
-		func() int64 { return int64(len(r.Ring())) },
-		func() int64 { return r.healthyCount() },
-	)
+	r.mx = newMetrics(func() int64 { return int64(len(r.Ring())) })
 	r.mx.bindTenantLatency(r)
 	if opts.Exemplars != nil {
 		r.mx.forward.AttachExemplars(opts.Exemplars)
@@ -278,19 +275,6 @@ func (r *Router) Ring() []string { return r.ring.Load().members() }
 // the ring is empty — placement only, no quota or overload checks.
 func (r *Router) RouteFor(tenant string) string {
 	return r.ring.Load().lookup(r.opts.Seed, tenant)
-}
-
-func (r *Router) healthyCount() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var n int64
-	//srdalint:ignore maprange order-free count: every entry contributes at most one increment
-	for _, st := range r.replicas {
-		if st.healthy {
-			n++
-		}
-	}
-	return n
 }
 
 // CheckHealth sweeps every replica's health endpoint once, updating

@@ -45,7 +45,7 @@ type LabeledSample struct {
 
 // ObserveRequest is the POST /v1/observe payload.
 type ObserveRequest struct {
-	Samples []LabeledSample `json:"samples"`
+	Samples []LabeledSample `json:"samples,omitempty"`
 }
 
 // ObserveResponse reports how many samples this request absorbed, the
@@ -87,7 +87,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "%v", err)
 	}
-	samples := sc.out.recs[:sc.out.live]
+	samples := sc.out.recs
 	if len(samples) == 0 {
 		return writeErr(w, http.StatusBadRequest, "no samples")
 	}

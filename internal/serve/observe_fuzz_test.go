@@ -9,21 +9,23 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"srda/internal/core"
+	"srda/internal/jsonref"
 	"srda/internal/online"
 )
 
 // The observe edge's differential target holds POST /v1/observe, run
 // against a real online.StreamTrainer, to per-row Observe calls on the
-// rows a reference decodes with encoding/json and densifies itself.  Its
-// checked-in corpus under testdata/fuzz/FuzzObserveRequest covers a bad
-// label on the last sample, an overwritten sparse value, duplicate
-// columns, an index equal to the feature count, mixed dense and sparse
-// samples, and the single-sample shorthand (which observe bodies do not
-// take).
+// rows the strict reference (jsonref.Decode) decodes and the test
+// densifies itself.  Its checked-in corpus under
+// testdata/fuzz/FuzzObserveRequest covers a bad label on the last
+// sample, a repeated sparse column (refused, as every repeated key is),
+// an index equal to the feature count, mixed dense and sparse samples,
+// and the single-sample shorthand (which observe bodies do not take).
 
 const (
 	edgeFeatures = 4
@@ -69,8 +71,8 @@ func trainerCounters(t *testing.T, tr *online.StreamTrainer) (samples, refits st
 }
 
 // edgeRows applies the observe rules to a decoded request the way the
-// reference understands them: a sparse map is already last-write-wins.
-// It returns the densified rows, or the index of the first refused
+// reference understands them; the reference already refused a repeated
+// column.  It returns the densified rows, or the index of the first refused
 // sample (shape and values first, then labels, as the edge checks them).
 func edgeRows(req *ObserveRequest) (rows [][]float64, labels []int, bad int) {
 	for i, ls := range req.Samples {
@@ -148,7 +150,7 @@ func FuzzObserveRequest(f *testing.F) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/observe", bytes.NewReader(body)))
 
 		var req ObserveRequest
-		refused := json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil ||
+		refused := jsonref.Decode(body, &req) != nil ||
 			len(req.Samples) == 0 || len(req.Samples) > maxRequestSamples
 		rows, labels, bad := edgeRows(&req)
 		if refused || bad >= 0 {
@@ -196,7 +198,7 @@ func FuzzObserveRequest(f *testing.F) {
 }
 
 // TestSparseBodiesObserveLikeDense: a stream sent as sparse bodies, its
-// keys shuffled, with explicit zeros and an overwritten write, refits
+// keys shuffled, with explicit zeros, refits
 // bitwise like the same stream sent as dense bodies and like per-row
 // Observe on the rows.
 func TestSparseBodiesObserveLikeDense(t *testing.T) {
@@ -215,7 +217,7 @@ func TestSparseBodiesObserveLikeDense(t *testing.T) {
 			for _, j := range rng.Perm(edgeFeatures) {
 				if rng.Float64() < 0.5 {
 					row[j] = rng.NormFloat64() + float64(label)
-					writes = append(writes, fmt.Sprintf(`"%d":%v`, j, 7.5), fmt.Sprintf(`"%d":%v`, j, row[j]))
+					writes = append(writes, fmt.Sprintf(`"%d":%v`, j, row[j]))
 				} else if rng.Float64() < 0.3 {
 					writes = append(writes, fmt.Sprintf(`"%d":0`, j))
 				}
@@ -267,20 +269,25 @@ func TestSparseBodiesObserveLikeDense(t *testing.T) {
 	sameModel(t, "sparse bodies vs per-row Observe", ms, mw, errS, errW)
 }
 
-// TestCheckSampleLastWriteWins: a sparse value that a later write to the
-// same column replaces is never checked, NaN included; only the
-// surviving write must be finite.  JSON cannot carry a NaN, so this
-// holds the rule below the body scanner.
-func TestCheckSampleLastWriteWins(t *testing.T) {
-	smp := rawSample{cols: []int{2, 0, 2}, vals: []float64{math.NaN(), 1, 3}}
-	if err := checkSample(&smp, 4); err != nil {
-		t.Fatalf("overwritten NaN refused: %v", err)
+// TestCheckSampleRepeatedColumn: a sparse sample that names a column
+// twice is refused, whichever write came last and whether or not one of
+// them is finite (JSON cannot carry a NaN, so this holds the rule below
+// the body scanner).  Entries of distinct columns come back sorted.
+func TestCheckSampleRepeatedColumn(t *testing.T) {
+	smp := rawSample{cols: []int{1, 3, 1}, vals: []float64{1, 2, 3}}
+	if err := checkSample(&smp, 4); err == nil || err.Error() != "feature index 1 repeated" {
+		t.Errorf("columns [1 3 1]: %v, want feature index 1 repeated", err)
 	}
-	if len(smp.cols) != 2 || smp.cols[0] != 0 || smp.cols[1] != 2 || smp.vals[1] != 3 {
-		t.Fatalf("sorted writes %v %v, want columns [0 2] with 3 last", smp.cols, smp.vals)
+	for _, smp := range []rawSample{
+		{cols: []int{2, 0, 2}, vals: []float64{math.NaN(), 1, 3}},
+		{cols: []int{2, 2}, vals: []float64{3, math.Inf(1)}},
+	} {
+		if err := checkSample(&smp, 4); err == nil {
+			t.Errorf("columns %v values %v passed", smp.cols, smp.vals)
+		}
 	}
-	smp = rawSample{cols: []int{2, 2}, vals: []float64{3, math.Inf(1)}}
-	if err := checkSample(&smp, 4); err == nil {
-		t.Fatal("a surviving +Inf write passed")
+	smp = rawSample{cols: []int{2, 0}, vals: []float64{3, 1}}
+	if err := checkSample(&smp, 4); err != nil || !slices.Equal(smp.cols, []int{0, 2}) || !slices.Equal(smp.vals, []float64{1, 3}) {
+		t.Fatalf("columns [2 0]: %v, sorted to %v %v, want [0 2] [1 3]", err, smp.cols, smp.vals)
 	}
 }

@@ -2,36 +2,35 @@ package serve
 
 // This file is the predict/observe body scanner: one pass over the body
 // bytes that fills the dispatcher's buffers directly, in place of an
-// encoding/json decode into []Sample followed by a copy.  It accepts and
-// rejects exactly the bodies json.NewDecoder(r).Decode accepts and
-// rejects for PredictRequest and ObserveRequest, and it leaves the same
-// values.  Each number is walked once: number checks JSON's grammar and
-// folds the digits, eight bytes per step, into a decimal mantissa and
-// exponent, which value converts exactly (Clinger's fast path, else
-// Eisel–Lemire), so every float is bitwise the one strconv.ParseFloat
-// gives encoding/json.  strconv.ParseFloat stays the fallback for the
-// tokens value declines (more than 19 significant digits, an exponent
-// outside pow10Tab, a halfway case, overflow, subnormals), and
-// strconv.ParseInt parses labels and sparse keys as in encoding/json.
-// The differential fuzz targets in scan_test.go and
-// TestFloatMatchesStrconv hold it to that.
+// encoding/json decode into []Sample followed by a copy.  It takes a
+// strict grammar, the JSON that json.Marshal writes for a PredictRequest
+// or ObserveRequest:
+//   - keys match exactly, and each appears at most once per object: at
+//     the top level "samples", "model", "embed", "dense" and "sparse"
+//     (observe: "samples" only); in a sample "dense" and "sparse"
+//     (observe: and "label").  Any other key is refused;
+//   - null is refused wherever it appears, and so is a value of the
+//     wrong type, at its first byte;
+//   - only whitespace may follow the top-level object.
+//
+// Each refusal is a RequestError naming the byte offset.  A body it
+// accepts decodes under encoding/json to the same values.  Each number is
+// walked once: number checks JSON's grammar and folds the digits, eight
+// bytes per step, into a decimal mantissa and exponent, which value
+// converts exactly (Clinger's fast path, else Eisel–Lemire), so every
+// float is bitwise the one strconv.ParseFloat gives encoding/json.
+// strconv.ParseFloat stays the fallback for the tokens value declines
+// (more than 19 significant digits, an exponent outside pow10Tab, a
+// halfway case, overflow, subnormals), and strconv.ParseInt parses
+// labels and sparse keys as in encoding/json.  The differential fuzz
+// targets in scan_test.go, held to the strict reference in
+// internal/jsonref, and TestFloatMatchesStrconv hold it to that.
 //
 // PeekPredict, at the end of the file, is the router's read of a predict
 // body.  It walks only the top level with this grammar and skips every
-// object or array value by its brackets, eight bytes per step, so the
-// body scanner on the worker stays the one validator of what lies inside.
-//
-// The encoding/json semantics it reproduces, beyond the grammar:
-//   - keys match struct fields case-insensitively (Unicode simple
-//     folding); unknown keys are skipped;
-//   - a duplicate key decodes into what the earlier one left: a later
-//     "dense" array overwrites in place and null elements keep the old
-//     value, a later "sparse" object merges into the map (a later write
-//     to a column wins), and a later "samples" array decodes into the
-//     earlier elements, including ones a shorter array cut off;
-//   - null leaves strings, bools, ints and sample objects unchanged,
-//     resets slices and maps, and is 0 as a float element or map value;
-//   - text after the first top-level value is ignored.
+// sample, "dense" and "sparse" value by its brackets, eight bytes per
+// step, so the body scanner on the worker stays the one validator of
+// what lies inside.
 
 import (
 	"bytes"
@@ -40,26 +39,18 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
-	"unicode"
-	"unicode/utf8"
 	"unsafe"
 )
-
-// maxNestingDepth is encoding/json's nesting limit; deeper bodies are
-// rejected by both decoders.
-const maxNestingDepth = 10000
 
 // maxArenaHint caps the values an arena is first sized for; a larger
 // body grows it by append, and an arena grown past it is not pooled.
 const maxArenaHint = 1 << 17
 
 // rawSample is one sample as a body or a typed request left it.  Sparse
-// entries are writes in arrival order; a later write to a column wins
-// (sortSparse resolves them).
+// entries are in arrival order; checkSample sorts them by column.
 type rawSample struct {
 	dense []float64
 	cols  []int
@@ -72,37 +63,69 @@ type scannedBody struct {
 	model string
 	embed bool
 	top   rawSample   // the single-sample shorthand {"dense": …} / {"sparse": …}
-	recs  []rawSample // every "samples" element decoded since the slice was last reset
-	live  int         // len(req.Samples): recs[:live] are the request's samples
+	recs  []rawSample // the "samples" elements
 }
 
-// samples returns the request's samples, resolving the single-sample
-// shorthand as buildPending does for a typed request.
-func (b *scannedBody) samples() []rawSample {
-	if b.live == 0 && (len(b.top.dense) > 0 || len(b.top.cols) > 0) {
-		return []rawSample{b.top}
+// The keys the grammar knows, one bit each, so the keys an object has
+// shown fit in one int.
+const (
+	keySamples = 1 << iota
+	keyModel
+	keyEmbed
+	keyDense
+	keySparse
+	keyLabel
+
+	predictKeys = keySamples | keyModel | keyEmbed | keyDense | keySparse
+)
+
+// keyBit returns the bit of a key the grammar knows, 0 for any other.
+func keyBit(key []byte) int {
+	switch string(key) {
+	case "samples":
+		return keySamples
+	case "model":
+		return keyModel
+	case "embed":
+		return keyEmbed
+	case "dense":
+		return keyDense
+	case "sparse":
+		return keySparse
+	case "label":
+		return keyLabel
 	}
-	return b.recs[:b.live]
+	return 0
 }
 
 // jsonScanner is the grammar shared by the body scanner and PeekPredict:
-// whitespace, strings, numbers, literals and skipping whole values, with
-// encoding/json's syntax rules and nesting limit.
+// whitespace, strings, numbers, literals and objects of known keys.
 type jsonScanner struct {
-	b     []byte
-	pos   int
-	depth int
+	b   []byte
+	pos int
 }
 
 func (s *jsonScanner) syntaxErr(what string) error {
 	if s.pos >= len(s.b) {
-		return &RequestError{Msg: "bad JSON: unexpected end of input"}
+		return &RequestError{Msg: fmt.Sprintf("bad JSON: unexpected end of input at offset %d", s.pos)}
 	}
 	return &RequestError{Msg: fmt.Sprintf("bad JSON: invalid character %q %s at offset %d", s.b[s.pos], what, s.pos)}
 }
 
 func (s *jsonScanner) typeErr(what string) error {
 	return &RequestError{Msg: fmt.Sprintf("bad JSON: cannot decode %s at offset %d", what, s.pos)}
+}
+
+// badValue refuses the value at pos, null or not the kind that name
+// takes, at its first byte.
+func (s *jsonScanner) badValue(name, kind string) error {
+	switch {
+	case s.pos >= len(s.b):
+		return s.syntaxErr("")
+	case bytes.HasPrefix(s.b[s.pos:], []byte("null")):
+		return &RequestError{Msg: fmt.Sprintf("bad JSON: %s is null at offset %d", name, s.pos)}
+	}
+	return &RequestError{Msg: fmt.Sprintf("bad JSON: %s is not %s at offset %d", name, kind, s.pos)}
 }
 
 // ws skips JSON whitespace and returns the next byte (0 at the end).
@@ -118,15 +141,6 @@ func (s *jsonScanner) ws() byte {
 	return 0
 }
 
-func (s *jsonScanner) enter() error {
-	s.pos++
-	s.depth++
-	if s.depth > maxNestingDepth {
-		return &RequestError{Msg: "bad JSON: exceeded max nesting depth"}
-	}
-	return nil
-}
-
 // next consumes the ',' or closing byte after a container element and
 // reports whether the container continues.
 func (s *jsonScanner) next(closing byte) (bool, error) {
@@ -136,7 +150,6 @@ func (s *jsonScanner) next(closing byte) (bool, error) {
 		return true, nil
 	case closing:
 		s.pos++
-		s.depth--
 		return false, nil
 	}
 	return false, s.syntaxErr("after element")
@@ -147,13 +160,12 @@ func (s *jsonScanner) next(closing byte) (bool, error) {
 func (s *jsonScanner) empty(closing byte) bool {
 	if s.ws() == closing {
 		s.pos++
-		s.depth--
 		return true
 	}
 	return false
 }
 
-// literal consumes one of true, false, null.
+// literal consumes true or false.
 func (s *jsonScanner) literal(word string) error {
 	if len(s.b)-s.pos < len(word) || string(s.b[s.pos:s.pos+len(word)]) != word {
 		for i := 0; i < len(word) && s.pos < len(s.b) && s.b[s.pos] == word[i]; i++ {
@@ -200,7 +212,7 @@ func (s *jsonScanner) str() (raw []byte, plain bool, err error) {
 		case c < 0x20:
 			s.pos = i
 			return nil, false, s.syntaxErr("in string literal")
-		case c >= utf8.RuneSelf:
+		case c >= 0x80:
 			plain = false
 		}
 	}
@@ -480,59 +492,8 @@ func (s *jsonScanner) int() (int, error) {
 	return int(v), nil
 }
 
-// skip consumes one value of any type, checking its syntax.
-func (s *jsonScanner) skip() error {
-	switch c := s.ws(); {
-	case c == '-' || '0' <= c && c <= '9':
-		_, err := s.number()
-		return err
-	case c == '{':
-		if err := s.enter(); err != nil {
-			return err
-		}
-		if s.empty('}') {
-			return nil
-		}
-		for {
-			if _, err := s.key(); err != nil {
-				return err
-			}
-			if err := s.skip(); err != nil {
-				return err
-			}
-			if more, err := s.next('}'); !more {
-				return err
-			}
-		}
-	case c == '[':
-		if err := s.enter(); err != nil {
-			return err
-		}
-		if s.empty(']') {
-			return nil
-		}
-		for {
-			if err := s.skip(); err != nil {
-				return err
-			}
-			if more, err := s.next(']'); !more {
-				return err
-			}
-		}
-	case c == '"':
-		_, _, err := s.str()
-		return err
-	case c == 't':
-		return s.literal("true")
-	case c == 'f':
-		return s.literal("false")
-	case c == 'n':
-		return s.literal("null")
-	default:
-		_, err := s.number() // no value starts with c: the grammar error
-		return err
-	}
-}
+// isNumber reports whether c can start a number.
+func isNumber(c byte) bool { return c == '-' || '0' <= c && c <= '9' }
 
 // key consumes an object key and its colon and returns the decoded key.
 func (s *jsonScanner) key() ([]byte, error) {
@@ -554,48 +515,79 @@ func (s *jsonScanner) key() ([]byte, error) {
 	return key, nil
 }
 
-// isNull consumes a null literal if one comes next.
-func (s *jsonScanner) isNull() (bool, error) {
-	if s.ws() != 'n' {
-		return false, nil
+// object consumes an object whose '{' is next and hands each member's
+// value to value with its key's bit.  A key outside allowed, or one the
+// object already showed, is refused at its offset.
+func (s *jsonScanner) object(allowed int, value func(key int) error) error {
+	s.pos++
+	if s.empty('}') {
+		return nil
 	}
-	return true, s.literal("null")
-}
-
-// fieldIs matches a decoded key against a lower-case ASCII field name
-// the way encoding/json matches struct fields: exactly, or equal under
-// Unicode simple case folding.
-func fieldIs(key []byte, name string) bool {
-	i := 0
-	for _, want := range []byte(name) {
-		if i >= len(key) {
-			return false
-		}
-		if c := key[i]; c < utf8.RuneSelf {
-			if c != want && c != want-('a'-'A') {
-				return false
-			}
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRune(key[i:])
-		if foldRune(r) != foldRune(rune(want)) {
-			return false
-		}
-		i += n
-	}
-	return i == len(key)
-}
-
-// foldRune is encoding/json's fold: the smallest rune of r's fold set.
-func foldRune(r rune) rune {
+	seen := 0
 	for {
-		r2 := unicode.SimpleFold(r)
-		if r2 <= r {
-			return r2
+		s.ws()
+		at := s.pos
+		key, err := s.key()
+		if err != nil {
+			return err
 		}
-		r = r2
+		k := keyBit(key) & allowed
+		switch {
+		case k == 0:
+			return &RequestError{Msg: fmt.Sprintf("bad JSON: unknown key %q at offset %d", key, at)}
+		case seen&k != 0:
+			return &RequestError{Msg: fmt.Sprintf("bad JSON: repeated key %q at offset %d", key, at)}
+		}
+		seen |= k
+		if err := value(k); err != nil {
+			return err
+		}
+		if more, err := s.next('}'); !more {
+			return err
+		}
 	}
+}
+
+// body consumes a whole body: one object, walked by object, and nothing
+// after it but whitespace.
+func (s *jsonScanner) body(allowed int, value func(key int) error) error {
+	if s.ws() != '{' {
+		if s.pos == len(s.b) {
+			return &RequestError{Msg: "bad JSON: empty body"}
+		}
+		return s.badValue("the body", "a JSON object")
+	}
+	if err := s.object(allowed, value); err != nil {
+		return err
+	}
+	if s.ws(); s.pos < len(s.b) {
+		return &RequestError{Msg: fmt.Sprintf("bad JSON: text after the top-level object at offset %d", s.pos)}
+	}
+	return nil
+}
+
+// model consumes a "model" value, a string.
+func (s *jsonScanner) model() (string, error) {
+	if s.ws() != '"' {
+		return "", s.badValue("model", "a string")
+	}
+	raw, plain, err := s.str()
+	if err != nil {
+		return "", err
+	}
+	v, err := s.decodeStr(raw, plain)
+	return string(v), err
+}
+
+// embed consumes an "embed" value, true or false.
+func (s *jsonScanner) embed() (bool, error) {
+	switch s.ws() {
+	case 't':
+		return true, s.literal("true")
+	case 'f':
+		return false, s.literal("false")
+	}
+	return false, s.badValue("embed", "true or false")
 }
 
 // bodyScanner decodes predict and observe bodies.  Dense values and
@@ -612,7 +604,6 @@ type bodyScanner struct {
 	dense []float64 // arena of dense values
 	cols  []int     // arena of sparse columns
 	vals  []float64 // arena of sparse values
-	nulls []int     // positions of null elements in the current dense array
 	out   scannedBody
 }
 
@@ -643,7 +634,6 @@ func getScanner(body []byte, maxSamples int, observe bool) *bodyScanner {
 		dense:       s.dense[:0],
 		cols:        s.cols[:0],
 		vals:        s.vals[:0],
-		nulls:       s.nulls[:0],
 		out:         scannedBody{recs: s.out.recs[:0]},
 	}
 	return s
@@ -656,7 +646,7 @@ func (s *bodyScanner) release() {
 	if s == nil {
 		return
 	}
-	clear(s.out.recs[:cap(s.out.recs)])
+	clear(s.out.recs)
 	if cap(s.dense) > maxArenaHint || cap(s.cols) > maxArenaHint {
 		s.dense, s.cols, s.vals = nil, nil, nil
 	}
@@ -674,247 +664,104 @@ func arena[T any](a []T, hint int) []T {
 }
 
 func (s *bodyScanner) scan() error {
-	switch s.ws() {
-	case '{':
-	case 'n':
-		return s.literal("null")
-	case 0:
-		return &RequestError{Msg: "bad JSON: empty body"}
-	default:
-		if err := s.skip(); err != nil {
-			return err
-		}
-		return &RequestError{Msg: "bad JSON: the body is not a JSON object"}
-	}
 	// Every number but the last in an array is followed by a comma, so
 	// the comma count bounds the values of any one kind; the cap keeps
-	// commas in skipped values from sizing a large arena.
+	// a comma-heavy body from sizing a large arena.
 	s.arenaHint = min(bytes.Count(s.b, []byte{','})+1, maxArenaHint)
-	if err := s.enter(); err != nil {
-		return err
+	allowed := predictKeys
+	if s.observe {
+		allowed = keySamples
 	}
-	if s.empty('}') {
+	return s.body(allowed, func(k int) (err error) {
+		switch k {
+		case keySamples:
+			return s.samplesArray()
+		case keyModel:
+			s.out.model, err = s.model()
+		case keyEmbed:
+			s.out.embed, err = s.embed()
+		default:
+			err = s.sampleField(&s.out.top, k)
+		}
+		return err
+	})
+}
+
+// samplesArray decodes "samples" into out.recs.
+func (s *bodyScanner) samplesArray() error {
+	if s.ws() != '[' {
+		return s.badValue("samples", "an array")
+	}
+	s.pos++
+	if s.empty(']') {
 		return nil
 	}
 	for {
-		key, err := s.key()
-		if err != nil {
+		if len(s.out.recs) == s.maxSamples {
+			return badRequestf("more than %d samples exceeds the per-request cap", s.maxSamples)
+		}
+		s.out.recs = append(s.out.recs, rawSample{})
+		if err := s.sampleObject(&s.out.recs[len(s.out.recs)-1]); err != nil {
 			return err
 		}
-		switch {
-		case fieldIs(key, "samples"):
-			err = s.samplesArray()
-		case s.observe:
-			err = s.skip()
-		case fieldIs(key, "model"):
-			err = s.model()
-		case fieldIs(key, "embed"):
-			err = s.embed()
-		default:
-			var known bool
-			known, err = s.sampleField(&s.out.top, key)
-			if err == nil && !known {
-				err = s.skip()
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if more, err := s.next('}'); !more {
+		if more, err := s.next(']'); !more {
 			return err
 		}
 	}
-}
-
-func (s *bodyScanner) model() error {
-	switch s.ws() {
-	case 'n':
-		return s.literal("null")
-	case '"':
-		raw, plain, err := s.str()
-		if err != nil {
-			return err
-		}
-		v, err := s.decodeStr(raw, plain)
-		s.out.model = string(v)
-		return err
-	}
-	if err := s.skip(); err != nil {
-		return err
-	}
-	return s.typeErr("model: not a string")
-}
-
-func (s *bodyScanner) embed() error {
-	switch s.ws() {
-	case 'n':
-		return s.literal("null")
-	case 't':
-		s.out.embed = true
-		return s.literal("true")
-	case 'f':
-		s.out.embed = false
-		return s.literal("false")
-	}
-	if err := s.skip(); err != nil {
-		return err
-	}
-	return s.typeErr("embed: not a bool")
-}
-
-// samplesArray decodes "samples" into out.recs: element i decodes into
-// whatever an earlier "samples" array left at index i.
-func (s *bodyScanner) samplesArray() error {
-	if null, err := s.isNull(); null || err != nil {
-		s.out.recs, s.out.live = nil, 0
-		return err
-	}
-	if s.ws() != '[' {
-		if err := s.skip(); err != nil {
-			return err
-		}
-		return s.typeErr("samples: not an array")
-	}
-	if err := s.enter(); err != nil {
-		return err
-	}
-	i := 0
-	if !s.empty(']') {
-		for {
-			if i >= s.maxSamples {
-				return badRequestf("more than %d samples exceeds the per-request cap", s.maxSamples)
-			}
-			if i == len(s.out.recs) {
-				s.out.recs = append(s.out.recs, rawSample{})
-			}
-			if err := s.sampleObject(&s.out.recs[i]); err != nil {
-				return err
-			}
-			i++
-			more, err := s.next(']')
-			if err != nil {
-				return err
-			}
-			if !more {
-				break
-			}
-		}
-	}
-	s.out.live = i
-	if i == 0 {
-		s.out.recs = nil
-	}
-	return nil
 }
 
 // sampleObject decodes one "samples" element into rec.
 func (s *bodyScanner) sampleObject(rec *rawSample) error {
-	switch s.ws() {
-	case 'n':
-		return s.literal("null")
-	case '{':
-	default:
-		if err := s.skip(); err != nil {
-			return err
-		}
-		return s.typeErr("sample: not an object")
+	if s.ws() != '{' {
+		return s.badValue("sample", "an object")
 	}
-	if err := s.enter(); err != nil {
-		return err
+	allowed := keyDense | keySparse
+	if s.observe {
+		allowed |= keyLabel
 	}
-	if s.empty('}') {
-		return nil
-	}
-	for {
-		key, err := s.key()
-		if err != nil {
-			return err
+	return s.object(allowed, func(k int) error {
+		if k == keyLabel {
+			return s.label(rec)
 		}
-		known, err := s.sampleField(rec, key)
-		if err == nil && !known {
-			if s.observe && fieldIs(key, "label") {
-				err = s.label(rec)
-			} else {
-				err = s.skip()
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if more, err := s.next('}'); !more {
-			return err
-		}
-	}
+		return s.sampleField(rec, k)
+	})
 }
 
-// sampleField decodes the value of key into rec when key names a Sample
-// field, and reports whether it did.
-func (s *bodyScanner) sampleField(rec *rawSample, key []byte) (bool, error) {
-	switch {
-	case fieldIs(key, "dense"):
-		return true, s.denseArray(rec)
-	case fieldIs(key, "sparse"):
-		return true, s.sparseObject(rec)
+// sampleField decodes the "dense" or "sparse" value into rec.
+func (s *bodyScanner) sampleField(rec *rawSample, k int) error {
+	if k == keyDense {
+		return s.denseArray(rec)
 	}
-	return false, nil
+	return s.sparseObject(rec)
 }
 
-func (s *bodyScanner) label(rec *rawSample) error {
-	if null, err := s.isNull(); null || err != nil {
-		return err
+func (s *bodyScanner) label(rec *rawSample) (err error) {
+	if !isNumber(s.ws()) {
+		return s.badValue("label", "a number")
 	}
-	if c := s.ws(); c != '-' && (c < '0' || c > '9') {
-		if err := s.skip(); err != nil {
-			return err
-		}
-		return s.typeErr("label: not a number")
-	}
-	v, err := s.int()
-	rec.label = v
+	rec.label, err = s.int()
 	return err
 }
 
-// denseArray decodes a "dense" value into rec.dense.  The values of a
-// first array stay in the arena and rec.dense views them; a later array
-// for the same sample is applied in place as encoding/json does.
+// denseArray decodes a "dense" value into rec.dense, which views the
+// values in the arena.
 func (s *bodyScanner) denseArray(rec *rawSample) error {
-	if null, err := s.isNull(); null || err != nil {
-		rec.dense = nil
-		return err
-	}
 	if s.ws() != '[' {
-		if err := s.skip(); err != nil {
-			return err
-		}
-		return s.typeErr("dense: not an array")
+		return s.badValue("dense", "an array")
 	}
-	if err := s.enter(); err != nil {
-		return err
-	}
+	s.pos++
 	s.dense = arena(s.dense, s.arenaHint)
 	start := len(s.dense)
-	s.nulls = s.nulls[:0]
 	if !s.empty(']') {
 		for {
-			switch c := s.ws(); {
-			case c == '-' || '0' <= c && c <= '9':
-				v, err := s.float()
-				if err != nil {
-					return err
-				}
-				s.dense = append(s.dense, v)
-			case c == 'n':
-				if err := s.literal("null"); err != nil {
-					return err
-				}
-				s.nulls = append(s.nulls, len(s.dense)-start)
-				s.dense = append(s.dense, 0)
-			default:
-				if err := s.skip(); err != nil {
-					return err
-				}
-				return s.typeErr("dense: element is not a number")
+			if !isNumber(s.ws()) {
+				return s.badValue("dense element", "a number")
 			}
+			v, err := s.float()
+			if err != nil {
+				return err
+			}
+			s.dense = append(s.dense, v)
 			more, err := s.next(']')
 			if err != nil {
 				return err
@@ -924,56 +771,19 @@ func (s *bodyScanner) denseArray(rec *rawSample) error {
 			}
 		}
 	}
-	n := len(s.dense) - start
-	switch {
-	case n == 0:
-		rec.dense = nil
-	case cap(rec.dense) == 0:
-		rec.dense = s.dense[start : start+n : start+n]
-	default:
-		rec.dense = overwrite(rec.dense, s.dense[start:], s.nulls)
-		s.dense = s.dense[:start]
+	if end := len(s.dense); end > start {
+		rec.dense = s.dense[start:end:end]
 	}
 	return nil
 }
 
-// overwrite decodes src into the existing slice dst the way
-// encoding/json decodes an array into a non-empty slice: in place,
-// growing as needed, keeping dst's old value where src holds a null
-// (positions in nulls, ascending), then cut to len(src).
-func overwrite(dst, src []float64, nulls []int) []float64 {
-	for j, v := range src {
-		if j >= len(dst) {
-			if j >= cap(dst) {
-				dst = slices.Grow(dst, 1) // keeps dst[len:cap]; the rest is zero
-			}
-			dst = dst[:j+1]
-		}
-		if len(nulls) > 0 && nulls[0] == j {
-			nulls = nulls[1:]
-			continue
-		}
-		dst[j] = v
-	}
-	return dst[:len(src)]
-}
-
-// sparseObject decodes a "sparse" value into rec's writes.  A later
-// object for the same sample merges into the earlier one's entries.
+// sparseObject decodes a "sparse" value into rec's entries, which view
+// the arenas.
 func (s *bodyScanner) sparseObject(rec *rawSample) error {
-	if null, err := s.isNull(); null || err != nil {
-		rec.cols, rec.vals = nil, nil
-		return err
-	}
 	if s.ws() != '{' {
-		if err := s.skip(); err != nil {
-			return err
-		}
-		return s.typeErr("sparse: not an object")
+		return s.badValue("sparse", "an object")
 	}
-	if err := s.enter(); err != nil {
-		return err
-	}
+	s.pos++
 	s.cols = arena(s.cols, s.arenaHint)
 	s.vals = arena(s.vals, s.arenaHint)
 	start := len(s.cols)
@@ -987,21 +797,12 @@ func (s *bodyScanner) sparseObject(rec *rawSample) error {
 			if perr != nil {
 				return s.typeErr(fmt.Sprintf("sparse key %q into an int", key))
 			}
-			var v float64
-			switch c := s.ws(); {
-			case c == '-' || '0' <= c && c <= '9':
-				if v, err = s.float(); err != nil {
-					return err
-				}
-			case c == 'n':
-				if err := s.literal("null"); err != nil {
-					return err
-				}
-			default:
-				if err := s.skip(); err != nil {
-					return err
-				}
-				return s.typeErr("sparse: value is not a number")
+			if !isNumber(s.ws()) {
+				return s.badValue("sparse value", "a number")
+			}
+			v, err := s.float()
+			if err != nil {
+				return err
 			}
 			s.cols = append(s.cols, int(col))
 			s.vals = append(s.vals, v)
@@ -1014,43 +815,21 @@ func (s *bodyScanner) sparseObject(rec *rawSample) error {
 			}
 		}
 	}
-	n := len(s.cols) - start
-	switch {
-	case n == 0:
-	case len(rec.cols) == 0:
-		rec.cols = s.cols[start : start+n : start+n]
-		rec.vals = s.vals[start : start+n : start+n]
-	default:
-		rec.cols = append(rec.cols, s.cols[start:]...)
-		rec.vals = append(rec.vals, s.vals[start:]...)
-		s.cols, s.vals = s.cols[:start], s.vals[:start]
+	if end := len(s.cols); end > start {
+		rec.cols = s.cols[start:end:end]
+		rec.vals = s.vals[start:end:end]
 	}
 	return nil
 }
 
-// sortSparse orders a sample's sparse writes by column and keeps the
-// last write to each column, as a map would, compacting in place.
-func sortSparse(cols []int, vals []float64) ([]int, []float64) {
-	ordered := true
+// sortSparse orders a sample's sparse entries by column, in place.
+func sortSparse(cols []int, vals []float64) {
 	for t := 1; t < len(cols); t++ {
 		if cols[t] <= cols[t-1] {
-			ordered = false
-			break
+			sort.Sort(byCol{cols, vals})
+			return
 		}
 	}
-	if ordered {
-		return cols, vals
-	}
-	sort.Stable(byCol{cols, vals})
-	k := 0
-	for t := range cols {
-		if t+1 < len(cols) && cols[t+1] == cols[t] {
-			continue // a later write to the same column wins
-		}
-		cols[k], vals[k] = cols[t], vals[t]
-		k++
-	}
-	return cols[:k], vals[:k]
 }
 
 type byCol struct {
@@ -1068,101 +847,49 @@ func (b byCol) Swap(i, j int) {
 // PeekPredict returns the top-level "model" of a predict body and the
 // number of samples a 200 reply must answer, without decoding any
 // sample.  The router calls it to pick the tenant and forwards the body
-// unchanged.  It walks the top level with the full grammar: keys,
-// colons and commas, the "model" string, and each "samples" element in
-// turn.  Every object or array value, each sample included, it skips by
-// its brackets alone (skipFast), so a body malformed only inside such a
-// value passes here and the worker's scan refuses it.  Every key is
-// walked, so a duplicate "model" resolves as in encoding/json (the last
-// wins).  Whenever encoding/json decodes a body, PeekPredict accepts it
-// with the same model and count; every body it rejects encoding/json
-// rejects too.
+// unchanged.  It walks the top level with the full grammar: the known
+// keys, each once, the colons and commas, the "model" string, the
+// "embed" literal, and each "samples" element in turn, and nothing but
+// whitespace after the object.  Each sample, "dense" and "sparse" value
+// it checks at its first byte and then skips by its brackets alone
+// (skipFast), so a body malformed only inside such a value passes here
+// and the worker's scan refuses it.  Every body the strict grammar
+// accepts, PeekPredict accepts with the same model and count.
 func PeekPredict(body []byte) (model string, samples int, err error) {
 	s := &jsonScanner{b: body}
-	switch s.ws() {
-	case '{':
-	case 'n':
-		return "", 1, s.literal("null")
-	case 0:
-		return "", 0, &RequestError{Msg: "bad JSON: empty body"}
-	default:
-		if err := s.skip(); err != nil {
-			return "", 0, err
+	err = s.body(predictKeys, func(k int) (err error) {
+		switch k {
+		case keyModel:
+			model, err = s.model()
+		case keySamples:
+			samples, err = s.countArray()
+		case keyEmbed:
+			_, err = s.embed()
+		case keyDense:
+			err = s.skipFast('[', "dense", "an array")
+		default:
+			err = s.skipFast('{', "sparse", "an object")
 		}
-		return "", 0, &RequestError{Msg: "bad JSON: the body is not a JSON object"}
-	}
-	if err := s.enter(); err != nil {
+		return err
+	})
+	if err != nil {
 		return "", 0, err
 	}
-	if s.empty('}') {
-		return "", 1, nil
-	}
-	for {
-		key, err := s.key()
-		if err != nil {
-			return "", 0, err
-		}
-		switch {
-		case fieldIs(key, "model"):
-			err = s.peekModel(&model)
-		case fieldIs(key, "samples"):
-			samples, err = s.countArray()
-		default:
-			err = s.skipFast()
-		}
-		if err != nil {
-			return "", 0, err
-		}
-		more, err := s.next('}')
-		if err != nil {
-			return "", 0, err
-		}
-		if !more {
-			// An empty samples list leaves the single-sample shorthand.
-			return model, max(samples, 1), nil
-		}
-	}
+	// An empty samples list leaves the single-sample shorthand.
+	return model, max(samples, 1), nil
 }
 
-func (s *jsonScanner) peekModel(model *string) error {
-	switch s.ws() {
-	case 'n':
-		return s.literal("null")
-	case '"':
-		raw, plain, err := s.str()
-		if err != nil {
-			return err
-		}
-		v, err := s.decodeStr(raw, plain)
-		*model = string(v)
-		return err
-	}
-	if err := s.skip(); err != nil {
-		return err
-	}
-	return s.typeErr("model: not a string")
-}
-
-// countArray skips an array (or null) and returns its element count.
+// countArray skips a "samples" array and returns its element count.
 func (s *jsonScanner) countArray() (int, error) {
-	switch s.ws() {
-	case 'n':
-		return 0, s.literal("null")
-	case '[':
-	default:
-		if err := s.skip(); err != nil {
-			return 0, err
-		}
-		return 0, s.typeErr("samples: not an array")
+	if s.ws() != '[' {
+		return 0, s.badValue("samples", "an array")
 	}
-	if err := s.enter(); err != nil {
-		return 0, err
-	}
+	s.pos++
 	if s.empty(']') {
 		return 0, nil
 	}
 	for n := 1; ; n++ {
-		if err := s.skipFast(); err != nil {
+		if err := s.skipFast('{', "sample", "an object"); err != nil {
 			return 0, err
 		}
 		if more, err := s.next(']'); !more {
@@ -1171,18 +898,19 @@ func (s *jsonScanner) countArray() (int, error) {
 	}
 }
 
-// skipFast consumes one value.  An object or array it skips by its
-// brackets, the first stage of simdjson (Langdale & Lemire, "Parsing
-// Gigabytes of JSON per Second", arXiv:1902.08318): it finds the next
-// '"', '[', ']', '{' or '}' eight bytes per step, hands each string to
-// str, so escapes and control bytes are judged exactly, and counts the
-// brackets down to zero.  Numbers, literals, commas and colons between
-// them are never looked at, and a ']' may close a '{'.  On valid JSON it
-// ends where skip ends; it rejects only a bad string or a body that ends
-// first.  Any other value goes through skip's grammar.
-func (s *jsonScanner) skipFast() error {
-	if c := s.ws(); c != '{' && c != '[' {
-		return s.skip()
+// skipFast consumes one object or array, whose first byte must be first
+// (else the value is refused as badValue names it).  It skips the value
+// by its brackets, the first stage of simdjson (Langdale & Lemire,
+// "Parsing Gigabytes of JSON per Second", arXiv:1902.08318): it finds
+// the next '"', '[', ']', '{' or '}' eight bytes per step, hands each
+// string to str, so escapes and control bytes are judged exactly, and
+// counts the brackets down to zero.  Numbers, literals, commas and
+// colons between them are never looked at, and a ']' may close a '{'.
+// On valid JSON it ends where the value ends; it rejects only a bad
+// string or a body that ends first.
+func (s *jsonScanner) skipFast(first byte, name, kind string) error {
+	if s.ws() != first {
+		return s.badValue(name, kind)
 	}
 	b, i, open := s.b, s.pos, 0
 	for {

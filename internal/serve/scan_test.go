@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -14,40 +15,46 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"srda/internal/jsonref"
 )
 
 // The differential targets hold the body scanner and PeekPredict to
-// encoding/json on the same bytes.  The reference is what the handlers
-// called before the scanner: json.NewDecoder(...).Decode, which ignores
-// text after the first value.  Each checked-in corpus entry under
-// testdata/fuzz is one trap: key case, duplicate keys, nulls, number
-// forms strconv takes but JSON does not, the edges of the number
-// scanner's fast paths (num_*), sparse key forms, trailing text and the
-// empty body.
+// the strict reference, jsonref.Decode: encoding/json's decode with
+// DisallowUnknownFields plus the strict grammar's key, null and
+// trailing-text rules.  Each checked-in corpus entry under testdata/fuzz
+// is one trap: key case, repeated keys, nulls, number forms strconv
+// takes but JSON does not, the edges of the number scanner's fast paths
+// (num_*), sparse key forms, trailing text and the empty body.
 
-// FuzzScanPredict: the same accept/reject decision as encoding/json,
+// FuzzScanPredict: the same accept/reject decision as the reference,
 // the same model and embed flag, and per sample the same dense bits and
-// the same sparse columns and value bits.
+// the same sparse columns and value bits.  A repeated sparse column is
+// refused by checkSample, not by the scan, so the scan's side of the
+// decision counts it as a refusal.
 func FuzzScanPredict(f *testing.F) {
 	f.Add([]byte(`{"samples":[{"dense":[1,2.5e-3,-0]},{"sparse":{"10":1,"2":0}}],"model":"m","embed":true}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var ref PredictRequest
-		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&ref)
+		refErr := jsonref.Decode(b, &ref)
 		sc, err := scanPredict(b, math.MaxInt)
 		defer sc.release()
+		if err == nil {
+			err = repeatedColumn(append([]rawSample{sc.out.top}, sc.out.recs...))
+		}
 		if (refErr == nil) != (err == nil) {
-			t.Fatalf("%q: encoding/json err=%v, scanner err=%v", b, refErr, err)
+			t.Fatalf("%q: reference err=%v, scanner err=%v", b, refErr, err)
 		}
 		if err != nil {
 			return
 		}
 		got := &sc.out
 		if got.model != ref.Model || got.embed != ref.Embed {
-			t.Fatalf("%q: model/embed %q/%v, encoding/json %q/%v", b, got.model, got.embed, ref.Model, ref.Embed)
+			t.Fatalf("%q: model/embed %q/%v, reference %q/%v", b, got.model, got.embed, ref.Model, ref.Embed)
 		}
 		sameSample(t, b, "shorthand", &got.top, ref.Sample, 0)
-		if got.live != len(ref.Samples) {
-			t.Fatalf("%q: %d samples, encoding/json %d", b, got.live, len(ref.Samples))
+		if len(got.recs) != len(ref.Samples) {
+			t.Fatalf("%q: %d samples, reference %d", b, len(got.recs), len(ref.Samples))
 		}
 		for i, smp := range ref.Samples {
 			sameSample(t, b, "sample", &got.recs[i], smp, 0)
@@ -61,18 +68,21 @@ func FuzzScanObserve(f *testing.F) {
 	f.Add([]byte(`{"samples":[{"dense":[1,2],"label":1},{"sparse":{"3":0.5},"label":0}]}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var ref ObserveRequest
-		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&ref)
+		refErr := jsonref.Decode(b, &ref)
 		sc, err := scanObserve(b, math.MaxInt)
 		defer sc.release()
+		if err == nil {
+			err = repeatedColumn(sc.out.recs)
+		}
 		if (refErr == nil) != (err == nil) {
-			t.Fatalf("%q: encoding/json err=%v, scanner err=%v", b, refErr, err)
+			t.Fatalf("%q: reference err=%v, scanner err=%v", b, refErr, err)
 		}
 		if err != nil {
 			return
 		}
 		got := &sc.out
-		if got.live != len(ref.Samples) {
-			t.Fatalf("%q: %d samples, encoding/json %d", b, got.live, len(ref.Samples))
+		if len(got.recs) != len(ref.Samples) {
+			t.Fatalf("%q: %d samples, reference %d", b, len(got.recs), len(ref.Samples))
 		}
 		for i, ls := range ref.Samples {
 			sameSample(t, b, "sample", &got.recs[i], ls.Sample, ls.Label)
@@ -80,26 +90,26 @@ func FuzzScanObserve(f *testing.F) {
 	})
 }
 
-// FuzzPeekPredict: whenever encoding/json decodes a body, the peek
+// FuzzPeekPredict: whenever the reference accepts a body, the peek
 // accepts it with the same model and sample count; whenever the peek
-// rejects a body, encoding/json rejects it too.
+// rejects a body, the reference rejects it too.
 func FuzzPeekPredict(f *testing.F) {
 	f.Add([]byte(`{"samples":[{"dense":[1]},{"dense":[2]}],"model":"tenant-a"}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var ref PredictRequest
-		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&ref)
+		refErr := jsonref.Decode(b, &ref)
 		model, n, err := PeekPredict(b)
 		if err != nil {
 			if refErr == nil {
-				t.Fatalf("%q: peek rejected (%v) a body encoding/json decodes", b, err)
+				t.Fatalf("%q: peek rejected (%v) a body the reference accepts", b, err)
 			}
 			return
 		}
 		if refErr != nil {
-			return // a type error past the peek's syntax check
+			return // an error inside a value the peek skips
 		}
 		if model != ref.Model {
-			t.Fatalf("%q: peek model %q, encoding/json %q", b, model, ref.Model)
+			t.Fatalf("%q: peek model %q, reference %q", b, model, ref.Model)
 		}
 		if want := max(len(ref.Samples), 1); n != want {
 			t.Fatalf("%q: peek counted %d samples, want %d", b, n, want)
@@ -107,42 +117,49 @@ func FuzzPeekPredict(f *testing.F) {
 	})
 }
 
-// sameSample compares a scanned sample with encoding/json's decode of
-// it: dense length and bits, the sparse map the writes leave, the label.
+// repeatedColumn returns an error naming the first sample whose sparse
+// entries name a column twice, the rule checkSample adds to the scan.
+func repeatedColumn(samples []rawSample) error {
+	for i, smp := range samples {
+		cols := slices.Clone(smp.cols)
+		slices.Sort(cols)
+		if len(slices.Compact(cols)) != len(smp.cols) {
+			return fmt.Errorf("sample %d repeats a column", i)
+		}
+	}
+	return nil
+}
+
+// sameSample compares a scanned sample with the reference's decode of
+// it: dense length and bits, sparse columns and value bits, the label.
 func sameSample(t *testing.T, b []byte, what string, got *rawSample, ref Sample, label int) {
 	t.Helper()
 	if len(got.dense) != len(ref.Dense) {
-		t.Fatalf("%q: %s dense has %d values, encoding/json %d", b, what, len(got.dense), len(ref.Dense))
+		t.Fatalf("%q: %s dense has %d values, reference %d", b, what, len(got.dense), len(ref.Dense))
 	}
 	for j, v := range ref.Dense {
 		if math.Float64bits(got.dense[j]) != math.Float64bits(v) {
-			t.Fatalf("%q: %s dense[%d] = %v, encoding/json %v", b, what, j, got.dense[j], v)
+			t.Fatalf("%q: %s dense[%d] = %v, reference %v", b, what, j, got.dense[j], v)
 		}
 	}
-	m := map[int]float64{}
+	if len(got.cols) != len(ref.Sparse) {
+		t.Fatalf("%q: %s sparse has %d columns, reference %d", b, what, len(got.cols), len(ref.Sparse))
+	}
 	for k, j := range got.cols {
-		m[j] = got.vals[k]
-	}
-	if len(m) != len(ref.Sparse) {
-		t.Fatalf("%q: %s sparse has %d columns, encoding/json %d", b, what, len(m), len(ref.Sparse))
-	}
-	for j, v := range ref.Sparse {
-		w, ok := m[j]
-		if !ok || math.Float64bits(w) != math.Float64bits(v) {
-			t.Fatalf("%q: %s sparse[%d] = %v (present %v), encoding/json %v", b, what, j, w, ok, v)
+		w, ok := ref.Sparse[j]
+		if !ok || math.Float64bits(w) != math.Float64bits(got.vals[k]) {
+			t.Fatalf("%q: %s sparse[%d] = %v, reference %v (present %v)", b, what, j, got.vals[k], w, ok)
 		}
 	}
-	cols, vals := sortSparse(append([]int(nil), got.cols...), append([]float64(nil), got.vals...))
-	if len(cols) != len(m) {
-		t.Fatalf("%q: %s sortSparse kept %d columns of %d", b, what, len(cols), len(m))
-	}
+	cols, vals := slices.Clone(got.cols), slices.Clone(got.vals)
+	sortSparse(cols, vals)
 	for k, j := range cols {
-		if k > 0 && j <= cols[k-1] || math.Float64bits(vals[k]) != math.Float64bits(m[j]) {
-			t.Fatalf("%q: %s sortSparse gave %v %v, want the map %v in column order", b, what, cols, vals, m)
+		if k > 0 && j <= cols[k-1] || math.Float64bits(vals[k]) != math.Float64bits(ref.Sparse[j]) {
+			t.Fatalf("%q: %s sortSparse gave %v %v, want the map %v in column order", b, what, cols, vals, ref.Sparse)
 		}
 	}
 	if got.label != label {
-		t.Fatalf("%q: %s label %d, encoding/json %d", b, what, got.label, label)
+		t.Fatalf("%q: %s label %d, reference %d", b, what, got.label, label)
 	}
 }
 

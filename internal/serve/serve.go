@@ -355,9 +355,9 @@ type Sample struct {
 }
 
 // PredictRequest is the POST /v1/predict payload.  A single sample may
-// also be sent shorthand as a bare Sample object.
+// also be sent shorthand as a bare Sample object, in place of Samples.
 type PredictRequest struct {
-	Samples []Sample `json:"samples"`
+	Samples []Sample `json:"samples,omitempty"`
 	// Model selects the registry model answering the request (empty =
 	// the server's default model).  It is also the tenant key the router
 	// hashes and meters quotas by.
@@ -588,7 +588,7 @@ func (s *Server) parsePredict(body []byte) (*pending, error) {
 	sc, err := scanPredict(body, maxRequestSamples)
 	var p *pending
 	if err == nil {
-		p, err = s.newPending(sc.out.model, sc.out.embed, sc.out.samples())
+		p, err = s.newPending(sc.out.model, sc.out.embed, sc.out.recs, sc.out.top)
 	}
 	if err != nil {
 		sc.release()
@@ -601,22 +601,26 @@ func (s *Server) parsePredict(body []byte) (*pending, error) {
 // buildPending validates a typed predict request; its samples take the
 // scanner's form first, so both paths share newPending's rules.
 func (s *Server) buildPending(req *PredictRequest) (*pending, error) {
-	samples := req.Samples
-	if len(samples) == 0 && (len(req.Dense) > 0 || len(req.Sparse) > 0) {
-		samples = []Sample{req.Sample}
+	out := make([]rawSample, len(req.Samples))
+	for i, smp := range req.Samples {
+		out[i] = typedSample(smp)
 	}
-	out := make([]rawSample, len(samples))
-	for i, smp := range samples {
-		out[i].dense = smp.Dense
-		out[i].cols = make([]int, 0, len(smp.Sparse))
-		out[i].vals = make([]float64, 0, len(smp.Sparse))
-		//srdalint:ignore maprange keys are sorted by sortSparse before any arithmetic sees them
-		for j, v := range smp.Sparse {
-			out[i].cols = append(out[i].cols, j)
-			out[i].vals = append(out[i].vals, v)
-		}
+	return s.newPending(req.Model, req.Embed, out, typedSample(req.Sample))
+}
+
+// typedSample is smp in the scanner's form.
+func typedSample(smp Sample) rawSample {
+	out := rawSample{
+		dense: smp.Dense,
+		cols:  make([]int, 0, len(smp.Sparse)),
+		vals:  make([]float64, 0, len(smp.Sparse)),
 	}
-	return s.newPending(req.Model, req.Embed, out)
+	//srdalint:ignore maprange keys are sorted by sortSparse before any arithmetic sees them
+	for j, v := range smp.Sparse {
+		out.cols = append(out.cols, j)
+		out.vals = append(out.vals, v)
+	}
+	return out
 }
 
 func (p *pending) response() *PredictResponse {
@@ -630,8 +634,17 @@ func (p *pending) response() *PredictResponse {
 
 // newPending validates one predict request's samples against the
 // registry and converts them to dispatcher form, returning typed errors.
-func (s *Server) newPending(model string, embed bool, samples []rawSample) (*pending, error) {
-	if len(samples) == 0 {
+// The request carries either a samples list or the single-sample
+// shorthand top: a shorthand beside samples would answer nothing, so the
+// request is refused rather than the shorthand ignored.
+func (s *Server) newPending(model string, embed bool, samples []rawSample, top rawSample) (*pending, error) {
+	hasTop := len(top.dense) > 0 || len(top.cols) > 0
+	switch {
+	case hasTop && len(samples) > 0:
+		return nil, badRequestf("samples and a single-sample shorthand in one request")
+	case hasTop:
+		samples = []rawSample{top}
+	case len(samples) == 0:
 		return nil, badRequestf("no samples")
 	}
 	if len(samples) > maxRequestSamples {
@@ -715,11 +728,11 @@ func (p *pending) add(i int, smp *rawSample, n int) error {
 
 // checkSample is the one place the sample rules live, for predict and
 // observe bodies alike: exactly one of dense or sparse, the dense length
-// n, finite values, and sparse indices in [0, n).  It sorts a sparse
-// sample's writes by column first, keeping the last write to each
-// column, so a value that a later write replaces is never checked.
-// Column order makes a CSR row's kernel dot products accumulate in index
-// order, bitwise reproducible across requests.
+// n, finite values, and sparse indices in [0, n), each named once.  It
+// sorts a sparse sample's entries by column first: column order makes a
+// CSR row's kernel dot products accumulate in index order, bitwise
+// reproducible across requests, and puts a repeated column ("1" and
+// "01" name the same one) next to its twin.
 func checkSample(smp *rawSample, n int) error {
 	hasDense, hasSparse := len(smp.dense) > 0, len(smp.cols) > 0
 	if hasDense == hasSparse {
@@ -736,7 +749,7 @@ func checkSample(smp *rawSample, n int) error {
 		}
 		return nil
 	}
-	smp.cols, smp.vals = sortSparse(smp.cols, smp.vals)
+	sortSparse(smp.cols, smp.vals)
 	for t, j := range smp.cols {
 		v := smp.vals[t]
 		if j < 0 {
@@ -744,6 +757,9 @@ func checkSample(smp *rawSample, n int) error {
 		}
 		if j >= n {
 			return fmt.Errorf("feature index %d out of range for a %d-feature model", j, n)
+		}
+		if t > 0 && j == smp.cols[t-1] {
+			return fmt.Errorf("feature index %d repeated", j)
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("feature %d is not finite (%v)", j, v)
