@@ -71,7 +71,7 @@ bench:
 # decoders, the predict/observe body scanner, the observe edge against
 # per-row Observe, router peek and whole routed tier against the strict
 # body reference (internal/jsonref), and the scraped-metrics parser and
-# SLO config validator
+# the SLO config and cluster snapshot validators
 # (the same targets run as plain regression tests from the checked-in
 # corpus during `make test`).
 fuzz:
@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRoutePredict$$' -fuzztime=30s ./internal/router
 	$(GO) test -run='^$$' -fuzz='^FuzzParsePrometheus$$' -fuzztime=30s ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateSLOConfig$$' -fuzztime=30s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz='^FuzzValidateClusterSnapshot$$' -fuzztime=30s ./internal/telemetry
 
 # Regenerate every table and figure at laptop scale (minutes).
 repro:

@@ -47,12 +47,11 @@
 // beyond 5 % accuracy is rolled back automatically.  See doc/ONLINE.md.
 //
 // -debug-addr starts a second, operator-only listener in any role,
-// exposing /debug/pprof/ (net/http/pprof), /debug/vars (expvar),
-// /debug/traces (the request tracer's ring as Chrome trace-event JSON,
-// openable in Perfetto), /debug/exemplars (outlier metric observations
-// with the trace ids that produced them), and /metrics: the process-wide
-// registry with the worker-pool gauges, then the process's export list —
-// the router's srdaroute_*, worker 0's srdaserve_*, the model registry's
+// exposing /debug/pprof/ (net/http/pprof), /debug/traces (the request
+// tracer's ring as Chrome trace-event JSON, openable in Perfetto),
+// /debug/exemplars (outlier metric observations with the trace ids that
+// produced them), and /metrics: the process's export list — the
+// router's srdaroute_*, worker 0's srdaserve_*, the model registry's
 // srdareg_* and the trainer's srdaonline_* series, whichever the role
 // runs.  Keep it bound to localhost; it is never meant to face prediction
 // traffic.  On shutdown -trace-out and -metrics-out flush the trace
@@ -73,7 +72,7 @@
 // `srdareport top` renders).  -slo-config loads a srda-slo/v1 JSON
 // document of availability and latency-p99 objectives evaluated against
 // that store with multi-window burn-rate alerting; alert states are
-// served at GET /debug/alerts, exported as srdaslo_* metrics, and a
+// served at GET /debug/alerts and in /cluster/snapshot, and a
 // transition to firing dumps a slo_burn flight bundle.
 package main
 
@@ -81,7 +80,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -149,7 +147,7 @@ func main() {
 	flag.StringVar(&cfg.modelsDir, "models-dir", "", "directory of model files, each published under its base filename")
 	flag.Int64Var(&cfg.registryMB, "registry-budget-mb", 0, "resident-model byte budget in MiB; past it LRU names are evicted (0 = unlimited)")
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "optional operator listener with /debug/pprof/, /debug/vars, /debug/traces, and the full obs /metrics (keep on localhost)")
+	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "optional operator listener with /debug/pprof/, /debug/traces, /debug/exemplars, and the full /metrics (keep on localhost)")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 64, "max samples coalesced from concurrent requests into one inference batch while every worker is busy; a request is never split")
 	flag.IntVar(&cfg.workers, "workers", 0, "inference worker goroutines (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.queueDepth, "queue", 4096, "queued-sample cap; beyond it requests get 503")
@@ -237,7 +235,7 @@ func run(cfg config, logger *obs.Logger, ready, debugReady chan<- net.Addr, shut
 			return fmt.Errorf("debug listener: %w", err)
 		}
 		logger.Info("debug listener up", "addr", addr.String(),
-			"endpoints", "/debug/pprof/ /debug/vars /debug/traces /debug/exemplars /metrics")
+			"endpoints", "/debug/pprof/ /debug/traces /debug/exemplars /metrics")
 		if debugReady != nil {
 			debugReady <- addr
 		}
@@ -420,7 +418,7 @@ func (t *tier) build(rl role) (http.Handler, error) {
 	// codes per replica, sheds, quota denials) land in the cluster store
 	// where availability SLOs can read them.
 	targets = append(targets, telemetry.RegistryTarget("router", nil, r.Registry()))
-	fed, engine, stopTelemetry, err := telemetryPlane(cfg, targets, r.Registry(), kit, logger)
+	fed, engine, stopTelemetry, err := telemetryPlane(cfg, targets, kit, logger)
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +563,6 @@ func newObsKit(cfg config, process string, logger *obs.Logger) (*obsKit, *obs.Lo
 	kit.tracer.SetProcess(process)
 	kit.flight.AttachTracer(kit.tracer)
 	kit.flight.AttachExemplars(kit.exemplars)
-	kit.flight.AttachRegistry("process", obs.Default())
 	return kit, kit.flight.CaptureLogs(logger)
 }
 
@@ -650,7 +647,7 @@ func watchAndReload(cfg config, s *serve.Server, logger *obs.Logger) func() {
 // explicit times, so StartPoller takes the ticker's channel and a stop
 // channel from here.  The returned stop function halts the loop and
 // waits for the poller to exit.
-func telemetryPlane(cfg config, targets []telemetry.Target, sloReg *obs.Registry, kit *obsKit, logger *obs.Logger) (*telemetry.Federator, *telemetry.SLOEngine, func(), error) {
+func telemetryPlane(cfg config, targets []telemetry.Target, kit *obsKit, logger *obs.Logger) (*telemetry.Federator, *telemetry.SLOEngine, func(), error) {
 	fed := telemetry.NewFederator(targets, telemetry.FederatorOptions{
 		PointsPerSeries: cfg.telemetryPoints,
 		Logger:          logger,
@@ -666,9 +663,8 @@ func telemetryPlane(cfg config, targets []telemetry.Target, sloReg *obs.Registry
 			return nil, nil, nil, err
 		}
 		engine = telemetry.NewSLOEngine(sloCfg, fed.Store(), telemetry.SLOEngineOptions{
-			Registry: sloReg,
-			Flight:   kit.flight,
-			Logger:   logger,
+			Flight: kit.flight,
+			Logger: logger,
 		})
 		fed.AttachSLO(engine)
 		logger.Info("SLO engine up", "objectives", len(sloCfg.Objectives), "windows", len(sloCfg.Windows))
@@ -694,8 +690,8 @@ func telemetryPlane(cfg config, targets []telemetry.Target, sloReg *obs.Registry
 }
 
 // flushArtifacts writes the trace ring (-trace-out) and a final metrics
-// snapshot (-metrics-out, the process-wide registry followed by the
-// export list, as the debug /metrics serves it) at shutdown.
+// snapshot (-metrics-out, the export list as the debug /metrics serves
+// it) at shutdown.
 func flushArtifacts(cfg config, tracer *obs.Tracer, logger *obs.Logger, exports []*obs.Registry) {
 	if cfg.traceOut != "" {
 		var buf bytes.Buffer
@@ -710,7 +706,6 @@ func flushArtifacts(cfg config, tracer *obs.Tracer, logger *obs.Logger, exports 
 	}
 	if cfg.metricsOut != "" {
 		var buf bytes.Buffer
-		obs.Default().WritePrometheus(&buf)
 		for _, reg := range exports {
 			reg.WritePrometheus(&buf)
 		}
@@ -736,11 +731,10 @@ func exposition(regs ...*obs.Registry) http.HandlerFunc {
 	}
 }
 
-// debugMux assembles the operator-only endpoint set: Go's pprof and expvar
-// handlers (registered explicitly on a private mux, so nothing leaks onto
+// debugMux assembles the operator-only endpoint set: Go's pprof handlers
+// (registered explicitly on a private mux, so nothing leaks onto
 // http.DefaultServeMux or the prediction listener), the kit's trace ring
-// and exemplars, and the full Prometheus exposition — the process-wide
-// registry first (worker-pool instruments), then the export list.
+// and exemplars, and the export list's Prometheus exposition.
 func debugMux(kit *obsKit, exports []*obs.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/exemplars", kit.exemplars.Handler())
@@ -749,8 +743,7 @@ func debugMux(kit *obsKit, exports []*obs.Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/metrics", exposition(append([]*obs.Registry{obs.Default()}, exports...)...))
+	mux.HandleFunc("/metrics", exposition(exports...))
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		// The ring snapshot is taken inside; a failed write means the

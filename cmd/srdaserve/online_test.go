@@ -150,19 +150,16 @@ func TestOnlineSmoke(t *testing.T) {
 		}
 	}
 
-	// Rollback must be observable on the scrape endpoint from both the
-	// trainer's and the registry's side.
+	// Rollback must be observable on the scrape endpoint.
 	text, err := client.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
 		"srdaonline_samples_total",
-		"srdaonline_holdout_total",
 		"srdaonline_refits_total 2",
-		"srdaonline_publishes_total 2",
+		"srdaonline_refit_failures_total 0",
 		"srdaonline_rollbacks_total 1",
-		`srdareg_rollbacks_total{model="default"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -85,11 +85,15 @@ func TestShardSmoke(t *testing.T) {
 		// -role=all serves one combined scrape: router, worker, and
 		// shared-registry families on the same endpoint.
 		"srdaserve_requests_total",
-		"srdareg_models 3",
+		"srdareg_bytes",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("router /metrics missing %q", want)
 		}
+	}
+	// The unknown tenant's 404 left no series naming it.
+	if strings.Contains(text, "tenant-404") {
+		t.Errorf("router /metrics names the unknown tenant:\n%s", text)
 	}
 	var routed int
 	for _, line := range strings.Split(text, "\n") {

@@ -295,14 +295,18 @@ func (m *Model) TransformSparse(x *sparse.CSR) *mat.Dense { return m.ProjectBatc
 const projMinWork = 1 << 14
 
 // shardRows runs fn over the row range of x, parallel when the volume
-// justifies it; ctx carries tracing into the pool, so a traced request
-// records the "pool.do" dispatch span.
+// justifies it.  Under a traced request the sharded run is recorded as
+// one "pool.do" span covering dispatch through completion; ctx carries
+// only that span, since a dispatched shard set must always run to
+// completion to keep outputs bitwise identical to the sequential kernel.
 func (m *Model) shardRows(ctx context.Context, x *sparse.CSR, fn func(lo, hi int)) {
 	if m.Workers == 1 || x.Rows < 2 || x.NNZ()*m.Dim() < projMinWork {
 		fn(0, x.Rows)
 		return
 	}
-	pool.DoCtx(ctx, m.Workers, x.Rows, fn)
+	_, sp := obs.StartSpan(ctx, "pool.do")
+	pool.Do(m.Workers, x.Rows, fn)
+	sp.End()
 }
 
 // ProjectBatch embeds the rows of x with one GEMM into dst, which is

@@ -12,7 +12,7 @@
 //   - Direct calls to package functions and concrete methods, including
 //     qualified cross-package calls (blas.Gemm, obs.StartSpan).
 //   - Function and method values passed as arguments — the closure handed
-//     to pool.Do / pool.DoCtx, a method value handed to a dispatcher —
+//     to pool.Do, a method value handed to a dispatcher —
 //     produce a KindRef edge from the caller, because the callee runs on
 //     the caller's behalf even though the call site lives elsewhere.
 //   - Function literals are inlined into their enclosing declaration:

@@ -27,8 +27,8 @@
 //   - noclock: no wall-clock reads (time.Now and friends) inside the
 //     numeric packages or internal/pool; internal/obs is the single
 //     sanctioned clock owner, and instrumented code records through the
-//     obs.ReqSpan/obs.Stamp handles it vends.  Other timing belongs to the
-//     bench and experiment layers.
+//     obs.ReqSpan handles it vends.  Other timing belongs to the bench
+//     and experiment layers.
 //   - errdrop: no silently discarded error returns outside tests; an
 //     explicit `_ =` is required where dropping is intentional.
 //   - rawlog: no package log (and no fmt.Fprint* to os.Stderr) in library

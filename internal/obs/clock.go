@@ -13,17 +13,3 @@ type Clock func() time.Time
 // particular) take a Clock from their caller instead of reading package
 // time; the process entry points pass this one, tests pass a fake.
 func SystemClock() Clock { return time.Now }
-
-// Stamp is an opaque start-time capture for code that may not read the
-// clock itself (internal/pool's queue-wait measurement).  The clock read
-// stays inside obs, the sanctioned owner.
-type Stamp struct{ t time.Time }
-
-// NowStamp captures the current time.
-func NowStamp() Stamp { return Stamp{t: time.Now()} }
-
-// Elapsed returns the time since the stamp was captured (monotonic).
-func (s Stamp) Elapsed() time.Duration { return time.Since(s.t) }
-
-// Seconds returns Elapsed as seconds.
-func (s Stamp) Seconds() float64 { return s.Elapsed().Seconds() }

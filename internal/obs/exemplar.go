@@ -147,16 +147,3 @@ func (e *ExemplarStore) Handler() http.Handler {
 		_, _ = w.Write(append(data, '\n')) // best-effort: the client owns the socket
 	})
 }
-
-// AttachExemplars links the histogram to an exemplar store under its own
-// metric name; ObserveTraced then records outliers there.
-func (h *Histogram) AttachExemplars(store *ExemplarStore) {
-	h.exemplars = store
-}
-
-// ObserveTraced records one value like Observe and forwards it with its
-// trace to the attached exemplar store (no-op without one).
-func (h *Histogram) ObserveTraced(v float64, trace TraceID) {
-	h.Observe(v)
-	h.exemplars.Observe(h.name, v, trace)
-}

@@ -101,17 +101,10 @@ func TestExemplarHandler(t *testing.T) {
 	}
 }
 
-// TestTracedInstruments: Histogram.ObserveTraced and
-// QuantileSketch.ObserveTraced feed both the instrument and the store.
+// TestTracedInstruments: QuantileSketch.ObserveTraced feeds both the
+// sketch and the store.
 func TestTracedInstruments(t *testing.T) {
-	reg := NewRegistry()
 	e := NewExemplarStore(0)
-	h := reg.NewHistogram("lat_hist", "h", []float64{0.1, 1})
-	h.AttachExemplars(e)
-	h.ObserveTraced(0.5, 401)
-	if h.Count() != 1 {
-		t.Fatal("histogram missed the observation")
-	}
 	q := NewQuantileSketch()
 	q.AttachExemplars("lat_sketch", e)
 	q.ObserveTraced(0.25, 402)
@@ -119,10 +112,10 @@ func TestTracedInstruments(t *testing.T) {
 		t.Fatal("sketch missed the observation")
 	}
 	snap := e.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("store holds %d exemplars, want 2: %+v", len(snap), snap)
+	if len(snap) != 1 {
+		t.Fatalf("store holds %d exemplars, want 1: %+v", len(snap), snap)
 	}
-	if snap[0].Metric != "lat_hist" || snap[1].Metric != "lat_sketch" {
+	if snap[0].Metric != "lat_sketch" {
 		t.Fatalf("metrics: %+v", snap)
 	}
 }

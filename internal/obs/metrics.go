@@ -35,13 +35,6 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry { return &Registry{names: make(map[string]bool)} }
 
-// defaultRegistry collects process-wide instruments (the worker pool's
-// among them); subsystems needing isolation create their own registry.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
-
 func (r *Registry) register(m metric) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -110,32 +103,6 @@ func (c *Counter) metricName() string { return c.name }
 func (c *Counter) writeProm(w io.Writer) {
 	promHeader(w, c.name, c.help, "counter")
 	fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
-}
-
-// Gauge is an integer metric that can go up and down.
-type Gauge struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) metricName() string { return g.name }
-
-func (g *Gauge) writeProm(w io.Writer) {
-	promHeader(w, g.name, g.help, "gauge")
-	fmt.Fprintf(w, "%s %d\n", g.name, g.v.Load())
 }
 
 // gaugeFunc samples a point-in-time value at exposition (queue depths,
@@ -331,7 +298,6 @@ type Histogram struct {
 	counts     []atomic.Int64
 	sumBits    atomic.Uint64
 	count      atomic.Int64
-	exemplars  *ExemplarStore // set once via AttachExemplars before use
 }
 
 // NewHistogram registers and returns a histogram with the given ascending

@@ -15,17 +15,11 @@ func TestCounterAndGauge(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	g := r.NewGauge("g", "A gauge.")
-	g.Set(5)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
-	}
 	r.NewGaugeFunc("gf", "A sampled gauge.", func() int64 { return 42 })
 
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	want := "# HELP c_total A counter.\n# TYPE c_total counter\nc_total 5\n" +
-		"# HELP g A gauge.\n# TYPE g gauge\ng 5\n" +
 		"# HELP gf A sampled gauge.\n# TYPE gf gauge\ngf 42\n"
 	if sb.String() != want {
 		t.Fatalf("exposition mismatch:\n got %q\nwant %q", sb.String(), want)
@@ -40,7 +34,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Fatal("duplicate metric name did not panic")
 		}
 	}()
-	r.NewGauge("dup", "second")
+	r.NewGaugeFunc("dup", "second", func() int64 { return 0 })
 }
 
 func TestCounterVec(t *testing.T) {

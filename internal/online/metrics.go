@@ -9,10 +9,8 @@ import "srda/internal/obs"
 type metrics struct {
 	reg           *obs.Registry
 	samples       *obs.Counter
-	holdout       *obs.Counter
 	refits        *obs.Counter
 	refitFailures *obs.Counter
-	publishes     *obs.Counter
 	rollbacks     *obs.Counter
 }
 
@@ -22,32 +20,19 @@ func newMetrics() *metrics {
 		reg: reg,
 		samples: reg.NewCounter("srdaonline_samples_total",
 			"Labeled samples observed by the streaming trainer (training + holdout)."),
-		holdout: reg.NewCounter("srdaonline_holdout_total",
-			"Observed samples diverted into the validation holdout."),
 		refits: reg.NewCounter("srdaonline_refits_total",
 			"Refit attempts (triggered or manual)."),
 		refitFailures: reg.NewCounter("srdaonline_refit_failures_total",
 			"Refits that produced no published model (solve or publish failure)."),
-		publishes: reg.NewCounter("srdaonline_publishes_total",
-			"Refit candidates published into the model registry."),
 		rollbacks: reg.NewCounter("srdaonline_rollbacks_total",
 			"Published candidates rolled back after failing validation."),
 	}
 }
 
-// bind registers the instruments that read live trainer state; separate
-// from newMetrics because the trainer must exist first.
+// bind registers the drift gauge, which reads live trainer state;
+// separate from newMetrics because the trainer must exist first.
 func (m *metrics) bind(t *StreamTrainer) {
 	m.reg.NewGaugeFloatFunc("srdaonline_drift_score",
 		"Current windowed class-mean drift score against the last refit's means.",
 		t.DriftScore)
-	m.reg.NewGaugeFloatFunc("srdafit_cond_estimate",
-		"Condition-number estimate of the last refit's normal equations (Cholesky diagonal ratio squared).",
-		t.CondEstimate)
-	m.reg.NewGaugeFloatFunc("srdafit_holdout_accuracy",
-		"Holdout accuracy of the last validated refit candidate.",
-		func() float64 { c, _ := t.HoldoutAccuracies(); return c })
-	m.reg.NewGaugeFloatFunc("srdafit_prev_accuracy",
-		"Holdout accuracy of the previous live model at the last validation.",
-		func() float64 { _, p := t.HoldoutAccuracies(); return p })
 }

@@ -150,13 +150,7 @@ type StreamTrainer struct {
 
 	seen      atomic.Int64 // mirrors total for lock-free reads
 	driftBits atomic.Uint64
-	// Numeric health of the last refit, published as srdafit_* gauges:
-	// Cholesky conditioning, and the holdout accuracies of the last
-	// validated candidate versus the model it replaced.
-	condBits     atomic.Uint64
-	holdCandBits atomic.Uint64
-	holdPrevBits atomic.Uint64
-	mx           *metrics
+	mx        *metrics
 }
 
 // NewStreamTrainer validates cfg and returns an empty trainer.
@@ -215,21 +209,6 @@ func (t *StreamTrainer) Model() *core.Model {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.model
-}
-
-// CondEstimate returns the condition-number estimate of the last
-// successful refit's normal equations (0 before the first refit) — the
-// srdafit_cond_estimate gauge.
-func (t *StreamTrainer) CondEstimate() float64 {
-	return math.Float64frombits(t.condBits.Load())
-}
-
-// HoldoutAccuracies returns the holdout accuracy of the last validated
-// candidate and of the model it was compared against (0,0 before the
-// first validated refit) — the srdafit_holdout_accuracy and
-// srdafit_prev_accuracy gauges.
-func (t *StreamTrainer) HoldoutAccuracies() (candidate, previous float64) {
-	return math.Float64frombits(t.holdCandBits.Load()), math.Float64frombits(t.holdPrevBits.Load())
 }
 
 // DriftScore returns the current windowed class-mean drift score: the
@@ -297,7 +276,6 @@ func (t *StreamTrainer) observeLocked(ctx context.Context, x []float64, label in
 		if over := len(t.holdout) - maxHoldout; over > 0 {
 			t.holdout = append([]holdoutSample(nil), t.holdout[over:]...)
 		}
-		t.mx.holdout.Inc()
 	} else if err := t.stats.Absorb(x, label); err != nil {
 		return err
 	}
@@ -377,7 +355,6 @@ func (t *StreamTrainer) refitLocked(ctx context.Context, trigger string) (*core.
 		t.cfg.Flight.NoteRefitFailure(trace)
 		return nil, 0, fmt.Errorf("online: refit (trigger=%s): %w", trigger, err)
 	}
-	t.condBits.Store(math.Float64bits(candidate.Stats.CondEstimate))
 	t.model = candidate
 	t.hasRefit = true
 	if t.drift != nil {
@@ -426,7 +403,6 @@ func (t *StreamTrainer) publishAndValidateLocked(ctx context.Context, candidate 
 		t.cfg.Flight.NoteRefitFailure(trace)
 		return 0, fmt.Errorf("online: publishing refit: %w", err)
 	}
-	t.mx.publishes.Inc()
 	t.version = snap.Version
 	t.cfg.Logger.Info("refit published", "trigger", trigger,
 		"model", name, "version", snap.Version)
@@ -441,8 +417,6 @@ func (t *StreamTrainer) publishAndValidateLocked(ctx context.Context, candidate 
 		if scored > 0 {
 			health.HoldoutAccuracy, health.PrevAccuracy = candAcc, prevAcc
 			health.HoldoutDelta = candAcc - prevAcc
-			t.holdCandBits.Store(math.Float64bits(candAcc))
-			t.holdPrevBits.Store(math.Float64bits(prevAcc))
 		}
 		if scored > 0 && prevAcc-candAcc > maxRegression {
 			reason = fmt.Sprintf("holdout accuracy %.3f vs %.3f on %d samples", candAcc, prevAcc, scored)

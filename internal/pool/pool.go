@@ -25,11 +25,8 @@
 package pool
 
 import (
-	"context"
 	"runtime"
 	"sync"
-
-	"srda/internal/obs"
 )
 
 // Pool is a fixed-size set of long-lived worker goroutines.  The zero
@@ -115,17 +112,11 @@ func (p *Pool) run(shards, n int, upper bool, fn func(lo, hi int)) {
 			defer wg.Done()
 			fn(spanLo, spanHi)
 		}
-		submitted := obs.NowStamp()
 		select {
-		case p.tasks <- func() {
-			queueWait.Observe(submitted.Seconds())
-			body()
-		}:
-			spansDispatched.Inc()
+		case p.tasks <- body:
 		default:
 			// No worker is idle right now; running inline keeps every
 			// span actively executing and makes nested Runs deadlock-free.
-			spansInline.Inc()
 			body()
 		}
 		lo = hi
@@ -179,16 +170,3 @@ func Do(workers, n int, fn func(lo, hi int)) { shared.Run(workers, n, fn) }
 // the lower triangle — shard the reversed index:
 // DoUpper(w, n, func(lo, hi int) { f(n-hi, n-lo) }).
 func DoUpper(workers, n int, fn func(lo, hi int)) { shared.run(workers, n, true, fn) }
-
-// DoCtx is Do under request-scoped tracing: when ctx carries an active
-// span (obs.StartSpan), the whole sharded run is recorded as one
-// "pool.do" child covering dispatch through completion.  Without a span
-// the overhead is a nil check.  The context carries only the span —
-// cancellation is deliberately not consulted, because a dispatched shard
-// set must always run to completion to keep outputs bitwise identical to
-// the sequential kernel.
-func DoCtx(ctx context.Context, workers, n int, fn func(lo, hi int)) {
-	_, sp := obs.StartSpan(ctx, "pool.do")
-	shared.Run(workers, n, fn)
-	sp.End()
-}

@@ -259,3 +259,21 @@ func TestSpanStartAllocatesNothing(t *testing.T) {
 		t.Fatalf("spanStart allocated %v times per run", allocs)
 	}
 }
+
+// TestInlineFallbackWhenWorkerBusy pins the inline path: with the only
+// worker provably busy, Run must still finish by running the submitted
+// span on the caller instead of waiting for the worker.
+func TestInlineFallbackWhenWorkerBusy(t *testing.T) {
+	p := New(1)
+	p.startWorkers()
+	block := make(chan struct{})
+	// The task channel is unbuffered, so this send returning proves the
+	// worker has the blocking task in hand.
+	p.tasks <- func() { <-block }
+	defer close(block)
+	var spans atomic.Int32
+	p.Run(2, 2, func(lo, hi int) { spans.Add(1) })
+	if got := spans.Load(); got != 2 {
+		t.Fatalf("Run returned after %d of 2 spans", got)
+	}
+}

@@ -2,38 +2,25 @@ package registry
 
 import "srda/internal/obs"
 
-// Metrics is the registry's instrument set on its own obs registry, so a
+// metrics is the registry's instrument set on its own obs registry, so a
 // worker can append the exposition to its /metrics without colliding
-// with the serve instruments.  Registration order is exposition order;
-// new instruments go at the end.
-type Metrics struct {
+// with the serve instruments.  Both instruments size the LRU byte
+// budget.  Registration order is exposition order; new instruments go
+// at the end.
+type metrics struct {
 	reg       *obs.Registry
-	publishes *obs.CounterVec // model
-	hits      *obs.CounterVec // model
-	misses    *obs.CounterVec // model
-	rollbacks *obs.CounterVec // model
 	evictions *obs.Counter
-	models    *obs.Gauge
-	bytes     *obs.Gauge
 }
 
-func newMetrics() *Metrics {
+// newMetrics registers the instruments; bytes is sampled at exposition.
+func newMetrics(bytes func() int64) *metrics {
 	reg := obs.NewRegistry()
-	return &Metrics{
+	mx := &metrics{
 		reg: reg,
-		publishes: reg.NewCounterVec("srdareg_publishes_total",
-			"Model versions published, by model name.", "model"),
-		hits: reg.NewCounterVec("srdareg_hits_total",
-			"Registry lookups that found a live model, by model name.", "model"),
-		misses: reg.NewCounterVec("srdareg_misses_total",
-			"Registry lookups for unknown or evicted models, by requested name.", "model"),
-		rollbacks: reg.NewCounterVec("srdareg_rollbacks_total",
-			"Version rollbacks, by model name.", "model"),
 		evictions: reg.NewCounter("srdareg_evictions_total",
 			"Models evicted by the LRU byte budget."),
-		models: reg.NewGauge("srdareg_models",
-			"Live model names resident in the registry."),
-		bytes: reg.NewGauge("srdareg_bytes",
-			"Estimated resident bytes of all live model versions."),
 	}
+	reg.NewGaugeFunc("srdareg_bytes",
+		"Estimated resident bytes of all live model versions.", bytes)
+	return mx
 }

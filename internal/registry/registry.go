@@ -88,16 +88,17 @@ type Registry struct {
 	models map[string]*entry
 	bytes  int64 // sum of live-version bytes across all names
 	clock  atomic.Uint64
-	mx     *Metrics
+	mx     *metrics
 }
 
 // New creates an empty registry with its own metrics instruments.
 func New(opts Options) *Registry {
-	return &Registry{
+	r := &Registry{
 		opts:   opts,
 		models: make(map[string]*entry),
-		mx:     newMetrics(),
 	}
+	r.mx = newMetrics(r.Bytes)
+	return r
 }
 
 // Metrics returns the registry's obs instrument set; the serving layer
@@ -168,8 +169,6 @@ func (r *Registry) Publish(name string, m *core.Model) (*Snapshot, error) {
 	evicted := r.evictLocked(name)
 	r.mu.Unlock()
 
-	r.mx.publishes.With(name).Inc()
-	r.updateGauges()
 	r.opts.Logger.Info("model published", "model", name,
 		"version", snap.Version, "bytes", snap.Bytes)
 	for _, ev := range evicted {
@@ -220,11 +219,9 @@ func (r *Registry) Get(name string) (*Snapshot, bool) {
 	}
 	r.mu.RUnlock()
 	if e == nil {
-		r.mx.misses.With(name).Inc()
 		return nil, false
 	}
 	e.lastUsed.Store(r.clock.Add(1))
-	r.mx.hits.With(name).Inc()
 	return snap, true
 }
 
@@ -260,8 +257,6 @@ func (r *Registry) Rollback(name string) (*Snapshot, error) {
 	e.lastUsed.Store(r.clock.Add(1))
 	r.mu.Unlock()
 
-	r.mx.rollbacks.With(name).Inc()
-	r.updateGauges()
 	r.opts.Logger.Info("model rolled back", "model", name, "version", snap.Version)
 	return snap, nil
 }
@@ -291,15 +286,6 @@ func (r *Registry) List() []*Snapshot {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// updateGauges refreshes the models/bytes gauges after a mutation.
-func (r *Registry) updateGauges() {
-	r.mu.RLock()
-	n, b := len(r.models), r.bytes
-	r.mu.RUnlock()
-	r.mx.models.Set(int64(n))
-	r.mx.bytes.Set(b)
 }
 
 // LoadDir publishes every regular file in dir as a model named after its

@@ -225,6 +225,16 @@ func forwarded(r *Router, replicas []string) []int64 {
 	return n
 }
 
+// serverErrors counts a replica's 5xx forwards: its own 5xx replies and
+// the transport failures the router maps to one.
+func serverErrors(r *Router, replica string) int64 {
+	var n int64
+	for code := 500; code < 600; code++ {
+		n += r.mx.requests.Value(replica, strconv.Itoa(code))
+	}
+	return n
+}
+
 // TestWhereBadBodiesAreRefused: a body malformed at its top level (a
 // repeated, case-variant or unknown key among them) gets the router's
 // own 400 naming an offset, before admission, so it calls no backend and
@@ -272,8 +282,8 @@ func TestWhereBadBodiesAreRefused(t *testing.T) {
 			t.Errorf("error inside a sample: %s counted %d forwards", replicas[i], d)
 		}
 	}
-	if n := r.mx.backendErrors.Value(replicas[owner]); n != 0 {
-		t.Errorf("backend errors on %s = %d for a client's bad body, want 0", replicas[owner], n)
+	if n := serverErrors(r, replicas[owner]); n != 0 {
+		t.Errorf("5xx forwards on %s = %d for a client's bad body, want 0", replicas[owner], n)
 	}
 	if rec := routeOne(r, good); rec.Code != http.StatusOK {
 		t.Errorf("second token: %d %q", rec.Code, rec.Body.String())
@@ -295,9 +305,9 @@ func (b stubBody) PredictBody(context.Context, []byte) (int, []byte, error) {
 	return b.code, []byte(`{"error":"stub"}` + "\n"), b.err
 }
 
-// TestBackendErrorsCountReplicaFaults: srdaroute_backend_errors_total
-// counts a replica's 5xx replies and transport failures, not the 4xx
-// replies a client's own request earns.
+// TestBackendErrorsCountReplicaFaults: the 5xx share of
+// srdaroute_requests_total counts a replica's 5xx replies and transport
+// failures, not the 4xx replies a client's own request earns.
 func TestBackendErrorsCountReplicaFaults(t *testing.T) {
 	const body = `{"model":"tenant-0","samples":[{"dense":[0,0,0,0,0,0,0,0]}]}`
 	_, _, workers := colocated(t, 1, Options{})
@@ -318,7 +328,7 @@ func TestBackendErrorsCountReplicaFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := routeOne(r, body)
-		if got := r.mx.backendErrors.Value("worker-0"); got != tc.want {
+		if got := serverErrors(r, "worker-0"); got != tc.want {
 			t.Errorf("%s: reply %d counted %d backend errors, want %d", tc.name, rec.Code, got, tc.want)
 		}
 		r.Close()

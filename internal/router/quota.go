@@ -22,13 +22,18 @@ type bucket struct {
 }
 
 // quotas manages the per-tenant buckets.  Zero rate disables quota
-// enforcement entirely (allow always admits).
+// enforcement entirely (allow always admits).  A tenant is whatever
+// model name a client sends, so the map is swept: a bucket that has
+// refilled to burst behaves exactly like an absent one and is dropped.
+// A sweep runs when the map has doubled since the last one left kept
+// buckets, which keeps its cost constant per tenant added.
 type quotas struct {
 	mu      sync.Mutex
 	rate    float64 // tokens per second per tenant
 	burst   float64
 	clock   func() time.Time
 	buckets map[string]*bucket
+	kept    int // buckets the last sweep left
 }
 
 func newQuotas(rate float64, burst int, clock func() time.Time) *quotas {
@@ -57,20 +62,41 @@ func (q *quotas) allow(tenant string) bool {
 	defer q.mu.Unlock()
 	b := q.buckets[tenant]
 	if b == nil {
+		if len(q.buckets) >= 2*q.kept {
+			q.sweepLocked(now)
+		}
 		b = &bucket{tokens: q.burst, last: now}
 		q.buckets[tenant] = b
 	} else {
-		if dt := now.Sub(b.last).Seconds(); dt > 0 {
-			b.tokens += dt * q.rate
-			if b.tokens > q.burst {
-				b.tokens = q.burst
-			}
-		}
-		b.last = now
+		q.refill(b, now)
 	}
 	if b.tokens < 1 {
 		return false
 	}
 	b.tokens--
 	return true
+}
+
+// refill adds the tokens earned since b.last, capped at burst.
+func (q *quotas) refill(b *bucket, now time.Time) {
+	if dt := now.Sub(b.last).Seconds(); dt > 0 {
+		b.tokens += dt * q.rate
+		if b.tokens > q.burst {
+			b.tokens = q.burst
+		}
+	}
+	b.last = now
+}
+
+// sweepLocked drops every bucket that has refilled to burst by now.
+// Caller holds q.mu.
+func (q *quotas) sweepLocked(now time.Time) {
+	//srdalint:ignore maprange each bucket is kept or dropped on its own state; the order of visits changes nothing
+	for tenant, b := range q.buckets {
+		q.refill(b, now)
+		if b.tokens >= q.burst {
+			delete(q.buckets, tenant)
+		}
+	}
+	q.kept = len(q.buckets)
 }

@@ -139,8 +139,8 @@ type Options struct {
 	// Flight, when non-nil, is the process flight recorder: shed requests
 	// feed its shed-storm trigger.  Nil disables.
 	Flight *obs.FlightRecorder
-	// Exemplars, when non-nil, links the forward-latency histogram to an
-	// exemplar store so routed-latency outliers carry their TraceID.
+	// Exemplars, when non-nil, links the per-tenant latency sketches to
+	// an exemplar store so routed-latency outliers carry their TraceID.
 	Exemplars *obs.ExemplarStore
 }
 
@@ -188,7 +188,8 @@ type Router struct {
 	start    time.Time
 
 	// tenantMu guards tenantLat, the per-tenant forward-latency sketches
-	// behind the srdaroute_tenant_latency_{p50,p99} gauge families.
+	// behind the srdaroute_tenant_latency_p99 gauge family.  Only a 200
+	// reply adds a tenant, so the map is bounded by the models served.
 	tenantMu  sync.Mutex
 	tenantLat map[string]*obs.QuantileSketch
 }
@@ -223,9 +224,6 @@ func New(backends []Backend, opts Options) (*Router, error) {
 	}
 	r.mx = newMetrics(func() int64 { return int64(len(r.Ring())) })
 	r.mx.bindTenantLatency(r)
-	if opts.Exemplars != nil {
-		r.mx.forward.AttachExemplars(opts.Exemplars)
-	}
 	r.mu.Lock()
 	r.rebuildRingLocked()
 	r.mu.Unlock()
@@ -360,7 +358,7 @@ func (r *Router) healthLoop() {
 // returning the typed error clients see (429 for quota, 503 otherwise —
 // both satisfy errors.Is(err, serve.ErrShed)).
 func (r *Router) shed(reason, tenant string, trace obs.TraceID, code int, msg string) error {
-	r.mx.shed.With(reason, tenant).Inc()
+	r.mx.shed.With(reason).Inc()
 	r.opts.Flight.NoteShed(trace)
 	r.logger.Sample("shed_"+reason, time.Second).Warn("request shed",
 		"reason", reason, "tenant", tenant)
@@ -380,25 +378,30 @@ func (r *Router) now() time.Time {
 	return time.Now()
 }
 
-// observeForward feeds one routed-predict latency to the shared forward
-// histogram (with its trace, for exemplars) and to the tenant's own
-// quantile sketch behind the srdaroute_tenant_latency_* gauge families.
+// tenantLatencyName names the router's per-tenant latency sketches in
+// the exemplar store.
+const tenantLatencyName = "srdaroute_tenant_latency"
+
+// observeForward feeds one successful routed-predict latency, with its
+// trace, to the tenant's quantile sketch behind the
+// srdaroute_tenant_latency_p99 gauge family; an attached exemplar store
+// keeps the outliers' traces.
 func (r *Router) observeForward(tenant string, sec float64, trace obs.TraceID) {
-	r.mx.forward.ObserveTraced(sec, trace)
 	r.tenantMu.Lock()
 	sk := r.tenantLat[tenant]
 	if sk == nil {
 		sk = obs.NewQuantileSketch()
+		sk.AttachExemplars(tenantLatencyName, r.opts.Exemplars)
 		r.tenantLat[tenant] = sk
 	}
 	r.tenantMu.Unlock()
-	sk.Observe(sec)
+	sk.ObserveTraced(sec, trace)
 }
 
-// tenantLatencySamples snapshots every tenant sketch at quantile q,
-// sorted by tenant name — the exposition-time sampler behind the
-// per-tenant latency gauge families.
-func (r *Router) tenantLatencySamples(q float64) []obs.GaugeSample {
+// tenantP99Samples snapshots every tenant sketch's p99, sorted by tenant
+// name — the exposition-time sampler behind the per-tenant latency
+// gauge family.
+func (r *Router) tenantP99Samples() []obs.GaugeSample {
 	r.tenantMu.Lock()
 	names := make([]string, 0, len(r.tenantLat))
 	//srdalint:ignore maprange collect-then-sort: names are sorted below before sampling
@@ -413,7 +416,7 @@ func (r *Router) tenantLatencySamples(q float64) []obs.GaugeSample {
 	r.tenantMu.Unlock()
 	out := make([]obs.GaugeSample, 0, len(names))
 	for i, name := range names {
-		v := sketches[i].Query(q)
+		v := sketches[i].Query(0.99)
 		if math.IsNaN(v) {
 			continue
 		}
@@ -490,10 +493,9 @@ func (r *Router) admit(ctx context.Context, model string) (Backend, string, erro
 }
 
 // forward times one backend call under a "forward" span and counts it
-// for the replica by the status call returns.  Only a 5xx, which a
-// transport failure also maps to, counts as a backend error: a client's
-// 400 or an unknown model's 404 says nothing about the replica.  The
-// span rides the context into the call: the HTTP client stamps it onto
+// for the replica by the status call returns; a transport failure maps
+// to a 5xx.  Only a 200 reply feeds the tenant's latency sketch, so a
+// model name no replica serves leaves no state behind.  The span rides the context into the call: the HTTP client stamps it onto
 // the outgoing request as a traceparent header, and a co-located worker
 // parents its "request" span under it — either way the worker continues
 // this TraceID.
@@ -504,11 +506,10 @@ func (r *Router) forward(ctx context.Context, b Backend, tenant string, call fun
 	code := call(fctx)
 	sec := r.now().Sub(begin).Seconds()
 	fsp.End()
-	r.observeForward(tenant, sec, trace)
-	r.mx.requests.With(b.Name(), strconv.Itoa(code)).Inc()
-	if code >= http.StatusInternalServerError {
-		r.mx.backendErrors.With(b.Name()).Inc()
+	if code == http.StatusOK {
+		r.observeForward(tenant, sec, trace)
 	}
+	r.mx.requests.With(b.Name(), strconv.Itoa(code)).Inc()
 }
 
 // forwardTyped forwards a decoded request through the backend's typed

@@ -235,9 +235,9 @@ func TestColocatedRoutingQuotasAndDrain(t *testing.T) {
 		if got[ti].ok != burst || got[ti].quota != perTenant-burst {
 			t.Fatalf("%s: ok=%d quota=%d, want %d/%d", tn, got[ti].ok, got[ti].quota, burst, perTenant-burst)
 		}
-		if shed := r.mx.shed.Value("quota", tn); shed != int64(perTenant-burst) {
-			t.Fatalf("srdaroute_shed_total{quota,%s} = %d, want %d", tn, shed, perTenant-burst)
-		}
+	}
+	if shed, want := r.mx.shed.Value("quota"), int64(len(tenants)*(perTenant-burst)); shed != want {
+		t.Fatalf(`srdaroute_shed_total{reason="quota"} = %d, want %d`, shed, want)
 	}
 
 	// The replica owning tenant-0 fails its health checks and leaves the
@@ -309,7 +309,7 @@ func TestUnknownTenantAndShedTyping(t *testing.T) {
 	if !errors.As(err, &st) || st.RetryAfter <= 0 {
 		t.Fatalf("shed without Retry-After hint: %v", err)
 	}
-	if r.mx.shed.Value("no_backend", "tenant-0") != 1 {
+	if r.mx.shed.Value("no_backend") != 1 {
 		t.Fatal("no_backend shed not counted")
 	}
 	if r.HealthSnapshot().Status != "degraded" {
@@ -439,7 +439,7 @@ func TestOverloadShedding(t *testing.T) {
 	if !errors.Is(err, serve.ErrShed) || serve.StatusCode(err) != http.StatusServiceUnavailable {
 		t.Fatalf("overloaded replica admitted: %v", err)
 	}
-	if r.mx.shed.Value("overload", "tenant-0") != 1 {
+	if r.mx.shed.Value("overload") != 1 {
 		t.Fatal("overload shed not counted")
 	}
 	// A fresh health sweep clears the snapshot and admits again.
@@ -537,7 +537,7 @@ func TestRetryAfterAgreesAcrossTier(t *testing.T) {
 	now = now.Add(time.Minute) // refill, so the empty ring is what sheds
 	clockMu.Unlock()
 	check("no backend", rs.URL, http.StatusServiceUnavailable)
-	if got := r.mx.shed.Value("no_backend", serve.DefaultModelName); got != 1 {
+	if got := r.mx.shed.Value("no_backend"); got != 1 {
 		t.Fatalf("no_backend sheds = %d, want 1", got)
 	}
 }

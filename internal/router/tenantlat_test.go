@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -33,7 +34,7 @@ func (b *clockBackend) Health(context.Context) (*serve.Health, error) {
 
 // TestTenantLatencyQuantilesFrozenClock: with the injected clock driving
 // both quota refill and forward timing, the per-tenant latency gauge
-// families expose exact quantiles (the CKMS sketch is exact at small
+// family exposes exact quantiles (the CKMS sketch is exact at small
 // counts), sorted by tenant, with untouched tenants absent.
 func TestTenantLatencyQuantilesFrozenClock(t *testing.T) {
 	now := time.Unix(1000, 0)
@@ -64,21 +65,68 @@ func TestTenantLatencyQuantilesFrozenClock(t *testing.T) {
 	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	text := rec.Body.String()
 	for _, want := range []string{
-		`srdaroute_tenant_latency_p50{tenant="acme"} 0.015625`,
 		`srdaroute_tenant_latency_p99{tenant="acme"} 0.015625`,
-		`srdaroute_tenant_latency_p50{tenant="zeta"} 0.25`,
 		`srdaroute_tenant_latency_p99{tenant="zeta"} 0.25`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
 	}
-	// Tenant order is sorted: acme's p50 line precedes zeta's.
-	if strings.Index(text, `p50{tenant="acme"}`) > strings.Index(text, `p50{tenant="zeta"}`) {
+	// Tenant order is sorted: acme's line precedes zeta's.
+	if strings.Index(text, `p99{tenant="acme"}`) > strings.Index(text, `p99{tenant="zeta"}`) {
 		t.Error("tenant gauge family not sorted by tenant")
 	}
 	if strings.Contains(text, `tenant="default"`) {
 		t.Errorf("untouched default tenant appeared in the gauge family:\n%s", text)
+	}
+}
+
+// TestUnknownModelNamesLeaveNoState: a client picks the model name, so
+// 20,000 predicts for distinct names no replica serves, each a 404, must
+// add no exposition line on the router or the workers, no tenant
+// latency sketch, and no lasting quota bucket.  A known predict and an
+// unknown one on each replica come first, since the first 200 and each
+// replica's first 404 add their status-code series once.
+func TestUnknownModelNamesLeaveNoState(t *testing.T) {
+	now := time.Unix(4000, 0)
+	// Every read moves the clock a second, so every bucket but the
+	// newest has refilled to its burst of one by the next sweep.
+	clock := func() time.Time { now = now.Add(time.Second); return now }
+	r, reg, workers := colocated(t, 2, Options{QuotaRPS: 1, QuotaBurst: 1, Clock: clock})
+	lines := func(regs ...*obs.Registry) int {
+		var sb strings.Builder
+		for _, g := range regs {
+			g.WritePrometheus(&sb)
+		}
+		return strings.Count(sb.String(), "\n")
+	}
+	workerRegs := []*obs.Registry{workers[0].Registry(), workers[1].Registry(), reg.Metrics()}
+	predict := func(model string, want int) {
+		t.Helper()
+		rec := routeOne(r, `{"model":"`+model+`","samples":[{"dense":[0,0,0,0,0,0,0,0]}]}`)
+		if rec.Code != want {
+			t.Fatalf("%s: %d %q, want %d", model, rec.Code, rec.Body.String(), want)
+		}
+	}
+	predict("tenant-0", http.StatusOK)
+	for i := 0; r.mx.requests.Value("worker-0", "404") == 0 || r.mx.requests.Value("worker-1", "404") == 0; i++ {
+		predict(fmt.Sprintf("warm-%d", i), http.StatusNotFound)
+	}
+	routerLines, workerLines, sketches := lines(r.Registry()), lines(workerRegs...), len(r.tenantLat)
+	for i := 0; i < 20000; i++ {
+		predict(fmt.Sprintf("ghost-%d", i), http.StatusNotFound)
+	}
+	if got := lines(r.Registry()); got != routerLines {
+		t.Errorf("router exposition went from %d to %d lines", routerLines, got)
+	}
+	if got := lines(workerRegs...); got != workerLines {
+		t.Errorf("worker exposition went from %d to %d lines", workerLines, got)
+	}
+	if got := len(r.tenantLat); got != sketches {
+		t.Errorf("tenant sketches went from %d to %d", sketches, got)
+	}
+	if got := len(r.quotas.buckets); got > 2 {
+		t.Errorf("%d quota buckets after the sweep, want at most the newest two", got)
 	}
 }
 

@@ -16,14 +16,12 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	mx.requests.With("/v1/predict", "200").Inc()
 	mx.requests.With("/v1/predict", "400").Inc()
 	mx.requests.With("/healthz", "200").Inc()
-	mx.errors.With("/v1/predict").Inc()
 	mx.latencySketch.Observe(0.001953125) // 2^-9: renders exactly
 	mx.latencySketch.Observe(0.25)
 	mx.batchSize.Observe(2)
 	mx.batchSize.Observe(5)
 	mx.samples.Add(7)
 	mx.batches.Add(2)
-	mx.reloads.Inc()
 	mx.queueRejects.Add(4)
 
 	var sb strings.Builder
@@ -33,9 +31,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 srdaserve_requests_total{endpoint="/healthz",code="200"} 1
 srdaserve_requests_total{endpoint="/v1/predict",code="200"} 2
 srdaserve_requests_total{endpoint="/v1/predict",code="400"} 1
-# HELP srdaserve_errors_total Failed requests by endpoint.
-# TYPE srdaserve_errors_total counter
-srdaserve_errors_total{endpoint="/v1/predict"} 1
 # HELP srdaserve_batch_size Samples coalesced per inference batch.
 # TYPE srdaserve_batch_size histogram
 srdaserve_batch_size_bucket{le="1"} 0
@@ -56,9 +51,6 @@ srdaserve_samples_total 7
 # HELP srdaserve_batches_total Inference batches dispatched.
 # TYPE srdaserve_batches_total counter
 srdaserve_batches_total 2
-# HELP srdaserve_model_reloads_total Successful hot reloads.
-# TYPE srdaserve_model_reloads_total counter
-srdaserve_model_reloads_total 1
 # HELP srdaserve_model_reload_errors_total Failed hot-reload attempts.
 # TYPE srdaserve_model_reload_errors_total counter
 srdaserve_model_reload_errors_total 0
@@ -71,12 +63,6 @@ srdaserve_queue_depth 3
 # HELP srdaserve_model_seq Monotonic sequence number of the live model.
 # TYPE srdaserve_model_seq gauge
 srdaserve_model_seq 2
-# HELP srdaserve_request_latency_p50 Streaming median predict latency in seconds (CKMS sketch, 1% rank error).
-# TYPE srdaserve_request_latency_p50 gauge
-srdaserve_request_latency_p50 0.001953125
-# HELP srdaserve_request_latency_p95 Streaming 95th-percentile predict latency in seconds (CKMS sketch, 0.5% rank error).
-# TYPE srdaserve_request_latency_p95 gauge
-srdaserve_request_latency_p95 0.25
 # HELP srdaserve_request_latency_p99 Streaming 99th-percentile predict latency in seconds (CKMS sketch, 0.1% rank error).
 # TYPE srdaserve_request_latency_p99 gauge
 srdaserve_request_latency_p99 0.25

@@ -227,7 +227,8 @@ func newServer(m *core.Model, opts Options) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry returns the server's metrics registry, so a debug listener can
-// expose it alongside the process-wide obs.Default() registry.
+// expose it alongside the router's, the model registry's and the
+// trainer's.
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
 // Tracer returns the server's request tracer; a debug listener exports
@@ -276,7 +277,6 @@ func (s *Server) Swap(m *core.Model) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.metrics.reloads.Inc()
 	return snap.Version, nil
 }
 
@@ -304,7 +304,7 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 }
 
-// instrument wraps a handler with request/error counting.  Predict
+// instrument wraps a handler with request counting.  Predict
 // latency is observed inside handlePredict/Predict so every observation
 // carries the trace it belongs to (exemplars, flight-recorder p99
 // trigger).
@@ -312,9 +312,6 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 	return func(w http.ResponseWriter, r *http.Request) {
 		code := h(w, r)
 		s.metrics.requests.With(endpoint, strconv.Itoa(code)).Inc()
-		if code >= 400 {
-			s.metrics.errors.With(endpoint).Inc()
-		}
 	}
 }
 

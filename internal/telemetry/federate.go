@@ -4,9 +4,11 @@ package telemetry
 // the shared text grammar, tags each sample with a replica label,
 // ingests the result into one cluster store, and merges the replicas'
 // CKMS sketch snapshots into cluster-level quantiles.  The merged view
-// is re-exposed two ways: /cluster/metrics (deterministic Prometheus
-// text — families sorted by name, samples by canonical key) and
-// /cluster/snapshot (the JSON document srdareport top renders).
+// is re-exposed two ways: /cluster/metrics (the latest value of every
+// federated series as deterministic Prometheus text — families sorted
+// by name, samples by canonical key) and /cluster/snapshot (the JSON
+// document srdareport top renders: replica status, derived rates and
+// the merged quantiles).
 
 import (
 	"context"
@@ -129,8 +131,6 @@ type Federator struct {
 	targets  []Target
 	status   map[string]*replicaScrape
 	sketches map[string]map[string]obs.SketchSnapshot // replica -> metric -> snapshot
-	scrapes  int64
-	errs     int64
 	slo      *SLOEngine
 }
 
@@ -177,7 +177,6 @@ func (f *Federator) AttachSLO(e *SLOEngine) {
 func (f *Federator) Scrape(ctx context.Context, now time.Time) {
 	f.mu.Lock()
 	targets := append([]Target(nil), f.targets...)
-	f.scrapes++
 	slo := f.slo
 	f.mu.Unlock()
 
@@ -189,7 +188,6 @@ func (f *Federator) Scrape(ctx context.Context, now time.Time) {
 		if err != nil {
 			st.up = false
 			st.lastErr = err.Error()
-			f.errs++
 		} else {
 			st.up = true
 			st.lastErr = ""
@@ -274,56 +272,13 @@ func (f *Federator) mergedSketches() []ClusterQuantile {
 	return out
 }
 
-// WriteClusterMetrics renders the deterministic cluster exposition:
-// federation meta-series, merged cluster quantiles, then the latest
-// value of every federated series — families sorted by name, samples
-// by canonical key, so two routers scraping the same fleet at the same
-// frozen instant produce identical bytes (the golden test's contract).
+// WriteClusterMetrics renders the latest value of every federated
+// series under its family's TYPE line (a histogram's _bucket, _sum and
+// _count samples under the one base name) — families sorted by name,
+// samples by canonical key, so two
+// routers scraping the same fleet at the same frozen instant produce
+// identical bytes (the golden test's contract).
 func (f *Federator) WriteClusterMetrics(w io.Writer) {
-	f.mu.Lock()
-	replicas := sortedKeys(f.status)
-	scrapes, errs := f.scrapes, f.errs
-	type repStatus struct {
-		name string
-		up   bool
-	}
-	ups := make([]repStatus, 0, len(replicas))
-	for _, name := range replicas {
-		ups = append(ups, repStatus{name: name, up: f.status[name].up})
-	}
-	f.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP srdafed_replicas Replicas in the federation target set.\n# TYPE srdafed_replicas gauge\nsrdafed_replicas %d\n", len(ups))
-	fmt.Fprintf(w, "# HELP srdafed_scrapes_total Federation scrape passes.\n# TYPE srdafed_scrapes_total counter\nsrdafed_scrapes_total %d\n", scrapes)
-	fmt.Fprintf(w, "# HELP srdafed_scrape_errors_total Failed target scrapes.\n# TYPE srdafed_scrape_errors_total counter\nsrdafed_scrape_errors_total %d\n", errs)
-	fmt.Fprintf(w, "# HELP srdafed_replica_up Whether the last scrape of the replica succeeded.\n# TYPE srdafed_replica_up gauge\n")
-	for _, r := range ups {
-		up := 0
-		if r.up {
-			up = 1
-		}
-		fmt.Fprintf(w, "srdafed_replica_up{%s=\"%s\"} %d\n", ReplicaLabel, obs.EscapeLabelValue(r.name), up)
-	}
-
-	quants := f.mergedSketches()
-	if len(quants) > 0 {
-		fmt.Fprintf(w, "# HELP srdacluster_quantile Cluster-level quantiles from merged per-replica CKMS sketches.\n# TYPE srdacluster_quantile gauge\n")
-		for _, q := range quants {
-			for _, pq := range []struct {
-				q string
-				v float64
-			}{{"0.5", q.P50}, {"0.95", q.P95}, {"0.99", q.P99}} {
-				fmt.Fprintf(w, "srdacluster_quantile{metric=\"%s\",quantile=\"%s\"} %s\n",
-					obs.EscapeLabelValue(q.Metric), pq.q, formatValue(pq.v))
-			}
-		}
-		fmt.Fprintf(w, "# HELP srdacluster_quantile_count Observations behind each merged cluster sketch.\n# TYPE srdacluster_quantile_count gauge\n")
-		for _, q := range quants {
-			fmt.Fprintf(w, "srdacluster_quantile_count{metric=\"%s\"} %d\n", obs.EscapeLabelValue(q.Metric), q.Count)
-		}
-	}
-
-	// Federated series: latest value per series, grouped by family.
 	type famOut struct {
 		typ   string
 		lines []string
@@ -334,10 +289,10 @@ func (f *Federator) WriteClusterMetrics(w io.Writer) {
 		if !ok {
 			continue
 		}
-		fo, ok := fams[si.Name]
+		fo, ok := fams[si.family]
 		if !ok {
 			fo = &famOut{typ: si.Type}
-			fams[si.Name] = fo
+			fams[si.family] = fo
 		}
 		fo.lines = append(fo.lines, si.Key+" "+formatValue(latest.V))
 	}

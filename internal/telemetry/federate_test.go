@@ -186,6 +186,28 @@ func TestReplicaLabelCollision(t *testing.T) {
 	}
 }
 
+// TestClusterMetricsHistogramFamily: a federated histogram renders
+// under one TYPE line named for its family, so the cluster exposition
+// re-parses to the family the worker declared, not to one family per
+// _bucket, _sum and _count sample name.
+func TestClusterMetricsHistogramFamily(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.NewHistogram("srdaserve_batch_size", "Samples coalesced per inference batch.", []float64{1, 2}).Observe(2)
+	f := NewFederator([]Target{RegistryTarget("w0", nil, reg)}, FederatorOptions{
+		Clock: func() time.Time { return t0 },
+	})
+	f.Scrape(context.Background(), t0)
+	var sb strings.Builder
+	f.WriteClusterMetrics(&sb)
+	fams, err := obs.ParsePrometheus([]byte(sb.String()))
+	if err != nil {
+		t.Fatalf("cluster exposition does not re-parse: %v\n%s", err, sb.String())
+	}
+	if len(fams) != 1 || fams[0].Name != "srdaserve_batch_size" || fams[0].Type != "histogram" || len(fams[0].Samples) != 5 {
+		t.Fatalf("families = %+v, want one histogram srdaserve_batch_size with 3 buckets, sum and count\n%s", fams, sb.String())
+	}
+}
+
 // TestFederatorSLOIntegration wires an SLO engine to the federated
 // store and checks a scrape pass evaluates it over replica-tagged
 // series.

@@ -174,12 +174,6 @@ type Alert struct {
 	Transitions int       `json:"transitions"`        // lifetime state changes
 }
 
-// sloMetrics is the srdaslo_* instrument set.
-type sloMetrics struct {
-	evals       *obs.Counter
-	transitions *obs.CounterVec // objective, window, to
-}
-
 // SLOEngine evaluates a config against a Store and runs the alert
 // state machine.  Evaluate is explicit-time, so tests drive the whole
 // lifecycle under a frozen clock.
@@ -193,16 +187,15 @@ type SLOEngine struct {
 	mu     sync.Mutex
 	alerts map[string]*Alert // "objective/window" -> state
 	keys   []string          // sorted, fixed at construction
-	mx     *sloMetrics
 }
 
-// SLOEngineOptions configures an engine; Registry receives the
-// srdaslo_* instruments, Flight the slo_burn trigger.
+// SLOEngineOptions configures an engine; Flight receives the slo_burn
+// trigger.  The alert table itself is read from Alerts: /debug/alerts
+// and /cluster/snapshot serve it.
 type SLOEngineOptions struct {
-	Clock    obs.Clock
-	Registry *obs.Registry
-	Flight   *obs.FlightRecorder
-	Logger   *obs.Logger
+	Clock  obs.Clock
+	Flight *obs.FlightRecorder
+	Logger *obs.Logger
 }
 
 // NewSLOEngine builds an engine over a validated config.
@@ -226,49 +219,7 @@ func NewSLOEngine(cfg *SLOConfig, store *Store, opts SLOEngineOptions) *SLOEngin
 		}
 	}
 	sort.Strings(e.keys)
-	if opts.Registry != nil {
-		e.mx = &sloMetrics{
-			evals: opts.Registry.NewCounter("srdaslo_evaluations_total",
-				"SLO evaluation passes."),
-			transitions: opts.Registry.NewCounterVec("srdaslo_transitions_total",
-				"Alert state-machine transitions.", "objective", "window", "to"),
-		}
-		opts.Registry.NewGaugeFunc("srdaslo_alerts_firing",
-			"Alerts currently firing.", func() int64 { return e.countState(StateFiring) })
-		opts.Registry.NewGaugeFunc("srdaslo_alerts_pending",
-			"Alerts currently pending.", func() int64 { return e.countState(StatePending) })
-		opts.Registry.NewGaugeVecFunc("srdaslo_burn_rate",
-			"Short-window burn rate per objective and window.",
-			[]string{"objective", "window"}, e.burnSamples)
-	}
 	return e
-}
-
-func (e *SLOEngine) countState(state string) int64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var n int64
-	//srdalint:ignore maprange counting states; the sum is order-insensitive
-	for _, a := range e.alerts {
-		if a.State == state {
-			n++
-		}
-	}
-	return n
-}
-
-func (e *SLOEngine) burnSamples() []obs.GaugeSample {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]obs.GaugeSample, 0, len(e.keys))
-	for _, key := range e.keys {
-		a := e.alerts[key]
-		out = append(out, obs.GaugeSample{Labels: []string{a.Objective, a.Window}, Value: a.Burn})
-	}
-	return out
 }
 
 // Alerts returns every alert sorted by objective then window.
@@ -310,9 +261,6 @@ func (e *SLOEngine) Handler() http.HandlerFunc {
 func (e *SLOEngine) Evaluate(now time.Time) {
 	if e == nil {
 		return
-	}
-	if e.mx != nil {
-		e.mx.evals.Inc()
 	}
 	for _, o := range e.cfg.Objectives {
 		for _, w := range e.cfg.Windows {
@@ -408,7 +356,4 @@ func (e *SLOEngine) transitionLocked(a *Alert, state string, now time.Time) {
 	a.State = state
 	a.Since = now
 	a.Transitions++
-	if e.mx != nil {
-		e.mx.transitions.With(a.Objective, a.Window, state).Inc()
-	}
 }

@@ -8,9 +8,13 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
+
+	"srda/internal/obs"
 )
 
 // ClusterSchema is the snapshot schema identifier.
@@ -117,12 +121,14 @@ func (f *Federator) Snapshot(now time.Time) ClusterSnapshot {
 	return snap
 }
 
-// ValidateClusterSnapshot parses data as a ClusterSnapshot and checks
-// the schema — the contract srdareport top holds server replies to.
+// ValidateClusterSnapshot parses data as exactly one ClusterSnapshot
+// document and checks the schema — the contract srdareport top holds
+// server replies to.  A field the schema does not declare, or anything
+// after the document, is an error.
 func ValidateClusterSnapshot(data []byte) (*ClusterSnapshot, error) {
 	var snap ClusterSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, err
+	if err := obs.DecodeStrict(data, &snap); err != nil {
+		return nil, fmt.Errorf("telemetry: cluster snapshot is not valid JSON for the schema: %w", err)
 	}
 	if snap.Schema != ClusterSchema {
 		return nil, &SchemaError{Got: snap.Schema, Want: ClusterSchema}
@@ -134,10 +140,8 @@ func ValidateClusterSnapshot(data []byte) (*ClusterSnapshot, error) {
 type SchemaError struct{ Got, Want string }
 
 func (e *SchemaError) Error() string {
-	return "telemetry: cluster snapshot schema " + strconvQuote(e.Got) + ", want " + strconvQuote(e.Want)
+	return "telemetry: cluster snapshot schema " + strconv.Quote(e.Got) + ", want " + strconv.Quote(e.Want)
 }
-
-func strconvQuote(s string) string { return `"` + s + `"` }
 
 // SnapshotHandler serves /cluster/snapshot.
 func (f *Federator) SnapshotHandler() http.HandlerFunc {

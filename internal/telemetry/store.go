@@ -34,12 +34,14 @@ type SeriesInfo struct {
 	Labels []obs.PromLabel `json:"labels,omitempty"`
 	Type   string          `json:"type"`
 	Points []Point         `json:"points"`
+	family string          // exposition family: a histogram's samples share one
 }
 
 // series is one ring of points.  The ring is fixed at store creation so
 // memory is bounded: capacity × series, independent of uptime.
 type series struct {
 	name   string
+	family string
 	labels []obs.PromLabel
 	typ    string
 	ring   []Point
@@ -105,6 +107,7 @@ func (st *Store) Ingest(now time.Time, fams []obs.PromFamily) {
 			if !ok {
 				sr = &series{
 					name:   smp.Name,
+					family: f.Name,
 					labels: append([]obs.PromLabel(nil), smp.Labels...),
 					typ:    f.Type,
 					ring:   make([]Point, st.capacity),
@@ -156,7 +159,7 @@ func (st *Store) SeriesCount() int {
 
 func (st *Store) viewLocked(key string) SeriesInfo {
 	sr := st.series[key]
-	return SeriesInfo{Key: key, Name: sr.name, Labels: sr.labels, Type: sr.typ, Points: sr.points()}
+	return SeriesInfo{Key: key, Name: sr.name, Labels: sr.labels, Type: sr.typ, Points: sr.points(), family: sr.family}
 }
 
 // Label returns the value of the named label on a series view ("" when
