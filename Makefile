@@ -68,7 +68,8 @@ bench:
 
 # Active fuzzing of the kernel oracles (the blocked parallel Cholesky
 # against the unblocked sweep among them), the model and DiskCSR
-# decoders, the predict/observe body scanner, the observe edge against
+# decoders, the predict/observe body scanner (and its range scan against
+# the sequential one), the observe edge against
 # per-row Observe, router peek and whole routed tier against the strict
 # body reference (internal/jsonref), and the scraped-metrics parser and
 # the SLO config and cluster snapshot validators
@@ -82,6 +83,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzScanPredict$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzScanObserve$$' -fuzztime=30s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzParallelScan$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzObserveRequest$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzPeekPredict$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzRoutePredict$$' -fuzztime=30s ./internal/router

@@ -72,7 +72,7 @@
 // `srdareport top` renders).  -slo-config loads a srda-slo/v1 JSON
 // document of availability and latency-p99 objectives evaluated against
 // that store with multi-window burn-rate alerting; alert states are
-// served at GET /debug/alerts and in /cluster/snapshot, and a
+// served in /cluster/snapshot's alerts, and a
 // transition to firing dumps a slo_burn flight bundle.
 package main
 
@@ -172,7 +172,7 @@ func main() {
 	flag.IntVar(&cfg.refitSamples, "refit-samples", 0, "online: refit every N observed samples (0 = off)")
 	flag.Float64Var(&cfg.driftThreshold, "drift-threshold", 0, "online: refit when the windowed class-mean drift score exceeds this (0 = off)")
 	flag.Float64Var(&cfg.holdoutFrac, "holdout-frac", 0, "online: divert this fraction of observed samples to a validation holdout; refits that regress on it roll back (0 = no validation)")
-	flag.StringVar(&cfg.sloConfigPath, "slo-config", "", "router/all: srda-slo/v1 JSON config; objectives are evaluated against the federated store with multi-window burn-rate alerts at /debug/alerts")
+	flag.StringVar(&cfg.sloConfigPath, "slo-config", "", "router/all: srda-slo/v1 JSON config; objectives are evaluated against the federated store with multi-window burn-rate alerts in /cluster/snapshot")
 	flag.DurationVar(&cfg.telemetryEvery, "telemetry-every", 10*time.Second, "router/all: federation scrape interval feeding /cluster/metrics and /cluster/snapshot")
 	flag.IntVar(&cfg.telemetryPoints, "telemetry-points", 0, "router/all: points retained per federated series (0 = 2880, ~8h at the default interval)")
 	flag.Parse()
@@ -418,7 +418,7 @@ func (t *tier) build(rl role) (http.Handler, error) {
 	// codes per replica, sheds, quota denials) land in the cluster store
 	// where availability SLOs can read them.
 	targets = append(targets, telemetry.RegistryTarget("router", nil, r.Registry()))
-	fed, engine, stopTelemetry, err := telemetryPlane(cfg, targets, kit, logger)
+	fed, stopTelemetry, err := telemetryPlane(cfg, targets, kit, logger)
 	if err != nil {
 		return nil, err
 	}
@@ -431,9 +431,6 @@ func (t *tier) build(rl role) (http.Handler, error) {
 	mux.HandleFunc("/metrics", exposition(t.exports...))
 	mux.HandleFunc("/cluster/metrics", fed.MetricsHandler())
 	mux.HandleFunc("/cluster/snapshot", fed.SnapshotHandler())
-	if engine != nil {
-		mux.HandleFunc("/debug/alerts", engine.Handler())
-	}
 	if len(workers) > 0 {
 		// The registry listing and training samples go to worker 0, which
 		// shares the registry and hosts the trainer (without -online it
@@ -647,22 +644,21 @@ func watchAndReload(cfg config, s *serve.Server, logger *obs.Logger) func() {
 // explicit times, so StartPoller takes the ticker's channel and a stop
 // channel from here.  The returned stop function halts the loop and
 // waits for the poller to exit.
-func telemetryPlane(cfg config, targets []telemetry.Target, kit *obsKit, logger *obs.Logger) (*telemetry.Federator, *telemetry.SLOEngine, func(), error) {
+func telemetryPlane(cfg config, targets []telemetry.Target, kit *obsKit, logger *obs.Logger) (*telemetry.Federator, func(), error) {
 	fed := telemetry.NewFederator(targets, telemetry.FederatorOptions{
 		PointsPerSeries: cfg.telemetryPoints,
 		Logger:          logger,
 	})
-	var engine *telemetry.SLOEngine
 	if cfg.sloConfigPath != "" {
 		data, err := os.ReadFile(cfg.sloConfigPath)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("reading -slo-config: %w", err)
+			return nil, nil, fmt.Errorf("reading -slo-config: %w", err)
 		}
 		sloCfg, err := telemetry.ValidateSLOConfig(data)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		engine = telemetry.NewSLOEngine(sloCfg, fed.Store(), telemetry.SLOEngineOptions{
+		engine := telemetry.NewSLOEngine(sloCfg, fed.Store(), telemetry.SLOEngineOptions{
 			Flight: kit.flight,
 			Logger: logger,
 		})
@@ -682,7 +678,7 @@ func telemetryPlane(cfg config, targets []telemetry.Target, kit *obsKit, logger 
 		fed.Scrape(context.Background(), now)
 	})
 	logger.Info("telemetry plane up", "targets", len(targets), "every", every.String(), "slo", cfg.sloConfigPath != "")
-	return fed, engine, func() {
+	return fed, func() {
 		ticker.Stop()
 		close(stop)
 		<-done

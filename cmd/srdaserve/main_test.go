@@ -434,27 +434,19 @@ func TestAllRoleClusterTelemetry(t *testing.T) {
 			t.Errorf("replica %s down in a healthy tier: %+v", r.Replica, r)
 		}
 	}
-	// One availability objective across the default two windows.
+	// One availability objective across the default two windows, sorted
+	// by window; /cluster/snapshot is the one place the alert table is
+	// served.
 	if len(snap.Alerts) != 2 {
 		t.Fatalf("snapshot alerts = %+v", snap.Alerts)
 	}
-
-	code, ctype, body = httpGet(t, ctx, base+"/debug/alerts")
-	if code != http.StatusOK || ctype != "application/json" {
-		t.Fatalf("/debug/alerts = %d %q", code, ctype)
-	}
-	for _, want := range []string{"predict-availability", `"fast"`, `"slow"`, `"inactive"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/debug/alerts missing %q in %s", want, body)
+	for i, window := range []string{"fast", "slow"} {
+		if a := snap.Alerts[i]; a.Objective != "predict-availability" || a.Window != window || a.State != telemetry.StateInactive {
+			t.Errorf("snapshot alert %d = %+v, want predict-availability/%s inactive", i, a, window)
 		}
 	}
-	resp, err := http.Post(base+"/debug/alerts", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /debug/alerts = %d, want 405", resp.StatusCode)
+	if code, _, _ := httpGet(t, ctx, base+"/debug/alerts"); code != http.StatusNotFound {
+		t.Errorf("/debug/alerts = %d, want 404", code)
 	}
 
 	// Content-Type contract on the rest of the surface: JSON debug
@@ -550,18 +542,24 @@ func TestRouterFederationEndToEnd(t *testing.T) {
 	}
 }
 
-// waitAlertState polls /debug/alerts until the objective reaches the
+// waitAlertState polls /cluster/snapshot until an alert reaches the
 // wanted state.
 func waitAlertState(t *testing.T, ctx context.Context, base, state string, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		_, _, body := httpGet(t, ctx, base+"/debug/alerts")
-		if strings.Contains(body, `"state": "`+state+`"`) {
-			return
+		_, _, body := httpGet(t, ctx, base+"/cluster/snapshot")
+		snap, err := telemetry.ValidateClusterSnapshot([]byte(body))
+		if err != nil {
+			t.Fatalf("snapshot does not validate: %v\n%s", err, body)
+		}
+		for _, a := range snap.Alerts {
+			if a.State == state {
+				return
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("alert never reached %q; last table:\n%s", state, body)
+			t.Fatalf("alert never reached %q; last alerts: %+v", state, snap.Alerts)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -628,11 +626,11 @@ func TestSLOSmoke(t *testing.T) {
 		_, _ = client.Predict(ctx, sparseSampleOf(ds, 0))
 		time.Sleep(25 * time.Millisecond)
 	}
-	waitAlertState(t, ctx, routerBase, "firing", 15*time.Second)
+	waitAlertState(t, ctx, routerBase, telemetry.StateFiring, 15*time.Second)
 
 	// Recovery: traffic stops, the burst ages out of both windows, and
 	// the alert resolves.
-	waitAlertState(t, ctx, routerBase, "resolved", 20*time.Second)
+	waitAlertState(t, ctx, routerBase, telemetry.StateResolved, 20*time.Second)
 
 	bundles, err := filepath.Glob(filepath.Join(flightDir, "flight-slo_burn-*.json"))
 	if err != nil || len(bundles) == 0 {

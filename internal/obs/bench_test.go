@@ -85,6 +85,9 @@ func TestBenchValidateRejectsUnknownFields(t *testing.T) {
 			t.Errorf("bench report followed by %q accepted", tail)
 		}
 	}
+	keyRefusals(t, func(doc []byte) error { _, err := ValidateBench(doc); return err },
+		`{"tool":"srdabench","Schema":1,"results":[{"name":"x","iters":1,"ns_per_op":1}]}`,
+		`{"tool":"srdabench","schema":1,"results":[{"name":"x","iters":1,"iters":1,"ns_per_op":1}]}`)
 }
 
 func TestDiffBench(t *testing.T) {

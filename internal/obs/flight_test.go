@@ -212,7 +212,8 @@ func TestFlightTriggerWithoutTrace(t *testing.T) {
 }
 
 // TestValidateFlightBundleRejects: unknown fields, bad schema, unknown
-// trigger, data after the document.
+// trigger, data after the document, a key in the wrong case and a
+// repeated key.
 func TestValidateFlightBundleRejects(t *testing.T) {
 	base := `"process":"p","trigger":"p99_breach","time":"2026-01-01T00:00:00Z","trace_id":"t0000000000000001","spans":[],"logs":[],"metrics":{},"exemplars":[],"health":[]`
 	valid := `{"schema":"srda-flight/v1",` + base + `}`
@@ -231,4 +232,7 @@ func TestValidateFlightBundleRejects(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+	keyRefusals(t, func(doc []byte) error { _, err := ValidateFlightBundle(doc); return err },
+		`{"Schema":"srda-flight/v1",`+base+`}`,
+		`{"schema":"srda-flight/v1",`+base+`,"process":"p"}`)
 }

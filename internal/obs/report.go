@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"reflect"
+	"strings"
 )
 
 // Report is the structured JSON run report emitted by srdatrain -report
@@ -94,10 +96,17 @@ func ValidateReport(data []byte) (*Report, error) {
 	return &r, nil
 }
 
-// DecodeStrict decodes data into v as exactly one JSON document: a field
-// v does not declare, or anything but white space after the document, is
-// an error.  ValidateReport, ValidateBench, ValidateFlightBundle and the
-// SLO config validator decode through it.
+// DecodeStrict decodes data into v as exactly one JSON document.  It is
+// an error when
+//   - a key is not spelled exactly as the JSON name of one of the
+//     fields of the struct it falls in (encoding/json would match a
+//     field of v by case-insensitive name);
+//   - a key is repeated within one object (encoding/json keeps the last);
+//   - anything but white space follows the document.
+//
+// null stays as encoding/json takes it.  ValidateReport, ValidateBench,
+// ValidateFlightBundle and the SLO config and cluster snapshot
+// validators decode through it.
 func DecodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -107,7 +116,85 @@ func DecodeStrict(data []byte, v any) error {
 	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("data after the JSON document")
 	}
-	return nil
+	return exactKeys(json.NewDecoder(bytes.NewReader(data)), reflect.TypeOf(v))
+}
+
+// exactKeys walks one value of a document encoding/json has decoded into
+// type t and checks the keys of its objects; t is nil inside a value
+// whose keys no struct names.  The documents' structs name their fields
+// by tag or Go name; none embeds a struct or decodes an object itself.
+func exactKeys(d *json.Decoder, t reflect.Type) error {
+	for t != nil && t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	tok, err := d.Token()
+	if err != nil {
+		return err
+	}
+	switch tok {
+	case json.Delim('['):
+		var elem reflect.Type
+		if t != nil && t.Kind() == reflect.Slice {
+			elem = t.Elem()
+		}
+		for d.More() {
+			if err := exactKeys(d, elem); err != nil {
+				return err
+			}
+		}
+	case json.Delim('{'):
+		var fields map[string]reflect.Type
+		if t != nil && t.Kind() == reflect.Struct {
+			fields = jsonFields(t)
+		}
+		seen := map[string]bool{}
+		for d.More() {
+			tok, err := d.Token()
+			if err != nil {
+				return err
+			}
+			key := tok.(string)
+			var elem reflect.Type
+			switch {
+			case fields != nil:
+				ft, ok := fields[key]
+				if !ok {
+					return fmt.Errorf("json: key %q is not spelled as a field's name", key)
+				}
+				elem = ft
+			case t != nil && t.Kind() == reflect.Map:
+				elem = t.Elem()
+			}
+			if seen[key] {
+				return fmt.Errorf("json: key %q repeated in one object", key)
+			}
+			seen[key] = true
+			if err := exactKeys(d, elem); err != nil {
+				return err
+			}
+		}
+	default:
+		return nil
+	}
+	_, err = d.Token()
+	return err
+}
+
+// jsonFields returns the JSON names of t's fields and their types.
+func jsonFields(t reflect.Type) map[string]reflect.Type {
+	fields := map[string]reflect.Type{}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case !f.IsExported() || name == "-":
+			continue
+		case name == "":
+			name = f.Name
+		}
+		fields[name] = f.Type
+	}
+	return fields
 }
 
 // ValidateReportStruct checks an in-memory report against the schema.

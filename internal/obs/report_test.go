@@ -94,6 +94,24 @@ func TestValidateReportRejectsUnknownFields(t *testing.T) {
 			t.Errorf("report followed by %q accepted", tail)
 		}
 	}
+	keyRefusals(t, func(doc []byte) error { _, err := ValidateReport(doc); return err },
+		`{"tool":"x","phases":[{"Name":"a","seconds":1}]}`,
+		`{"tool":"x","tool":"x","phases":[{"name":"a","seconds":1}]}`)
+}
+
+// keyRefusals checks that validate refuses a document whose only fault
+// is a key in the wrong case, and one whose only fault is a key
+// repeated within an object.
+func keyRefusals(t *testing.T, validate func([]byte) error, caseVariant, repeated string) {
+	t.Helper()
+	for _, tc := range []struct{ doc, want string }{
+		{caseVariant, "is not spelled as a field's name"},
+		{repeated, "repeated in one object"},
+	} {
+		if err := validate([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.doc, err, tc.want)
+		}
+	}
 }
 
 func TestWriteFileRefusesInvalidReport(t *testing.T) {

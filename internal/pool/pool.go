@@ -1,6 +1,7 @@
 // Package pool provides the bounded, shared worker pool behind every
 // parallel kernel in this repository (internal/blas Par*, internal/sparse
-// Par*, internal/mat Par*).  A single process-wide pool sized by
+// Par*, internal/mat Par*) and behind the request body scanner's ranges
+// (internal/serve).  A single process-wide pool sized by
 // GOMAXPROCS at startup is reused across all calls, so a hot training or
 // serving loop never pays a per-call goroutine spawn; kernels only hand
 // row shards to workers that are already parked.
@@ -13,7 +14,12 @@
 // sequential kernel.  Results are therefore bitwise identical to the
 // sequential code regardless of worker count or scheduling order; the
 // equivalence suites in internal/blas and internal/sparse enforce this for
-// every kernel at several worker counts.
+// every kernel at several worker counts.  The body scanner is exact by
+// construction rather than by operation order: each span scans a range
+// of a request's samples into its own buffers, and a range is kept only
+// if it ends exactly where the sequential scan of the same bytes does
+// (internal/serve's FuzzParallelScan checks the scan at 1, 2 and 7
+// spans).
 //
 // Deadlock safety under nesting (the LSQR solver spreading its column
 // groups over the pool for a user operator whose own mat-vecs are
@@ -160,7 +166,7 @@ func Shared() *Pool { return shared }
 
 // Do runs fn over [0, n) on the shared pool split into at most workers
 // spans; workers <= 0 means GOMAXPROCS.  This is the single entry point
-// the parallel kernels use.
+// the parallel kernels and the body scanner use.
 func Do(workers, n int, fn func(lo, hi int)) { shared.Run(workers, n, fn) }
 
 // DoUpper is Do over the rows of an n-row upper triangle, split into

@@ -26,6 +26,19 @@ package serve
 // targets in scan_test.go, held to the strict reference in
 // internal/jsonref, and TestFloatMatchesStrconv hold it to that.
 //
+// A "samples" array of parallelScanBytes or more is scanned on the pool
+// (internal/pool), one contiguous range of samples per worker, each into
+// its own pooled scanner's arenas.  Under the strict grammar every
+// sample decodes on its own, so the array is cut by a guess that is then
+// verified: evenly spaced byte offsets, each moved to the first "},{"
+// after it, and each range must land exactly on the comma before the
+// next cut, the last on the array's ']'.  A range that overshoots, meets
+// ']' early or refuses anything, or a total over the sample cap, sends
+// the whole array back through the sequential loop from its '['.  So the
+// ranges never decide whether a body is accepted or which error it
+// gets, and every value they keep is one the sequential scan reads from
+// the same bytes: bitwise the same, as FuzzParallelScan checks.
+//
 // PeekPredict, at the end of the file, is the router's read of a predict
 // body.  It walks only the top level with this grammar and skips every
 // sample, "dense" and "sparse" value by its brackets, eight bytes per
@@ -43,11 +56,19 @@ import (
 	"strconv"
 	"sync"
 	"unsafe"
+
+	"srda/internal/pool"
 )
 
 // maxArenaHint caps the values an arena is first sized for; a larger
 // body grows it by append, and an arena grown past it is not pooled.
 const maxArenaHint = 1 << 17
+
+// parallelScanBytes is the size from which a "samples" array, measured
+// from its first sample to the end of the body, is scanned in ranges on
+// the pool.  A single-sample body (a few KiB) stays far below it and
+// never pays for a fork.
+const parallelScanBytes = 64 << 10
 
 // rawSample is one sample as a body or a typed request left it.  Sparse
 // entries are in arrival order; checkSample sorts them by column.
@@ -599,12 +620,20 @@ type bodyScanner struct {
 	jsonScanner
 	observe    bool // ObserveRequest: labels, and no model/embed/shorthand
 	maxSamples int  // a longer "samples" array is rejected
-	arenaHint  int  // initial arena capacity
+	arenaHint  int  // initial arena capacity, 0 until hint counts it
+	// ranges is the number of ranges a "samples" array is cut into: 0
+	// leaves it to the array's size, a negative count never cuts, and a
+	// positive one cuts any array, so tests reach the ranges of small
+	// bodies.
+	ranges int
 
-	dense []float64 // arena of dense values
-	cols  []int     // arena of sparse columns
-	vals  []float64 // arena of sparse values
-	out   scannedBody
+	dense  []float64      // arena of dense values
+	cols   []int          // arena of sparse columns
+	vals   []float64      // arena of sparse values
+	cuts   []int          // first byte of each range, then the last one's end
+	subs   []*bodyScanner // the ranges' scanners; their arenas hold out.recs
+	landed bool           // a range's scan ended exactly where it was cut
+	out    scannedBody
 }
 
 var scanners = sync.Pool{New: func() any { return new(bodyScanner) }}
@@ -613,18 +642,24 @@ var scanners = sync.Pool{New: func() any { return new(bodyScanner) }}
 // out.  The scanner comes back on error too; release it once nothing
 // reads the values, which view its arenas.
 func scanPredict(body []byte, maxSamples int) (*bodyScanner, error) {
-	s := getScanner(body, maxSamples, false)
-	return s, s.scan()
+	return scanBody(body, maxSamples, false, 0)
 }
 
 // scanObserve decodes a POST /v1/observe body, as scanPredict does.
 func scanObserve(body []byte, maxSamples int) (*bodyScanner, error) {
-	s := getScanner(body, maxSamples, true)
+	return scanBody(body, maxSamples, true, 0)
+}
+
+// scanBody is scanPredict or scanObserve with the samples array cut into
+// ranges as bodyScanner.ranges says.
+func scanBody(body []byte, maxSamples int, observe bool, ranges int) (*bodyScanner, error) {
+	s := getScanner(body, maxSamples, observe)
+	s.ranges = ranges
 	return s, s.scan()
 }
 
 // getScanner takes a scanner from the pool and readies it for body; its
-// arenas keep their capacity.
+// arenas and cut lists keep their capacity.
 func getScanner(body []byte, maxSamples int, observe bool) *bodyScanner {
 	s := scanners.Get().(*bodyScanner)
 	*s = bodyScanner{
@@ -634,18 +669,22 @@ func getScanner(body []byte, maxSamples int, observe bool) *bodyScanner {
 		dense:       s.dense[:0],
 		cols:        s.cols[:0],
 		vals:        s.vals[:0],
+		cuts:        s.cuts[:0],
+		subs:        s.subs[:0],
 		out:         scannedBody{recs: s.out.recs[:0]},
 	}
 	return s
 }
 
-// release returns s to the pool; nil is a no-op.  Every value the scan
-// left views s's arenas, so the caller must be done with them: for a
-// predict body, its batch has answered.
+// release returns s to the pool, with the scanners of its ranges; nil is
+// a no-op.  Every value the scan left views s's arenas or theirs, so the
+// caller must be done with them: for a predict body, its batch has
+// answered.
 func (s *bodyScanner) release() {
 	if s == nil {
 		return
 	}
+	s.releaseSubs()
 	clear(s.out.recs)
 	if cap(s.dense) > maxArenaHint || cap(s.cols) > maxArenaHint {
 		s.dense, s.cols, s.vals = nil, nil, nil
@@ -663,11 +702,28 @@ func arena[T any](a []T, hint int) []T {
 	return a
 }
 
+// releaseSubs returns the scanners of s's ranges to the pool.
+func (s *bodyScanner) releaseSubs() {
+	for _, sub := range s.subs {
+		sub.release()
+	}
+	clear(s.subs)
+	s.subs = s.subs[:0]
+}
+
+// hint returns the capacity a fresh arena takes, counted when an arena
+// is first needed.  Every number but the last in an array is followed
+// by a comma, so the commas left in the body bound the values of any one
+// kind still to come; the cap keeps a comma-heavy body from sizing a
+// large arena.
+func (s *bodyScanner) hint() int {
+	if s.arenaHint == 0 {
+		s.arenaHint = min(bytes.Count(s.b[s.pos:], []byte{','})+1, maxArenaHint)
+	}
+	return s.arenaHint
+}
+
 func (s *bodyScanner) scan() error {
-	// Every number but the last in an array is followed by a comma, so
-	// the comma count bounds the values of any one kind; the cap keeps
-	// a comma-heavy body from sizing a large arena.
-	s.arenaHint = min(bytes.Count(s.b, []byte{','})+1, maxArenaHint)
 	allowed := predictKeys
 	if s.observe {
 		allowed = keySamples
@@ -696,6 +752,15 @@ func (s *bodyScanner) samplesArray() error {
 	if s.empty(']') {
 		return nil
 	}
+	if n := s.rangeCount(); n > 0 && s.scanRanges(n) {
+		return nil
+	}
+	return s.samples(len(s.b) + 1)
+}
+
+// samples decodes the samples from pos into out.recs, up to the array's
+// ']' or until the comma after a sample leaves pos at or past stop.
+func (s *bodyScanner) samples(stop int) error {
 	for {
 		if len(s.out.recs) == s.maxSamples {
 			return badRequestf("more than %d samples exceeds the per-request cap", s.maxSamples)
@@ -704,9 +769,76 @@ func (s *bodyScanner) samplesArray() error {
 		if err := s.sampleObject(&s.out.recs[len(s.out.recs)-1]); err != nil {
 			return err
 		}
-		if more, err := s.next(']'); !more {
+		if more, err := s.next(']'); !more || s.pos >= stop {
 			return err
 		}
+	}
+}
+
+// rangeCount returns the number of ranges to cut the samples array whose
+// first sample is at pos into, 0 to scan it here.
+func (s *bodyScanner) rangeCount() int {
+	if s.ranges != 0 {
+		return s.ranges
+	}
+	if n := pool.Shared().Size(); n > 1 && len(s.b)-s.pos >= parallelScanBytes {
+		return n
+	}
+	return 0
+}
+
+// scanRanges scans the samples array whose first sample is at pos as up
+// to n ranges on the pool and reports whether every range landed where
+// it was cut.  Then out.recs holds the samples in order and pos is past
+// the array's ']'; otherwise nothing is kept and pos has not moved.
+func (s *bodyScanner) scanRanges(n int) bool {
+	start := s.pos
+	s.cuts = append(s.cuts[:0], start)
+	for r := 1; r < n; r++ {
+		at := max(start+r*(len(s.b)-start)/n, s.cuts[len(s.cuts)-1])
+		i := bytes.Index(s.b[at:], []byte("},{"))
+		if i < 0 {
+			break
+		}
+		if cut := at + i + 2; cut > s.cuts[len(s.cuts)-1] {
+			s.cuts = append(s.cuts, cut)
+		}
+	}
+	// The last range ends on the array's ']', which no cut after a
+	// comma can reach.
+	s.cuts = append(s.cuts, len(s.b)+1)
+	for _, at := range s.cuts[:len(s.cuts)-1] {
+		sub := getScanner(s.b, s.maxSamples, s.observe)
+		sub.pos = at
+		s.subs = append(s.subs, sub)
+	}
+	pool.Do(len(s.subs), len(s.subs), s.scanSubs)
+	total := 0
+	for _, sub := range s.subs {
+		if !sub.landed || len(sub.out.recs) > s.maxSamples-total {
+			s.releaseSubs()
+			return false
+		}
+		total += len(sub.out.recs)
+	}
+	for _, sub := range s.subs {
+		s.out.recs = append(s.out.recs, sub.out.recs...)
+	}
+	s.pos = s.subs[len(s.subs)-1].pos
+	return true
+}
+
+// scanSubs scans ranges [lo, hi) of s's cut samples array.  A range
+// lands when its samples end without a refusal, on the comma just before
+// the next cut or, for the last range, on the array's ']'.  Its pos can
+// be the next cut only after that comma, since the byte before a cut is
+// ','.
+func (s *bodyScanner) scanSubs(lo, hi int) {
+	for r := lo; r < hi; r++ {
+		sub, stop := s.subs[r], s.cuts[r+1]
+		sub.arenaHint = min(bytes.Count(s.b[sub.pos:min(stop, len(s.b))], []byte{','})+1, maxArenaHint)
+		err := sub.samples(stop)
+		sub.landed = err == nil && (stop > len(s.b) || sub.pos == stop)
 	}
 }
 
@@ -750,7 +882,7 @@ func (s *bodyScanner) denseArray(rec *rawSample) error {
 		return s.badValue("dense", "an array")
 	}
 	s.pos++
-	s.dense = arena(s.dense, s.arenaHint)
+	s.dense = arena(s.dense, s.hint())
 	start := len(s.dense)
 	if !s.empty(']') {
 		for {
@@ -784,8 +916,8 @@ func (s *bodyScanner) sparseObject(rec *rawSample) error {
 		return s.badValue("sparse", "an object")
 	}
 	s.pos++
-	s.cols = arena(s.cols, s.arenaHint)
-	s.vals = arena(s.vals, s.arenaHint)
+	s.cols = arena(s.cols, s.hint())
+	s.vals = arena(s.vals, s.hint())
 	start := len(s.cols)
 	if !s.empty('}') {
 		for {

@@ -90,6 +90,69 @@ func FuzzScanObserve(f *testing.F) {
 	})
 }
 
+// FuzzParallelScan holds the range scan to the sequential one.  Every
+// input is scanned as a predict and as an observe body, under a cap of 4
+// samples and under none, sequentially and cut into 1, 2 and 7 ranges
+// whatever its size.  Each cut scan must give the sequential decision
+// and error text, the same model and embed flag, and per sample the same
+// dense bits, sparse columns and value bits, and label.  The corpus
+// holds the bodies a cut must survive: whitespace around the commas
+// between samples, "},{" inside a "model" after the array (once
+// followed by "}]", which a range must not take for the array's end), a
+// sparse sample at a cut, a bad number in the last range, a count over
+// the cap, one sample larger than the rest of the body, and a single
+// sample.
+func FuzzParallelScan(f *testing.F) {
+	f.Add([]byte(`{"samples":[{"dense":[1,2]},{"sparse":{"3":0.5}},{"dense":[4]}],"model":"m"}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, observe := range []bool{false, true} {
+			for _, maxSamples := range []int{4, math.MaxInt} {
+				seq, seqErr := scanBody(b, maxSamples, observe, -1)
+				for _, n := range []int{1, 2, 7} {
+					cut, err := scanBody(b, maxSamples, observe, n)
+					sameScan(t, b, n, seq, seqErr, cut, err)
+					cut.release()
+				}
+				seq.release()
+			}
+		}
+	})
+}
+
+// sameScan compares a scan cut into n ranges with the sequential one.
+func sameScan(t *testing.T, b []byte, n int, seq *bodyScanner, seqErr error, cut *bodyScanner, err error) {
+	t.Helper()
+	if fmt.Sprint(err) != fmt.Sprint(seqErr) {
+		t.Fatalf("%q at %d ranges: err %v, sequential %v", b, n, err, seqErr)
+	}
+	if err != nil {
+		return
+	}
+	got, want := &cut.out, &seq.out
+	if got.model != want.model || got.embed != want.embed {
+		t.Fatalf("%q at %d ranges: model/embed %q/%v, sequential %q/%v", b, n, got.model, got.embed, want.model, want.embed)
+	}
+	if len(got.recs) != len(want.recs) {
+		t.Fatalf("%q at %d ranges: %d samples, sequential %d", b, n, len(got.recs), len(want.recs))
+	}
+	for i := range want.recs {
+		g, w := &got.recs[i], &want.recs[i]
+		if !slices.Equal(floatBits(g.dense), floatBits(w.dense)) || !slices.Equal(g.cols, w.cols) ||
+			!slices.Equal(floatBits(g.vals), floatBits(w.vals)) || g.label != w.label {
+			t.Fatalf("%q at %d ranges: sample %d is %+v, sequential %+v", b, n, i, *g, *w)
+		}
+	}
+}
+
+// floatBits returns the bit patterns of v.
+func floatBits(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
 // FuzzPeekPredict: whenever the reference accepts a body, the peek
 // accepts it with the same model and sample count; whenever the peek
 // rejects a body, the reference rejects it too.
@@ -179,7 +242,9 @@ func TestScanSampleCap(t *testing.T) {
 // on 64×784 dense bodies.  The first body holds full-precision uniform
 // values; the _mnist one mixes them as serve-bulk bodies do (about 40%
 // "0", 17% "1", the rest full precision), and observe scans that body
-// with labels.
+// with labels.  With more than one CPU these bodies are cut into one
+// range per pool worker; scanner_mnist_seq scans the _mnist body as one
+// range, the sequential cost.
 func BenchmarkScanPredict(b *testing.B) {
 	uniform := func(rng *rand.Rand) float64 { return rng.Float64() }
 	mnist := func(rng *rand.Rand) float64 {
@@ -205,6 +270,7 @@ func BenchmarkScanPredict(b *testing.B) {
 		})
 	}
 	scan := func(body []byte) error { sc, err := scanPredict(body, 1024); sc.release(); return err }
+	scanSeq := func(body []byte) error { sc, err := scanBody(body, 1024, false, 1); sc.release(); return err }
 	peek := func(body []byte) error { _, _, err := PeekPredict(body); return err }
 	run("scanner", body, scan)
 	run("peek", body, peek)
@@ -213,6 +279,7 @@ func BenchmarkScanPredict(b *testing.B) {
 		return json.NewDecoder(bytes.NewReader(body)).Decode(&r)
 	})
 	run("scanner_mnist", mnistBody, scan)
+	run("scanner_mnist_seq", mnistBody, scanSeq)
 	run("peek_mnist", mnistBody, peek)
 	run("observe", observeBody, func(body []byte) error { sc, err := scanObserve(body, 1024); sc.release(); return err })
 }
@@ -283,15 +350,19 @@ func TestStructural(t *testing.T) {
 
 // TestConcurrentPooledBodies: concurrent predict bodies share the pooled
 // body scanners, and a third of them give up while queued (a context
-// cancelled before the call, or timing out within it).  Every reply must
-// carry its own samples' classes.  A scanner pooled while a batch could
-// still read its arena would show as a data race under -race, which
-// make race runs this test with.
+// cancelled before the call, or timing out within it).  Every other body
+// is large enough to be scanned in ranges on the pool.  Every reply must
+// carry its own samples' classes.  A scanner, or a range's scanner,
+// pooled while a batch could still read its arena would show as a data
+// race under -race, which make race runs this test with.
 func TestConcurrentPooledBodies(t *testing.T) {
 	const n, c = 16, 4
 	model, probes := trainBlobs(t, n, c, 7)
 	s, _, _ := newTestServer(t, model, Options{})
 	const goroutines, rounds = 4, 60
+	// A 16-feature sample of full-precision values takes more than 256
+	// bytes of JSON.
+	const large = parallelScanBytes/256 + 1
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -300,6 +371,9 @@ func TestConcurrentPooledBodies(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for r := 0; r < rounds; r++ {
 				want := make([]int, 1+rng.Intn(8))
+				if r%2 == 1 {
+					want = make([]int, large+rng.Intn(8))
+				}
 				req := PredictRequest{Samples: make([]Sample, len(want))}
 				for i := range want {
 					want[i] = rng.Intn(c)
@@ -308,6 +382,10 @@ func TestConcurrentPooledBodies(t *testing.T) {
 				body, err := json.Marshal(req)
 				if err != nil {
 					t.Error(err)
+					return
+				}
+				if r%2 == 1 && len(body) < parallelScanBytes {
+					t.Errorf("round %d: a %d-byte body is scanned in one piece", r, len(body))
 					return
 				}
 				ctx, cancel := context.Background(), context.CancelFunc(func() {})

@@ -10,10 +10,8 @@ package telemetry
 // in ~2 days) and slow (30m/6h, burn 6 — budget gone in ~5 days).
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -190,8 +188,8 @@ type SLOEngine struct {
 }
 
 // SLOEngineOptions configures an engine; Flight receives the slo_burn
-// trigger.  The alert table itself is read from Alerts: /debug/alerts
-// and /cluster/snapshot serve it.
+// trigger.  The alert table itself is read from Alerts:
+// /cluster/snapshot serves it.
 type SLOEngineOptions struct {
 	Clock  obs.Clock
 	Flight *obs.FlightRecorder
@@ -234,26 +232,6 @@ func (e *SLOEngine) Alerts() []Alert {
 		out = append(out, *e.alerts[key])
 	}
 	return out
-}
-
-// Handler serves the alert table as JSON (the /debug/alerts endpoint).
-func (e *SLOEngine) Handler() http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		alerts := e.Alerts()
-		if alerts == nil {
-			alerts = []Alert{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Alerts []Alert `json:"alerts"`
-		}{alerts})
-	}
 }
 
 // Evaluate runs one pass: compute each objective's burn over every

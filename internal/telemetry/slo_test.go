@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,6 +47,8 @@ func TestValidateSLOConfig(t *testing.T) {
 		{"trailing garbage", validConfig() + " trailing garbage"},
 		{"second document", validConfig() + `{"more":1}`},
 		{"bad window", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "kind": "availability", "metric": "m", "target": 0.9}], "windows": [{"name": "w", "short_seconds": 60, "long_seconds": 30, "burn": 2}]}`},
+		{"key in the wrong case", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "Kind": "availability", "metric": "m", "target": 0.9}]}`},
+		{"repeated key", `{"schema": "srda-slo/v1", "objectives": [{"name": "a", "kind": "availability", "metric": "m", "target": 0.9, "target": 0.9}]}`},
 	}
 	for _, c := range bad {
 		if _, err := ValidateSLOConfig([]byte(c.doc)); err == nil {
@@ -223,33 +223,5 @@ func TestSLOLatencyObjective(t *testing.T) {
 	a := eng.Alerts()[0]
 	if a.State != StateFiring {
 		t.Fatalf("slow latency: %+v", a)
-	}
-}
-
-func TestAlertsHandler(t *testing.T) {
-	cfg, err := ValidateSLOConfig([]byte(validConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewSLOEngine(cfg, NewStore(16), SLOEngineOptions{Clock: func() time.Time { return t0 }})
-	rec := httptest.NewRecorder()
-	eng.Handler()(rec, httptest.NewRequest("GET", "/debug/alerts", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	var body struct {
-		Alerts []Alert `json:"alerts"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	// 2 objectives × 2 default windows, sorted by objective/window.
-	if len(body.Alerts) != 4 || body.Alerts[0].Objective != "availability" || body.Alerts[0].Window != "fast" {
-		t.Errorf("alert table = %+v", body.Alerts)
-	}
-	rec = httptest.NewRecorder()
-	eng.Handler()(rec, httptest.NewRequest("POST", "/debug/alerts", nil))
-	if rec.Code != 405 {
-		t.Errorf("POST code = %d", rec.Code)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -44,8 +45,8 @@ func FuzzValidateClusterSnapshot(f *testing.F) {
 }
 
 // TestValidateClusterSnapshotRefusals: a field the schema does not
-// declare, at the top or inside a row, and anything after the document
-// are refused; a wrong schema is a *SchemaError whose message quotes the
+// declare, at the top or inside a row, a key in the wrong case, a
+// repeated key and anything after the document are refused; a wrong schema is a *SchemaError whose message quotes the
 // tag it got with Go escaping.
 func TestValidateClusterSnapshotRefusals(t *testing.T) {
 	const valid = `{"schema":"srda-cluster/v1","replicas":[{"replica":"w0","up":true}],"quantiles":[],"alerts":[],"series":1}`
@@ -60,6 +61,15 @@ func TestValidateClusterSnapshotRefusals(t *testing.T) {
 	} {
 		if snap, err := ValidateClusterSnapshot([]byte(doc)); err == nil {
 			t.Errorf("%s: accepted as %+v", doc, snap)
+		}
+	}
+	for _, tc := range []struct{ doc, want string }{
+		{`{"SCHEMA":"srda-cluster/v1"}`, "is not spelled as a field's name"},
+		{`{"schema":"wrong","schema":"srda-cluster/v1"}`, "repeated in one object"},
+		{`{"schema":"srda-cluster/v1","replicas":[{"replica":"w0","Up":true}]}`, "is not spelled as a field's name"},
+	} {
+		if _, err := ValidateClusterSnapshot([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.doc, err, tc.want)
 		}
 	}
 	_, err := ValidateClusterSnapshot([]byte(`{"schema":"srda-cluster/\"v9\"\n"}`))
